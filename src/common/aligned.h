@@ -1,5 +1,5 @@
-// Cache-line-aligned allocator shared by the per-slot staging buffers
-// (harness/experiment.cpp) and the batched engine's SoA slabs
+// Cache-line-aligned allocator shared by the chunk staging buffers
+// (harness/ordered_fold.h) and the batched engine's SoA slabs
 // (sim/batch_engine.h): two slots' (or two lanes') arrays must never share
 // a cache line, or concurrent writers would false-share on every store,
 // and the batch slabs want 64-byte starts so per-lane rows can be aligned

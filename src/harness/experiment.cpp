@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
-#include "common/aligned.h"
 #include "common/error.h"
 #include "core/offline.h"
+#include "harness/ordered_fold.h"
 #include "harness/pool.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -38,80 +36,6 @@ const SchemeStats& SweepPoint::of(Scheme s) const {
 }
 
 namespace {
-
-/// Raw per-run measurements; accumulated into SweepPoint in run order so
-/// results are independent of how many worker threads produced them.
-struct SchemeOutcome {
-  double norm_energy = 0.0;
-  double speed_changes = 0.0;
-  double finish_frac = 0.0;
-  double busy_frac = 0.0;
-  double overhead_frac = 0.0;
-  double idle_frac = 0.0;
-  bool has_norm = false;
-  bool has_fracs = false;
-  bool missed = false;
-  bool verify_failed = false;
-};
-
-/// All per-run measurements of one point, laid out run-major in flat
-/// preallocated arrays (schemes[run * nschemes + s]): no per-run heap
-/// blocks, and both the worker writes and the run-ordered accumulation
-/// walk memory sequentially.
-struct PointOutcomes {
-  std::vector<double> npm_energy;        // one per run
-  std::vector<std::uint8_t> degenerate;  // NPM baseline consumed zero energy
-  std::vector<SchemeOutcome> schemes;    // runs x cfg.schemes, run-major
-
-  explicit PointOutcomes(int runs, std::size_t nschemes)
-      : npm_energy(static_cast<std::size_t>(runs), 0.0),
-        degenerate(static_cast<std::size_t>(runs), 0),
-        schemes(static_cast<std::size_t>(runs) * nschemes) {}
-};
-
-// (The staging buffers use CacheAlignedAlloc from common/aligned.h — the
-// same allocator the batched engine's SoA slabs are built on — so two
-// slots' staging arrays never share a cache line.)
-
-/// Slot-private staging for one chunk's outcomes. Workers evaluate every
-/// run of a claimed chunk into this scratch — cache-line-aligned arrays no
-/// other thread ever touches — and then flush the whole chunk into the
-/// shared run-major PointOutcomes with one bulk copy per array. The shared
-/// store is therefore written at chunk granularity instead of per run
-/// field-by-field, so the only lines two workers can ever contend on are
-/// the single boundary lines between adjacent chunks, touched once each.
-/// The staged values are copied verbatim to the same run-indexed positions
-/// the direct path writes, so the merge is unobservable in the output.
-struct ChunkStage {
-  std::vector<double, CacheAlignedAlloc<double>> npm_energy;
-  std::vector<std::uint8_t, CacheAlignedAlloc<std::uint8_t>> degenerate;
-  std::vector<SchemeOutcome, CacheAlignedAlloc<SchemeOutcome>> schemes;
-
-  /// Grows the scratch to `chunk_runs` entries (never shrinks, so the
-  /// final short chunk of a point reuses the full-size buffers). Entries
-  /// are *not* cleared between chunks: evaluate_run assigns every field.
-  void ensure(int chunk_runs, std::size_t nschemes) {
-    const auto n = static_cast<std::size_t>(chunk_runs);
-    if (npm_energy.size() >= n) return;
-    npm_energy.resize(n);
-    degenerate.resize(n);
-    schemes.resize(n * nschemes);
-  }
-
-  /// Bulk-copies the first `n` staged runs into `store` at [first, first+n).
-  void flush(PointOutcomes& store, int first, int n,
-             std::size_t nschemes) const {
-    const auto offset = static_cast<std::size_t>(first);
-    const auto count = static_cast<std::size_t>(n);
-    std::memcpy(store.npm_energy.data() + offset, npm_energy.data(),
-                count * sizeof(double));
-    std::memcpy(store.degenerate.data() + offset, degenerate.data(), count);
-    std::memcpy(store.schemes.data() + offset * nschemes, schemes.data(),
-                count * nschemes * sizeof(SchemeOutcome));
-  }
-};
-static_assert(std::is_trivially_copyable_v<SchemeOutcome>,
-              "ChunkStage::flush memcpys SchemeOutcome rows");
 
 // ---- Scenario-dedup outcome memoization (DESIGN.md §15) -----------------
 //
@@ -323,7 +247,6 @@ struct RunObs {
   Profiler* prof = nullptr;
   int ph_sample = -1;    // scenario drawing (nested under pool.busy)
   int ph_simulate = -1;  // engine simulation (nested under pool.busy)
-  int ph_flush = -1;     // chunk stage flush (nested under pool.busy)
   int ph_batch_setup = -1;  // batch-engine setup (nested under simulate)
   int ph_batch_drain = -1;  // batch-engine drain (nested under simulate)
 };
@@ -362,8 +285,8 @@ void audit_run(const Application& app, const OfflineResult& off,
 /// `npm_energy_out`, `degenerate_out` and the `row` of cfg.schemes.size()
 /// SchemeOutcomes. Every field of every cell is assigned unconditionally,
 /// so callers may hand in reused (stale) buffers — the pooled path stages
-/// chunks through per-slot scratch that is never cleared. Thread-safe: all
-/// shared inputs are const, distinct runs write distinct cells; policies
+/// chunks through recycled ChunkStages that are never cleared. Thread-safe:
+/// all shared inputs are const, distinct runs write distinct cells; policies
 /// and the workspace are caller-provided (one set per worker slot), so the
 /// loop over runs performs no heap allocation in steady state. The
 /// simulation consumes no randomness — a scenario fully determines every
@@ -497,7 +420,7 @@ struct WorkerCtx {
   std::unique_ptr<SpeedPolicy> npm;
   SimWorkspace ws;
   RunScenario sc;
-  ChunkStage stage;
+  std::unique_ptr<ChunkStage> stage;  // null until OrderedFold::acquire
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
   // Batched-path state (sim/batch_engine.h), sized lazily on first use.
   BatchWorkspace batch_ws;
@@ -547,6 +470,7 @@ void evaluate_chunk_batched(const Application& app,
                             int first, int count, int lanes_max,
                             WorkerCtx& ctx, const RunObs& obs) {
   const std::size_t nschemes = cfg.schemes.size();
+  ChunkStage& stage = *ctx.stage;
   SimCounters* const slot_npm =
       obs.cells != nullptr ? obs.cells + nschemes : nullptr;
   ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
@@ -600,8 +524,8 @@ void evaluate_chunk_batched(const Application& app,
       const auto i = static_cast<std::size_t>(base + l);
       const double npm_energy =
           ctx.batch_results[static_cast<std::size_t>(l)].total_energy();
-      ctx.stage.npm_energy[i] = npm_energy;
-      ctx.stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
+      stage.npm_energy[i] = npm_energy;
+      stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
     }
 
     for (std::size_t s = 0; s < nschemes; ++s) {
@@ -611,8 +535,8 @@ void evaluate_chunk_batched(const Application& app,
         const auto i = static_cast<std::size_t>(base + l);
         const SimResult& r = ctx.batch_results[static_cast<std::size_t>(l)];
         SchemeOutcome so;
-        if (!ctx.stage.degenerate[i]) {
-          so.norm_energy = r.total_energy() / ctx.stage.npm_energy[i];
+        if (!stage.degenerate[i]) {
+          so.norm_energy = r.total_energy() / stage.npm_energy[i];
           so.has_norm = true;
         }
         so.speed_changes = static_cast<double>(r.speed_changes);
@@ -626,7 +550,7 @@ void evaluate_chunk_batched(const Application& app,
           so.has_fracs = true;
         }
         so.missed = !r.deadline_met;
-        ctx.stage.schemes[i * nschemes + s] = so;
+        stage.schemes[i * nschemes + s] = so;
       }
     }
   }
@@ -643,6 +567,7 @@ void evaluate_chunk_dedup_scalar(
     const RunObs& obs, OutcomeShard& shard, SharedOutcomes* shared) {
   const std::size_t nschemes = cfg.schemes.size();
   const std::size_t ncells = nschemes + 1;
+  ChunkStage& stage = *ctx.stage;
   const bool metrics = obs.cells != nullptr;
   ctx.key.resize(sampler.op_count());
   if (metrics) ctx.dedup_cells.resize(ncells);
@@ -678,14 +603,14 @@ void evaluate_chunk_dedup_scalar(
           ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
           evaluate_scenario(app, cfg, off, pm, deadline, ctx.policies,
                             *ctx.npm, run, ctx.ws, ctx.sc,
-                            ctx.stage.npm_energy[i], ctx.stage.degenerate[i],
-                            ctx.stage.schemes.data() + i * nschemes,
+                            stage.npm_energy[i], stage.degenerate[i],
+                            stage.schemes.data() + i * nschemes,
                             miss_obs);
         }
         if (metrics)
           for (std::size_t c = 0; c < ncells; ++c)
             obs.cells[c].add(ctx.dedup_cells[c]);
-        append_record_from_stage(shard, ctx.stage, i, nschemes,
+        append_record_from_stage(shard, stage, i, nschemes,
                                  metrics ? ctx.dedup_cells.data() : nullptr,
                                  ncells);
         if (shared != nullptr) shard.pending.push_back(id);
@@ -693,7 +618,7 @@ void evaluate_chunk_dedup_scalar(
       }
     }
     ++shard.hits;
-    replay_record(shard, id, ctx.stage, i, nschemes, obs.cells, ncells);
+    replay_record(shard, id, stage, i, nschemes, obs.cells, ncells);
   }
   if (shared != nullptr) shared->publish(shard, nschemes, ncells, metrics);
 }
@@ -713,6 +638,7 @@ void evaluate_chunk_dedup_batched(
   const std::size_t nschemes = cfg.schemes.size();
   const std::size_t ncells = nschemes + 1;
   const bool metrics = obs.cells != nullptr;
+  ChunkStage& stage = *ctx.stage;
   const std::uint64_t miss0 = shard.misses;
   ctx.key.resize(sampler.op_count());
   ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
@@ -792,7 +718,7 @@ void evaluate_chunk_dedup_batched(
       cur = 0;
     }
     for (const auto& [idx, id] : ctx.fill)
-      replay_record(shard, id, ctx.stage, static_cast<std::size_t>(idx),
+      replay_record(shard, id, stage, static_cast<std::size_t>(idx),
                     nschemes, obs.cells, ncells);
     ctx.fill.clear();
   };
@@ -839,12 +765,12 @@ struct PointSpec {
 
 int chunk_size_for(const ExperimentConfig& cfg) {
   if (cfg.chunk_runs > 0) return cfg.chunk_runs;
-  // Auto: batch enough runs per claim that the shared counter (and the
-  // chunk-boundary cache lines of the shared outcome store) are touched
-  // O(threads) times per point, not O(runs) — about 8 chunks per worker
-  // per point. Floored at 16 so short points still balance, capped so
-  // progress ticks and tail imbalance stay bounded. Any value is
-  // output-identical; this is purely a scheduling knob.
+  // Auto: batch enough runs per claim that the shared counter and the
+  // point's fold lock are touched O(threads) times per point, not O(runs)
+  // — about 8 chunks per worker per point. Floored at 16 so short points
+  // still balance, capped so progress ticks and tail imbalance stay
+  // bounded. Any value is output-identical; this is purely a scheduling
+  // knob.
   const std::int64_t target =
       static_cast<std::int64_t>(cfg.runs) /
       (static_cast<std::int64_t>(std::max(1, cfg.threads)) * 8);
@@ -907,38 +833,16 @@ void flush_sim_counters(MetricsRegistry& reg, const std::string& prefix,
   reg.counter(prefix + ".idle_ps").add(0, c.idle_ps);
 }
 
-SweepPoint finalize_point(const ExperimentConfig& cfg, const PointSpec& spec,
-                          const PointOutcomes& outcomes) {
+/// A point's header fields and empty accumulators, one SchemeStats per
+/// configured scheme; the runs are folded in afterwards.
+SweepPoint point_header(const ExperimentConfig& cfg, const PointSpec& spec) {
   SweepPoint point;
   point.x = spec.x;
   point.deadline = spec.deadline;
   point.worst_makespan = spec.off->worst_makespan();
-  const std::size_t nschemes = cfg.schemes.size();
-  point.stats.resize(nschemes);
-  for (std::size_t s = 0; s < nschemes; ++s)
+  point.stats.resize(cfg.schemes.size());
+  for (std::size_t s = 0; s < cfg.schemes.size(); ++s)
     point.stats[s].scheme = cfg.schemes[s];
-
-  // Accumulate strictly in run order: identical floating-point results for
-  // every thread count, chunk size and point interleaving.
-  for (std::size_t run = 0; run < outcomes.npm_energy.size(); ++run) {
-    point.npm_energy.add(outcomes.npm_energy[run]);
-    if (outcomes.degenerate[run]) ++point.degenerate_runs;
-    const SchemeOutcome* row = outcomes.schemes.data() + run * nschemes;
-    for (std::size_t s = 0; s < nschemes; ++s) {
-      const SchemeOutcome& so = row[s];
-      SchemeStats& st = point.stats[s];
-      if (so.has_norm) st.norm_energy.add(so.norm_energy);
-      st.speed_changes.add(so.speed_changes);
-      st.finish_frac.add(so.finish_frac);
-      if (so.has_fracs) {
-        st.busy_frac.add(so.busy_frac);
-        st.overhead_frac.add(so.overhead_frac);
-        st.idle_frac.add(so.idle_frac);
-      }
-      if (so.missed) ++st.deadline_misses;
-      if (so.verify_failed) ++st.verify_failures;
-    }
-  }
   return point;
 }
 
@@ -1008,12 +912,13 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   }
   // Phase profiler: resolve every phase id once, before the workers start
   // (Profiler::phase takes a mutex; the hot paths then index by id). The
-  // pool.* phases are top-level — together with harness.compile/finalize
-  // they tile this call's wall time; harness.* / batch.* run-phases are
-  // nested inside pool.busy.
+  // pool.* phases are top-level — together with harness.setup/compile/
+  // finalize they tile this call's wall time; the harness.* run and fold
+  // phases and batch.* are nested inside pool.busy.
   Profiler* const prof = cfg.prof;
   RunObs obs_proto;
   int ph_setup = -1;
+  int ph_fold = -1;
   if (prof != nullptr) {
     tel.prof = prof;
     tel.ph_claim = prof->phase("pool.claim", /*top_level=*/true);
@@ -1023,7 +928,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     obs_proto.prof = prof;
     obs_proto.ph_sample = prof->phase("harness.sample");
     obs_proto.ph_simulate = prof->phase("harness.simulate");
-    obs_proto.ph_flush = prof->phase("harness.stage_flush");
+    ph_fold = prof->phase("harness.fold");
     obs_proto.ph_batch_setup = prof->phase("batch.setup");
     obs_proto.ph_batch_drain = prof->phase("batch.drain");
   }
@@ -1031,9 +936,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     telp = &tel;
 
   // Everything between here and the pool run that is not sampler
-  // compilation is per-run storage allocation and dedup plumbing; charge
-  // it as harness.setup (two scope entries, split around the compile) so
-  // the top-level phases keep tiling the call.
+  // compilation is accumulator, counter-cell and dedup plumbing; charge it
+  // as harness.setup (two scope entries, split around the compile) so the
+  // top-level phases keep tiling the call.
   auto setup_scope = std::make_optional<ProfScope>(prof, ph_setup, 0);
 
   // Engine-counter cells, one SimCounters row (schemes + NPM) per
@@ -1047,12 +952,13 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   std::vector<SimCounters> cells(
       cfg.collect_metrics ? specs.size() * nslots * ncells : 0);
 
-  // Preallocate every per-run slot before the workers start, so the run
-  // loop itself writes in place without allocating.
-  std::vector<PointOutcomes> outcomes;
-  outcomes.reserve(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p)
-    outcomes.emplace_back(runs, cfg.schemes.size());
+  // Each point's accumulators, fed chunk by chunk in run order as the
+  // workers complete them (DESIGN.md §13): nothing per run is stored.
+  std::vector<SweepPoint> headers;
+  headers.reserve(specs.size());
+  for (const PointSpec& spec : specs)
+    headers.push_back(point_header(cfg, spec));
+  OrderedFold fold(std::move(headers), runs, chunk);
 
   // One compiled sampler per distinct application: load-sweep points share
   // one graph, so a 10-point sweep compiles exactly one. Compiled up front
@@ -1131,13 +1037,13 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     const std::size_t sidx = spec_sampler_idx[static_cast<std::size_t>(p)];
     if (!ctx->samplers[sidx])
       ctx->samplers[sidx] = std::make_unique<ScenarioSampler>(*samplers[sidx]);
-    // Evaluate the whole chunk into slot-private staging, then flush it
-    // into the shared run-major store with one bulk copy per array: the
-    // per-run loop touches no shared mutable memory at all. The batched
-    // and scalar chunk paths stage bit-identical values (the engines are
-    // interchangeable run for run); per-run tracer spans exist only on
-    // the scalar path, so kRuns detail keeps it.
-    ctx->stage.ensure(chunk, nschemes);
+    // Evaluate the whole chunk into the slot's private stage, then hand it
+    // to the ordered fold: the per-run loop touches no shared mutable
+    // memory at all. The batched and scalar chunk paths stage
+    // bit-identical values (the engines are interchangeable run for run);
+    // per-run tracer spans exist only on the scalar path, so kRuns detail
+    // keeps it.
+    if (!ctx->stage) ctx->stage = fold.acquire();
     if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
       // Dedup path (dedup_for already excludes every configuration that
       // needs per-run engine work, including a kRuns tracer). The shard is
@@ -1170,16 +1076,17 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         const auto i = static_cast<std::size_t>(run - first);
         evaluate_run(*spec.app, cfg, *spec.off, pm, spec.deadline,
                      ctx->samplers[sidx].get(), ctx->policies, *ctx->npm,
-                     run, ctx->ws, ctx->sc, ctx->stage.npm_energy[i],
-                     ctx->stage.degenerate[i],
-                     ctx->stage.schemes.data() + i * nschemes, obs);
+                     run, ctx->ws, ctx->sc, ctx->stage->npm_energy[i],
+                     ctx->stage->degenerate[i],
+                     ctx->stage->schemes.data() + i * nschemes, obs);
       }
     }
-    {
-      ProfScope ps(obs.prof, obs.ph_flush, slot);
-      ctx->stage.flush(outcomes[static_cast<std::size_t>(p)], first, count,
-                       nschemes);
-    }
+    // Folds this chunk (and any parked successors) when it extends the
+    // point's folded prefix, else parks it; a parked stage leaves
+    // ctx->stage null and the next chunk acquires another.
+    ProfScope ps(prof, ph_fold, slot);
+    fold.complete(static_cast<std::size_t>(p), c % chunks_per_point,
+                  ctx->stage);
   };
 
   setup_scope.reset();
@@ -1196,19 +1103,19 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     }
   }
 
-  std::vector<SweepPoint> points;
-  points.reserve(specs.size());
+  // The runs are already folded; what remains is summing the per-slot
+  // counter cells and dedup shards.
+  std::vector<SweepPoint> points = fold.release();
   {
     TraceSpan span(tracer, 0, "finalize");
     ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
                                        : -1,
                  0);
     for (std::size_t p = 0; p < specs.size(); ++p) {
-      points.push_back(finalize_point(cfg, specs[p], outcomes[p]));
       if (cfg.collect_metrics) {
         // Sum the slot cells in fixed slot order (integer adds: the order
         // would not matter anyway, but keep it canonical).
-        PointMetrics& m = points.back().metrics;
+        PointMetrics& m = points[p].metrics;
         m.schemes.resize(nschemes);
         for (std::size_t slot = 0; slot < nslots; ++slot) {
           const SimCounters* cell =
@@ -1219,7 +1126,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         }
       }
       if (spec_dedup[p] != 0) {
-        DedupStats& d = points.back().dedup;
+        DedupStats& d = points[p].dedup;
         d.enabled = true;
         for (std::size_t slot = 0; slot < nslots; ++slot) {
           const auto& shard = shards[p * nslots + slot];
@@ -1359,9 +1266,12 @@ SweepPoint run_point_unpooled(const Application& app,
   opt.heuristic = cfg.heuristic;
   const OfflineResult off = analyze_offline(app, opt);
 
-  PointOutcomes outcomes(cfg.runs, cfg.schemes.size());
-
+  // The whole point's runs in one run-major stage, folded after the join:
+  // the reference keeps the store the pooled path streams away.
   const std::size_t nschemes = cfg.schemes.size();
+  ChunkStage outcomes;
+  outcomes.ensure(cfg.runs, nschemes);
+
   auto worker = [&](int first, int step) {
     WorkerCtx ctx(cfg, /*sampler_count=*/0);
     // nullptr sampler: the baseline keeps the legacy per-run
@@ -1394,7 +1304,9 @@ SweepPoint run_point_unpooled(const Application& app,
   spec.off = &off;
   spec.deadline = deadline;
   spec.x = x_value;
-  return finalize_point(cfg, spec, outcomes);
+  SweepPoint point = point_header(cfg, spec);
+  fold_runs(point, outcomes, cfg.runs);
+  return point;
 }
 
 std::vector<SweepPoint> sweep_load(const Application& app,

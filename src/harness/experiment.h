@@ -124,7 +124,8 @@ struct ExperimentConfig {
   ProgressReporter* progress = nullptr;
   /// Cycle-level phase profiler (obs/prof.h): the harness charges the
   /// offline analyze/apply, sampler compile, pool claim/busy/idle, per-run
-  /// sample/simulate, batch setup/drain, stage flush and finalize phases.
+  /// sample/simulate, batch setup/drain, run-ordered fold and finalize
+  /// phases.
   /// Null = every ProfScope is a single pointer test. Strictly write-only
   /// like the rest of this block: output is bit-identical with profiling
   /// on or off (prof_identity suite).

@@ -95,13 +95,19 @@ TEST(WorkerPool, ZeroChunksIsANoop) {
 TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
   WorkerPool pool(3);
   std::atomic<int> executed{0};
-  EXPECT_THROW(pool.parallel_chunks(1000, 4,
-                                    [&](int chunk, int) {
-                                      ++executed;
-                                      if (chunk == 7)
-                                        throw Error("boom in chunk 7");
-                                    }),
-               Error);
+  // Every non-throwing body does a fixed 50 us of work, so the job (at
+  // least 12 ms on 4 workers) outlasts the abort latency (microseconds) by
+  // orders of magnitude. With trivial bodies the helpers could run all
+  // 1000 before the throwing chunk's catch set the abort flag.
+  const auto body = [&](int chunk, int) {
+    ++executed;
+    if (chunk == 7) throw Error("boom in chunk 7");
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  EXPECT_THROW(pool.parallel_chunks(1000, 4, body), Error);
   // The abort flag stops remaining chunks: far fewer than 1000 ran.
   EXPECT_LT(executed.load(), 1000);
   // The pool survives and is usable afterwards.
