@@ -8,6 +8,7 @@
 #include "apps/synthetic.h"
 #include "core/list_sched.h"
 #include "core/offline.h"
+#include "graph/text_format.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/sampler.h"
@@ -36,8 +37,9 @@ void BM_LtfSchedule(benchmark::State& state) {
     for (int j = i + 1; j < n; ++j)
       if (rng.next_double() < 0.1) g.add_edge(members[i], members[j]);
   const auto dur = [&g](NodeId id) { return g.node(id).wcet; };
+  ListSchedScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ltf_schedule(g, members, 4, dur));
+    benchmark::DoNotOptimize(ltf_schedule(scratch, g, members, 4, dur));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -170,6 +172,60 @@ void BM_GraphValidate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphValidate);
+
+// The cold path every new graph pays once, on one ~500-node program at
+// random_explore's ladder settings (depth 3, sections of up to 9 tasks,
+// loops and OR branches): loading its workload text (tokenize, parse,
+// unroll, flatten, validate), the canonical analysis (LTF schedules of
+// every section at WCET and ACET, EOs, remaining-time profiles) and one
+// deadline's LST shift.
+std::string ladder_text() {
+  apps::RandomAppConfig cfg;
+  cfg.max_depth = 3;
+  cfg.max_section_tasks = 9;
+  cfg.max_segments = 4;
+  cfg.branch_prob = 0.35;
+  cfg.loop_prob = 0.2;
+  cfg.max_loop_iters = 3;
+  Rng rng(17);
+  for (;;) {
+    const Program prog = apps::random_program(rng, cfg);
+    const std::size_t n = build_application("ladder", prog).graph.size();
+    if (n >= 450 && n < 550) return workload_to_string("ladder", prog);
+  }
+}
+
+void BM_LoadWorkloadText(benchmark::State& state) {
+  const std::string text = ladder_text();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(load_application_string(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_LoadWorkloadText);
+
+void BM_AnalyzeCanonical(benchmark::State& state) {
+  const Application app = load_application_string(ladder_text());
+  CanonicalOptions opt;
+  opt.cpus = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analyze_canonical(app, opt));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(app.graph.size()));
+}
+BENCHMARK(BM_AnalyzeCanonical)->Arg(2)->Arg(8);
+
+void BM_ApplyDeadline(benchmark::State& state) {
+  const Application app = load_application_string(ladder_text());
+  const CanonicalAnalysis canon = analyze_canonical(app, CanonicalOptions{});
+  const SimTime deadline{2 * canon.worst_makespan().ps};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(apply_deadline(canon, deadline));
+  }
+}
+BENCHMARK(BM_ApplyDeadline);
 
 }  // namespace
 }  // namespace paserta

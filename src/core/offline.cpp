@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -30,33 +31,21 @@ std::atomic<std::uint64_t> g_canonical_count{0};
 
 }  // namespace
 
-/// Deadline-independent payload of one phase-1 analysis. The per-node
-/// tables are copied into every OfflineResult derived from it; the segment
-/// cache drives the per-deadline shift walk.
+const CanonicalTables& CanonicalTables::empty() {
+  static const CanonicalTables kEmpty;
+  return kEmpty;
+}
+
+/// Deadline-independent payload of one phase-1 analysis. OfflineResults
+/// derived from it share its per-node tables; the segment cache drives the
+/// per-deadline shift walk.
 struct CanonicalData {
   const Application* app = nullptr;
   CanonicalOptions opt;
   SimTime worst_makespan{};
   SimTime average_makespan{};
   std::uint32_t max_eo = 0;
-  std::vector<std::uint32_t> eo;
-  /// Initial NUP per node (Figure 2 initialization: preds for AND /
-  /// computation, min(1, preds) for OR) and the nodes starting at zero —
-  /// precomputed here so the engine resets its counters with one memcpy
-  /// per run instead of re-walking the Node structs.
-  std::vector<std::uint32_t> nup_init;
-  std::vector<std::uint32_t> sources;
-  /// Flat dispatch descriptors (NodeFlag masks, raw WCETs, CSR successor
-  /// lists): everything a dispatch needs from the Node structs, laid out
-  /// contiguously for the engine hot path.
-  std::vector<std::uint8_t> node_flags;
-  std::vector<SimTime> wcet;
-  std::vector<std::uint32_t> succ_off;
-  std::vector<std::uint32_t> succ_flat;
-  std::vector<SimTime> inflated_wcet;
-  std::vector<SimTime> rem_a;
-  std::vector<SimTime> rem_w;
-  std::unordered_map<std::uint32_t, OrForkProfile> fork_profiles;
+  CanonicalTables tables;
   std::unordered_map<const StructSegment*, SegAnalysis> segs;
 };
 
@@ -77,48 +66,51 @@ class OfflineAnalyzer {
     data->opt = opt;
 
     const std::size_t n = app.graph.size();
-    data->eo.assign(n, NodeId::kInvalid);
-    data->nup_init.resize(n);
+    const std::span<const Node> nodes = app.graph.nodes();
+    CanonicalTables& t = data->tables;
+    t.eo.assign(n, NodeId::kInvalid);
+    t.nup_init.resize(n);
+    t.node_flags.resize(n);
+    t.wcet.resize(n);
+    t.inflated_wcet.resize(n);
+    t.succ_off.resize(n + 1, 0);
+    std::size_t edges = 0;
+    for (const Node& node : nodes) edges += node.succs.size();
+    t.succ_flat.reserve(edges);
     for (std::uint32_t v = 0; v < n; ++v) {
-      const Node& node = app.graph.node(NodeId{v});
-      data->nup_init[v] =
+      const Node& node = nodes[v];
+      t.nup_init[v] =
           node.kind == NodeKind::OrNode
               ? std::min<std::uint32_t>(
                     1, static_cast<std::uint32_t>(node.preds.size()))
               : static_cast<std::uint32_t>(node.preds.size());
-      if (data->nup_init[v] == 0) data->sources.push_back(v);
-    }
-    data->node_flags.resize(n);
-    data->wcet.resize(n);
-    data->succ_off.resize(n + 1, 0);
-    for (std::uint32_t v = 0; v < n; ++v) {
-      const Node& node = app.graph.node(NodeId{v});
+      if (t.nup_init[v] == 0) t.sources.push_back(v);
       std::uint8_t flags = 0;
       if (node.is_dummy()) flags |= kNodeFlagDummy;
       if (node.is_or_fork()) flags |= kNodeFlagOrFork;
       if (node.kind == NodeKind::OrNode) flags |= kNodeFlagOrNode;
-      data->node_flags[v] = flags;
-      data->wcet[v] = node.wcet;
-      data->succ_off[v] = static_cast<std::uint32_t>(data->succ_flat.size());
-      for (NodeId s : node.succs) data->succ_flat.push_back(s.value);
+      t.node_flags[v] = flags;
+      t.wcet[v] = node.wcet;
+      t.inflated_wcet[v] = node.is_dummy()
+                               ? SimTime::zero()
+                               : node.wcet + opt.overhead_budget;
+      t.succ_off[v] = static_cast<std::uint32_t>(t.succ_flat.size());
+      for (NodeId s : node.succs) t.succ_flat.push_back(s.value);
     }
-    data->succ_off[n] = static_cast<std::uint32_t>(data->succ_flat.size());
-    data->inflated_wcet.assign(n, SimTime::zero());
-    data->rem_a.assign(n, SimTime::zero());
-    data->rem_w.assign(n, SimTime::zero());
+    t.succ_off[n] = static_cast<std::uint32_t>(t.succ_flat.size());
+    t.rem_a.assign(n, SimTime::zero());
+    t.rem_w.assign(n, SimTime::zero());
 
     OfflineAnalyzer an(app, opt, *data);
-    const ProgramTimes t = an.compute_times(app.structure);
-    data->worst_makespan = t.w;
-    data->average_makespan = t.a;
+    const ProgramTimes times = an.compute_times(app.structure);
+    data->worst_makespan = times.w;
+    data->average_makespan = times.a;
     data->max_eo = an.assign_eo(app.structure, 0);
     PASERTA_ASSERT(
-        std::none_of(data->eo.begin(), data->eo.end(),
+        std::none_of(t.eo.begin(), t.eo.end(),
                      [](std::uint32_t e) { return e == NodeId::kInvalid; }),
         "offline phase left a node without an execution order");
     an.assign_rem(app.structure, SimTime::zero(), SimTime::zero());
-    for (NodeId id : app.graph.all_nodes())
-      data->inflated_wcet[id.value] = an.inflated_wcet(id);
 
     g_canonical_count.fetch_add(1, std::memory_order_relaxed);
     CanonicalAnalysis result;
@@ -140,24 +132,16 @@ class OfflineAnalyzer {
     r.worst_makespan_ = d.worst_makespan;
     r.average_makespan_ = d.average_makespan;
     r.max_eo_ = d.max_eo;
-    r.eo_ = d.eo;
-    r.nup_init_ = d.nup_init;
-    r.sources_ = d.sources;
-    r.node_flags_ = d.node_flags;
-    r.wcet_ = d.wcet;
-    r.succ_off_ = d.succ_off;
-    r.succ_flat_ = d.succ_flat;
-    r.inflated_wcet_ = d.inflated_wcet;
-    r.rem_a_ = d.rem_a;
-    r.rem_w_ = d.rem_w;
-    r.fork_profiles_ = d.fork_profiles;
+    // Aliasing pointer: shares ownership of the whole canonical payload.
+    r.tables_ = std::shared_ptr<const CanonicalTables>(canonical.data_,
+                                                       &d.tables);
 
     const std::size_t n = d.app->graph.size();
     r.lst_.assign(n, SimTime::zero());
-    r.eet_.assign(n, SimTime::zero());
+    r.eet_.resize(n);
     assign_lst(d, d.app->structure, deadline, r);
     for (std::uint32_t v = 0; v < n; ++v)
-      r.eet_[v] = r.lst_[v] + r.inflated_wcet_[v];
+      r.eet_[v] = r.lst_[v] + d.tables.inflated_wcet[v];
     return r;
   }
 
@@ -172,10 +156,11 @@ class OfflineAnalyzer {
       if (seg.kind == StructSegment::Kind::Section) {
         SegAnalysis sa;
         sa.wcet_sched = ltf_schedule(
-            app_.graph, seg.members, opt_.cpus,
-            [&](NodeId id) { return inflated_wcet(id); }, opt_.heuristic);
+            scratch_, app_.graph, seg.members, opt_.cpus,
+            [&](NodeId id) { return data_.tables.inflated_wcet[id.value]; },
+            opt_.heuristic);
         const SectionSchedule acet_sched = ltf_schedule(
-            app_.graph, seg.members, opt_.cpus,
+            scratch_, app_.graph, seg.members, opt_.cpus,
             [&](NodeId id) { return inflated_acet(id); }, opt_.heuristic);
         sa.w = sa.wcet_sched.makespan;
         sa.a = acet_sched.makespan;
@@ -205,9 +190,9 @@ class OfflineAnalyzer {
     for (const StructSegment& seg : p.segments) {
       if (seg.kind == StructSegment::Kind::Section) {
         for (NodeId id : data_.segs.at(&seg).wcet_sched.dispatch_order)
-          data_.eo[id.value] = counter++;
+          data_.tables.eo[id.value] = counter++;
       } else {
-        data_.eo[seg.fork.value] = counter++;
+        data_.tables.eo[seg.fork.value] = counter++;
         const std::uint32_t base = counter;
         std::uint32_t max_span = 0;
         for (const StructProgram& alt : seg.alternatives) {
@@ -215,7 +200,7 @@ class OfflineAnalyzer {
           max_span = std::max(max_span, end - base);
         }
         counter = base + max_span;
-        data_.eo[seg.join.value] = counter++;
+        data_.tables.eo[seg.join.value] = counter++;
       }
     }
     return counter;
@@ -225,6 +210,7 @@ class OfflineAnalyzer {
   /// node and the per-alternative fork profiles (the PMP data of §2.2).
   void assign_rem(const StructProgram& p, SimTime rem_w_after,
                   SimTime rem_a_after) {
+    CanonicalTables& t = data_.tables;
     for (auto it = p.segments.rbegin(); it != p.segments.rend(); ++it) {
       const StructSegment& seg = *it;
       const SegAnalysis& sa = data_.segs.at(&seg);
@@ -232,8 +218,8 @@ class OfflineAnalyzer {
         rem_w_after += sa.w;
         rem_a_after += sa.a;
       } else {
-        data_.rem_w[seg.join.value] = rem_w_after;
-        data_.rem_a[seg.join.value] = rem_a_after;
+        t.rem_w[seg.join.value] = rem_w_after;
+        t.rem_a[seg.join.value] = rem_a_after;
         OrForkProfile prof;
         SimTime rem_w_fork{};
         double rem_a_fork = 0.0;
@@ -245,12 +231,12 @@ class OfflineAnalyzer {
                         static_cast<double>(prof.rem_a_alt.back().ps);
           assign_rem(seg.alternatives[i], rem_w_after, rem_a_after);
         }
-        data_.rem_w[seg.fork.value] = rem_w_fork;
-        data_.rem_a[seg.fork.value] =
+        t.rem_w[seg.fork.value] = rem_w_fork;
+        t.rem_a[seg.fork.value] =
             SimTime{static_cast<std::int64_t>(rem_a_fork + 0.5)};
-        data_.fork_profiles.emplace(seg.fork.value, std::move(prof));
-        rem_w_after = data_.rem_w[seg.fork.value];
-        rem_a_after = data_.rem_a[seg.fork.value];
+        t.fork_profiles.emplace(seg.fork.value, std::move(prof));
+        rem_w_after = t.rem_w[seg.fork.value];
+        rem_a_after = t.rem_a[seg.fork.value];
       }
     }
   }
@@ -264,8 +250,9 @@ class OfflineAnalyzer {
       const SegAnalysis& sa = d.segs.at(&seg);
       if (seg.kind == StructSegment::Kind::Section) {
         const SimTime shift = end - sa.w;
-        for (const auto& [node, item] : sa.wcet_sched.items)
-          r.lst_[node] = item.start + shift;
+        const SectionSchedule& sched = sa.wcet_sched;
+        for (std::size_t k = 0; k < sched.items.size(); ++k)
+          r.lst_[sched.dispatch_order[k].value] = sched.items[k].start + shift;
         end = shift;
       } else {
         r.lst_[seg.join.value] = end;
@@ -282,10 +269,6 @@ class OfflineAnalyzer {
     return end;
   }
 
-  SimTime inflated_wcet(NodeId id) const {
-    const Node& n = app_.graph.node(id);
-    return n.is_dummy() ? SimTime::zero() : n.wcet + opt_.overhead_budget;
-  }
   SimTime inflated_acet(NodeId id) const {
     const Node& n = app_.graph.node(id);
     return n.is_dummy() ? SimTime::zero() : n.acet + opt_.overhead_budget;
@@ -294,6 +277,8 @@ class OfflineAnalyzer {
   const Application& app_;
   const CanonicalOptions& opt_;
   CanonicalData& data_;
+  /// List-scheduling scratch shared by every section of this analysis.
+  ListSchedScratch scratch_;
 };
 
 SimTime CanonicalAnalysis::worst_makespan() const {

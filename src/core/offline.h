@@ -66,6 +66,31 @@ struct OrForkProfile {
 class OfflineAnalyzer;  // offline.cpp: the sole writer of the types below
 struct CanonicalData;   // offline.cpp: phase-1 payload (segment schedules)
 
+/// The deadline-independent per-node tables of one canonical analysis.
+/// Phase 1 builds them once; every OfflineResult derived from the analysis
+/// shares them read-only instead of copying them per deadline.
+struct CanonicalTables {
+  std::vector<std::uint32_t> eo;
+  /// Initial NUP per node (Figure 2 initialization: preds for AND /
+  /// computation, min(1, preds) for OR) and the nodes starting at zero.
+  std::vector<std::uint32_t> nup_init;
+  std::vector<std::uint32_t> sources;
+  /// Flat dispatch descriptors (NodeFlag masks, raw WCETs, CSR successor
+  /// lists): everything a dispatch needs from the Node structs, laid out
+  /// contiguously for the engine hot path.
+  std::vector<std::uint8_t> node_flags;
+  std::vector<SimTime> wcet;
+  std::vector<std::uint32_t> succ_off;
+  std::vector<std::uint32_t> succ_flat;
+  std::vector<SimTime> inflated_wcet;
+  std::vector<SimTime> rem_a;
+  std::vector<SimTime> rem_w;
+  std::unordered_map<std::uint32_t, OrForkProfile> fork_profiles;
+
+  /// The tables of a default-constructed OfflineResult: all empty.
+  static const CanonicalTables& empty();
+};
+
 /// Per-node kind flags in OfflineResult::node_flag_table(), precomputed so
 /// the engine's dispatch loop never touches the pointer-heavy Node structs.
 enum NodeFlag : std::uint8_t {
@@ -113,31 +138,33 @@ class OfflineResult {
   /// then cannot guarantee the deadline).
   bool feasible() const { return worst_makespan_ <= deadline_; }
 
-  std::uint32_t eo(NodeId id) const { return eo_.at(id.value); }
+  std::uint32_t eo(NodeId id) const { return tables().eo.at(id.value); }
   SimTime lst(NodeId id) const { return lst_.at(id.value); }
   /// Estimated end time: LST + inflated WCET (worst-case finish in the
   /// shifted schedule) — what the online phase allocates to the task.
   SimTime eet(NodeId id) const { return eet_.at(id.value); }
-  SimTime inflated_wcet(NodeId id) const { return inflated_wcet_.at(id.value); }
+  SimTime inflated_wcet(NodeId id) const {
+    return tables().inflated_wcet.at(id.value);
+  }
 
   /// Expected average-case remaining time *after* the given OR node fires
   /// (for OR joins; for forks prefer fork_profile(), which conditions on
   /// the chosen alternative).
-  SimTime rem_a_after(NodeId id) const { return rem_a_.at(id.value); }
-  SimTime rem_w_after(NodeId id) const { return rem_w_.at(id.value); }
+  SimTime rem_a_after(NodeId id) const { return tables().rem_a.at(id.value); }
+  SimTime rem_w_after(NodeId id) const { return tables().rem_w.at(id.value); }
 
   const OrForkProfile& fork_profile(NodeId fork) const {
-    return fork_profiles_.at(fork.value);
+    return tables().fork_profiles.at(fork.value);
   }
   bool has_fork_profile(NodeId id) const {
-    return fork_profiles_.contains(id.value);
+    return tables().fork_profiles.contains(id.value);
   }
 
   std::uint32_t max_eo() const { return max_eo_; }
 
   /// Whole-table views for the simulation engine's hot path (one bounds
   /// check per run instead of one per dispatch).
-  const std::vector<std::uint32_t>& eo_table() const { return eo_; }
+  const std::vector<std::uint32_t>& eo_table() const { return tables().eo; }
   const std::vector<SimTime>& eet_table() const { return eet_; }
 
   /// Initial NUP (number of unfinished predecessors) per node: preds for
@@ -146,29 +173,31 @@ class OfflineResult {
   /// per-run counters with one memcpy instead of re-walking the Node
   /// structs; the debug completeness traversal reuses it too.
   const std::vector<std::uint32_t>& nup_init_table() const {
-    return nup_init_;
+    return tables().nup_init;
   }
   /// Nodes whose initial NUP is zero, in ascending id order — the engine's
   /// initial ready set.
-  const std::vector<std::uint32_t>& source_table() const { return sources_; }
+  const std::vector<std::uint32_t>& source_table() const {
+    return tables().sources;
+  }
 
   /// Per-node NodeFlag masks (dummy / OR fork / OR node) — the dispatch
   /// loop's replacement for Node::kind and the is_* predicates.
   const std::vector<std::uint8_t>& node_flag_table() const {
-    return node_flags_;
+    return tables().node_flags;
   }
   /// Raw (uninflated) WCET per node, the quantity the online phase sizes
   /// speeds against (zero for dummy nodes).
-  const std::vector<SimTime>& wcet_table() const { return wcet_; }
+  const std::vector<SimTime>& wcet_table() const { return tables().wcet; }
   /// Flattened successor adjacency in CSR form: the successors of node v
   /// are succ_list_table()[succ_offset_table()[v] ..
   /// succ_offset_table()[v+1]]. Successor order matches Node::succs, so OR
   /// forks index alternatives identically.
   const std::vector<std::uint32_t>& succ_offset_table() const {
-    return succ_off_;
+    return tables().succ_off;
   }
   const std::vector<std::uint32_t>& succ_list_table() const {
-    return succ_flat_;
+    return tables().succ_flat;
   }
 
  private:
@@ -177,24 +206,20 @@ class OfflineResult {
   // the canonical cache by poking fields.
   friend class OfflineAnalyzer;
 
+  const CanonicalTables& tables() const {
+    return tables_ ? *tables_ : CanonicalTables::empty();
+  }
+
   int cpus_ = 0;
   SimTime deadline_{};
   SimTime overhead_budget_{};
   SimTime worst_makespan_{};
   SimTime average_makespan_{};
-  std::vector<std::uint32_t> eo_;
-  std::vector<std::uint32_t> nup_init_;
-  std::vector<std::uint32_t> sources_;
-  std::vector<std::uint8_t> node_flags_;
-  std::vector<SimTime> wcet_;
-  std::vector<std::uint32_t> succ_off_;
-  std::vector<std::uint32_t> succ_flat_;
+  /// Shared with the CanonicalAnalysis this result was derived from (and
+  /// keeps its payload alive); null only in a default-constructed result.
+  std::shared_ptr<const CanonicalTables> tables_;
   std::vector<SimTime> lst_;
   std::vector<SimTime> eet_;
-  std::vector<SimTime> inflated_wcet_;
-  std::vector<SimTime> rem_a_;
-  std::vector<SimTime> rem_w_;
-  std::unordered_map<std::uint32_t, OrForkProfile> fork_profiles_;
   std::uint32_t max_eo_ = 0;
 };
 

@@ -1,11 +1,16 @@
 #include "graph/text_format.h"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <iomanip>
 #include <istream>
-#include <map>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
@@ -16,70 +21,119 @@ namespace {
 
 // --------------------------------------------------------------- tokenizer
 
+/// One line that holds tokens: its 1-based number in the text and its
+/// tokens, a range of the parser's token array.
 struct Line {
   int number = 0;
-  std::vector<std::string> tokens;
-
-  const std::string& keyword() const { return tokens.front(); }
+  std::uint32_t first = 0;
+  std::uint32_t count = 0;
 };
 
-std::vector<Line> tokenize(std::istream& in) {
-  std::vector<Line> lines;
-  std::string raw;
-  int number = 0;
-  while (std::getline(in, raw)) {
-    ++number;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream iss(raw);
-    Line line;
-    line.number = number;
-    std::string tok;
-    while (iss >> tok) line.tokens.push_back(tok);
-    if (!line.tokens.empty()) lines.push_back(std::move(line));
-  }
-  return lines;
-}
+/// The bytes `std::istream >> std::string` skips in the classic locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 [[noreturn]] void syntax_error(const Line& line, const std::string& what) {
   PASERTA_REQUIRE(false, "workload line " << line.number << ": " << what);
   std::abort();  // unreachable
 }
 
-double parse_number(const Line& line, const std::string& tok,
-                    const char* what) {
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(tok, &pos);
-  } catch (const std::exception&) {
-    syntax_error(line, std::string("invalid ") + what + " '" + tok + "'");
+std::string quoted(std::string_view tok) {
+  return "'" + std::string(tok) + "'";
+}
+
+/// The number `tok` spells, with exactly std::stod's acceptance: strtod
+/// must consume the whole token and must not report ERANGE.
+double parse_number(const Line& line, std::string_view tok, const char* what) {
+  // strtod needs a terminated copy; an embedded NUL then ends the parse
+  // early and fails the whole-token check, as it does for stod.
+  char small[64];
+  std::string large;
+  const char* str = small;
+  if (tok.size() < sizeof small) {
+    std::memcpy(small, tok.data(), tok.size());
+    small[tok.size()] = '\0';
+  } else {
+    large.assign(tok);
+    str = large.c_str();
   }
-  if (pos != tok.size())
-    syntax_error(line, std::string("invalid ") + what + " '" + tok + "'");
+  const int saved_errno = errno;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(str, &end);
+  const bool out_of_range = errno == ERANGE;
+  errno = saved_errno;
+  if (end != str + tok.size() || out_of_range)
+    syntax_error(line, std::string("invalid ") + what + " " + quoted(tok));
   return v;
+}
+
+/// A time in milliseconds at f_max. Rejects what SimTime cannot hold (and
+/// NaN) here, with the line number, instead of handing SimTime::from_ms a
+/// value whose integer conversion overflows.
+SimTime parse_time(const Line& line, std::string_view tok, const char* what) {
+  const double ms = parse_number(line, tok, what);
+  // from_ms truncates ms * 1e9 + 0.5 toward zero: defined exactly when
+  // that lies in [-2^63, 2^63).
+  const double ps = ms * 1e9 + 0.5;
+  if (!(ps >= -0x1p63 && ps < 0x1p63))
+    syntax_error(line, std::string("invalid ") + what + " " + quoted(tok));
+  return SimTime::from_ms(ms);
 }
 
 // ------------------------------------------------------------------ parser
 
+/// Splits the text once into token views (no per-line copies), then parses
+/// the line sequence recursively.
 class Parser {
  public:
-  explicit Parser(std::vector<Line> lines) : lines_(std::move(lines)) {}
+  explicit Parser(std::string_view text) { tokenize(text); }
 
   ParsedWorkload parse() {
     ParsedWorkload out;
     out.name = "workload";
-    if (!eof() && peek().keyword() == "app") {
+    if (!eof() && keyword(peek()) == "app") {
       const Line& line = next();
-      if (line.tokens.size() != 2)
-        syntax_error(line, "expected: app <name>");
-      out.name = line.tokens[1];
+      if (line.count != 2) syntax_error(line, "expected: app <name>");
+      out.name = tok(line, 1);
     }
     out.program = parse_program(/*stop_at_end=*/false);
     return out;
   }
 
  private:
+  /// One pass over the text with std::getline's line numbering: each '\n'
+  /// ends a line, and a last line without one still counts. '#' starts a
+  /// comment that runs to the end of its line; lines without tokens are
+  /// dropped.
+  void tokenize(std::string_view text) {
+    std::size_t pos = 0;
+    int number = 0;
+    while (pos < text.size()) {
+      ++number;
+      std::size_t eol = text.find('\n', pos);
+      if (eol == std::string_view::npos) eol = text.size();
+      const std::size_t hash = text.substr(pos, eol - pos).find('#');
+      const std::size_t stop =
+          hash == std::string_view::npos ? eol : pos + hash;
+      const auto first = static_cast<std::uint32_t>(tokens_.size());
+      while (true) {
+        while (pos < stop && is_space(text[pos])) ++pos;
+        if (pos == stop) break;
+        const std::size_t start = pos;
+        while (pos < stop && !is_space(text[pos])) ++pos;
+        tokens_.push_back(text.substr(start, pos - start));
+      }
+      const auto count = static_cast<std::uint32_t>(tokens_.size()) - first;
+      if (count > 0) lines_.push_back({number, first, count});
+      pos = eol + 1;
+    }
+  }
+
+  std::string_view tok(const Line& line, std::size_t i) const {
+    return tokens_[line.first + i];
+  }
+  std::string_view keyword(const Line& line) const { return tok(line, 0); }
+
   bool eof() const { return pos_ >= lines_.size(); }
   const Line& peek() const { return lines_[pos_]; }
   const Line& next() { return lines_[pos_++]; }
@@ -89,18 +143,14 @@ class Parser {
     Program p;
     while (!eof()) {
       const Line& line = peek();
-      const std::string& kw = line.keyword();
+      const std::string_view kw = keyword(line);
       if (kw == "end") {
         if (!stop_at_end) syntax_error(line, "unexpected 'end'");
         next();
         return p;
       }
       if (kw == "task") {
-        const Line& l = next();
-        if (l.tokens.size() != 4)
-          syntax_error(l, "expected: task <name> <wcet_ms> <acet_ms>");
-        p.task(l.tokens[1], SimTime::from_ms(parse_number(l, l.tokens[2], "wcet")),
-               SimTime::from_ms(parse_number(l, l.tokens[3], "acet")));
+        p.section(SectionSpec{{parse_task(next())}, {}});
       } else if (kw == "section") {
         p.section(parse_section(next()));
       } else if (kw == "branch") {
@@ -108,7 +158,7 @@ class Parser {
       } else if (kw == "loop") {
         parse_loop(p);
       } else {
-        syntax_error(line, "unknown keyword '" + kw + "'");
+        syntax_error(line, "unknown keyword " + quoted(kw));
       }
     }
     if (stop_at_end)
@@ -116,38 +166,40 @@ class Parser {
     return p;
   }
 
+  /// `task <name> <wcet_ms> <acet_ms>`, fields checked in reading order.
+  TaskSpec parse_task(const Line& l) const {
+    if (l.count != 4)
+      syntax_error(l, "expected: task <name> <wcet_ms> <acet_ms>");
+    return {std::string(tok(l, 1)), parse_time(l, tok(l, 2), "wcet"),
+            parse_time(l, tok(l, 3), "acet")};
+  }
+
   SectionSpec parse_section(const Line& header) {
-    if (header.tokens.size() != 1)
-      syntax_error(header, "expected: section");
+    if (header.count != 1) syntax_error(header, "expected: section");
     SectionSpec sec;
-    std::map<std::string, std::size_t> index;
+    // Task name -> index in `sec.tasks`. Sections do not nest, so one map
+    // serves every section of the text.
+    index_.clear();
     while (true) {
-      if (eof())
-        syntax_error(header, "'section' without matching 'end'");
+      if (eof()) syntax_error(header, "'section' without matching 'end'");
       const Line& l = next();
-      const std::string& kw = l.keyword();
+      const std::string_view kw = keyword(l);
       if (kw == "end") break;
       if (kw == "task") {
-        if (l.tokens.size() != 4)
-          syntax_error(l, "expected: task <name> <wcet_ms> <acet_ms>");
-        if (index.contains(l.tokens[1]))
-          syntax_error(l, "duplicate task '" + l.tokens[1] + "' in section");
-        index[l.tokens[1]] = sec.tasks.size();
-        sec.tasks.push_back(
-            {l.tokens[1], SimTime::from_ms(parse_number(l, l.tokens[2], "wcet")),
-             SimTime::from_ms(parse_number(l, l.tokens[3], "acet"))});
+        if (l.count == 4 && !index_.emplace(tok(l, 1), sec.tasks.size()).second)
+          syntax_error(l, "duplicate task " + quoted(tok(l, 1)) + " in section");
+        sec.tasks.push_back(parse_task(l));
       } else if (kw == "edge") {
-        if (l.tokens.size() != 3)
-          syntax_error(l, "expected: edge <from> <to>");
-        const auto from = index.find(l.tokens[1]);
-        const auto to = index.find(l.tokens[2]);
-        if (from == index.end())
-          syntax_error(l, "edge references unknown task '" + l.tokens[1] + "'");
-        if (to == index.end())
-          syntax_error(l, "edge references unknown task '" + l.tokens[2] + "'");
+        if (l.count != 3) syntax_error(l, "expected: edge <from> <to>");
+        const auto from = index_.find(tok(l, 1));
+        const auto to = index_.find(tok(l, 2));
+        if (from == index_.end())
+          syntax_error(l, "edge references unknown task " + quoted(tok(l, 1)));
+        if (to == index_.end())
+          syntax_error(l, "edge references unknown task " + quoted(tok(l, 2)));
         sec.edges.push_back({from->second, to->second});
       } else {
-        syntax_error(l, "unexpected '" + kw + "' inside section");
+        syntax_error(l, "unexpected " + quoted(kw) + " inside section");
       }
     }
     return sec;
@@ -155,47 +207,52 @@ class Parser {
 
   void parse_branch(Program& p) {
     const Line header = next();
-    if (header.tokens.size() != 2)
-      syntax_error(header, "expected: branch <name>");
+    if (header.count != 2) syntax_error(header, "expected: branch <name>");
     std::vector<std::pair<double, Program>> alts;
     while (true) {
-      if (eof())
-        syntax_error(header, "'branch' without matching 'end'");
+      if (eof()) syntax_error(header, "'branch' without matching 'end'");
       const Line& l = next();
-      if (l.keyword() == "end") break;
-      if (l.keyword() != "alt")
+      if (keyword(l) == "end") break;
+      if (keyword(l) != "alt")
         syntax_error(l, "expected 'alt <probability>' or 'end' in branch");
-      if (l.tokens.size() != 2)
-        syntax_error(l, "expected: alt <probability>");
-      const double prob = parse_number(l, l.tokens[1], "probability");
+      if (l.count != 2) syntax_error(l, "expected: alt <probability>");
+      const double prob = parse_number(l, tok(l, 1), "probability");
       alts.emplace_back(prob, parse_program(/*stop_at_end=*/true));
     }
     if (alts.empty()) syntax_error(header, "branch needs alternatives");
-    p.branch(header.tokens[1], std::move(alts));
+    p.branch(std::string(tok(header, 1)), std::move(alts));
   }
 
   void parse_loop(Program& p) {
     const Line header = next();
-    if (header.tokens.size() < 3)
-      syntax_error(header,
-                   "expected: loop <name> [collapse] <p1> <p2> ...");
+    if (header.count < 3)
+      syntax_error(header, "expected: loop <name> [collapse] <p1> <p2> ...");
     std::size_t first_prob = 2;
     LoopMode mode = LoopMode::Unroll;
-    if (header.tokens[2] == "collapse") {
+    if (tok(header, 2) == "collapse") {
       mode = LoopMode::Collapse;
       first_prob = 3;
     }
     std::vector<double> probs;
-    for (std::size_t i = first_prob; i < header.tokens.size(); ++i)
-      probs.push_back(parse_number(header, header.tokens[i], "probability"));
+    for (std::size_t i = first_prob; i < header.count; ++i)
+      probs.push_back(parse_number(header, tok(header, i), "probability"));
     if (probs.empty()) syntax_error(header, "loop needs probabilities");
     Program body = parse_program(/*stop_at_end=*/true);
-    p.loop(header.tokens[1], std::move(body), std::move(probs), mode);
+    p.loop(std::string(tok(header, 1)), std::move(body), std::move(probs),
+           mode);
   }
 
+  std::vector<std::string_view> tokens_;
   std::vector<Line> lines_;
   std::size_t pos_ = 0;
+  std::unordered_map<std::string_view, std::size_t> index_;
 };
+
+ParsedWorkload parse_text(std::string_view text) {
+  ParsedWorkload out = Parser(text).parse();
+  PASERTA_REQUIRE(!out.program.empty(), "workload defines no segments");
+  return out;
+}
 
 // ------------------------------------------------------------------ writer
 
@@ -270,15 +327,13 @@ void write_program(std::ostream& os, const Program& p, int indent) {
 }  // namespace
 
 ParsedWorkload parse_workload(std::istream& in) {
-  Parser parser(tokenize(in));
-  ParsedWorkload out = parser.parse();
-  PASERTA_REQUIRE(!out.program.empty(), "workload defines no segments");
-  return out;
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  return parse_text(text);
 }
 
 ParsedWorkload parse_workload_string(const std::string& text) {
-  std::istringstream iss(text);
-  return parse_workload(iss);
+  return parse_text(text);
 }
 
 Application load_application(std::istream& in) {
@@ -287,8 +342,8 @@ Application load_application(std::istream& in) {
 }
 
 Application load_application_string(const std::string& text) {
-  std::istringstream iss(text);
-  return load_application(iss);
+  ParsedWorkload w = parse_text(text);
+  return build_application(std::move(w.name), w.program);
 }
 
 void write_workload(std::ostream& os, const std::string& name,

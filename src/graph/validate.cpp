@@ -17,11 +17,14 @@
 //                      OR fork, else commit(p) ).
 // Two nodes are mutually exclusive iff their commitment sets disagree on
 // some fork. This is exact for graphs produced by ProgramBuilder and sound
-// (never accepts a non-exclusive pair) for arbitrary DAGs.
+// (never accepts a non-exclusive pair) for arbitrary DAGs. Each set is a
+// run of (fork, alternative) pairs sorted by fork, stored back to back in
+// one arena, so intersections and exclusivity tests are linear merges and
+// no set is copied per edge.
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <optional>
+#include <span>
+#include <vector>
 
 #include "common/error.h"
 #include "graph/graph.h"
@@ -29,27 +32,76 @@
 namespace paserta {
 namespace {
 
-// fork node -> alternative index that all paths must take.
-using CommitSet = std::map<std::uint32_t, std::uint32_t>;
+/// One mandatory branch commitment: every path to the node leaves OR fork
+/// `fork` through its alternative `alt`.
+struct Commit {
+  std::uint32_t fork;
+  std::uint32_t alt;
+};
 
-// Intersect `acc` with `other`: keep entries present and equal in both.
-void intersect_into(CommitSet& acc, const CommitSet& other) {
-  for (auto it = acc.begin(); it != acc.end();) {
-    auto found = other.find(it->first);
-    if (found == other.end() || found->second != it->second) {
-      it = acc.erase(it);
-    } else {
-      ++it;
-    }
+using CommitRun = std::span<const Commit>;
+
+/// The commitment sets of all nodes, each stored as a run of Commits
+/// sorted by fork, back to back in one arena.
+class CommitSets {
+ public:
+  explicit CommitSets(std::size_t nodes) : begin_(nodes), end_(nodes) {}
+
+  CommitRun of(std::uint32_t v) const {
+    return {arena_.data() + begin_[v], arena_.data() + end_[v]};
   }
+
+  void set(std::uint32_t v, const std::vector<Commit>& run) {
+    begin_[v] = arena_.size();
+    arena_.insert(arena_.end(), run.begin(), run.end());
+    end_[v] = arena_.size();
+  }
+
+ private:
+  std::vector<Commit> arena_;
+  std::vector<std::size_t> begin_;
+  std::vector<std::size_t> end_;
+};
+
+/// `out` = `run` plus the commitment (fork, alt), kept sorted by fork.
+void extend_into(std::vector<Commit>& out, CommitRun run, Commit extra) {
+  out.clear();
+  const auto at = std::lower_bound(
+      run.begin(), run.end(), extra.fork,
+      [](const Commit& c, std::uint32_t fork) { return c.fork < fork; });
+  out.insert(out.end(), run.begin(), at);
+  out.push_back(extra);
+  out.insert(out.end(), at, run.end());
 }
 
-bool mutually_exclusive(const CommitSet& a, const CommitSet& b) {
-  for (const auto& [fork, alt] : a) {
-    auto it = b.find(fork);
-    if (it != b.end() && it->second != alt) return true;
+/// Whether the sets disagree on some fork: then no run executes both.
+bool mutually_exclusive(CommitRun a, CommitRun b) {
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (i->fork < j->fork) {
+      ++i;
+    } else if (j->fork < i->fork) {
+      ++j;
+    } else {
+      if (i->alt != j->alt) return true;
+      ++i;
+      ++j;
+    }
   }
   return false;
+}
+
+/// Keeps the entries of `acc` present and equal in `other`, in order.
+void intersect_into(std::vector<Commit>& acc, CommitRun other) {
+  auto j = other.begin();
+  std::size_t kept = 0;
+  for (const Commit& c : acc) {
+    while (j != other.end() && j->fork < c.fork) ++j;
+    if (j != other.end() && j->fork == c.fork && j->alt == c.alt)
+      acc[kept++] = c;
+  }
+  acc.resize(kept);
 }
 
 }  // namespace
@@ -108,23 +160,27 @@ void AndOrGraph::validate() const {
   const std::vector<NodeId> topo = topo_order();
 
   // ---- Commitment sets & OR-join exclusivity. ----------------------------
-  std::vector<CommitSet> commit(nodes_.size());
-  std::vector<bool> visited(nodes_.size(), false);
+  CommitSets commit(nodes_.size());
+  std::vector<Commit> acc;
+  std::vector<Commit> extended;
   for (NodeId v : topo) {
     const Node& n = nodes_[v.value];
-    CommitSet acc;
+    acc.clear();
     bool first = true;
     for (NodeId p : n.preds) {
-      CommitSet from_p = commit[p.value];
+      // commit(p), plus the alternative p takes to reach v if p is a fork.
+      CommitRun from_p = commit.of(p.value);
       const Node& pn = nodes_[p.value];
       if (pn.is_or_fork()) {
         const auto it = std::find(pn.succs.begin(), pn.succs.end(), v);
         PASERTA_ASSERT(it != pn.succs.end(), "inconsistent adjacency");
-        from_p[p.value] =
-            static_cast<std::uint32_t>(std::distance(pn.succs.begin(), it));
+        extend_into(extended, from_p,
+                    {p.value, static_cast<std::uint32_t>(
+                                  std::distance(pn.succs.begin(), it))});
+        from_p = extended;
       }
       if (first) {
-        acc = std::move(from_p);
+        acc.assign(from_p.begin(), from_p.end());
         first = false;
       } else {
         // A non-OR node reachable from several alternatives would merge
@@ -140,8 +196,7 @@ void AndOrGraph::validate() const {
         intersect_into(acc, from_p);
       }
     }
-    commit[v.value] = std::move(acc);
-    visited[v.value] = true;
+    commit.set(v.value, acc);
   }
 
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
@@ -151,7 +206,7 @@ void AndOrGraph::validate() const {
       for (std::size_t b = a + 1; b < n.preds.size(); ++b) {
         const NodeId pa = n.preds[a], pb = n.preds[b];
         PASERTA_REQUIRE(
-            mutually_exclusive(commit[pa.value], commit[pb.value]),
+            mutually_exclusive(commit.of(pa.value), commit.of(pb.value)),
             "OR join '" << n.name << "': predecessors '"
                         << nodes_[pa.value].name << "' and '"
                         << nodes_[pb.value].name
