@@ -114,6 +114,13 @@ SerialBounds serial_bounds_seg(const Program::Impl::Seg& seg) {
   SerialBounds b;
   if (const auto* sec = std::get_if<SectionSpec>(&seg)) {
     for (const auto& t : sec->tasks) {
+      // A collapsed body never reaches AndOrGraph::add_task: hold its tasks
+      // to the same rule here.
+      PASERTA_REQUIRE(t.wcet > SimTime::zero() && t.acet > SimTime::zero() &&
+                          t.acet <= t.wcet,
+                      "task '" << t.name << "' needs 0 < ACET <= WCET (got acet="
+                               << t.acet.ps << "ps, wcet=" << t.wcet.ps
+                               << "ps)");
       b.wcet_ps += static_cast<double>(t.wcet.ps);
       b.acet_ps += static_cast<double>(t.acet.ps);
     }
@@ -399,9 +406,15 @@ Flow Flattener::flatten_program(const Program::Impl& p,
         double expected_iters = 0.0;
         for (std::size_t k = 0; k < lp->iter_prob.size(); ++k)
           expected_iters += lp->iter_prob[k] * static_cast<double>(k + 1);
-        const SimTime wcet{static_cast<std::int64_t>(K * body.wcet_ps + 0.5)};
-        const SimTime acet{
-            static_cast<std::int64_t>(expected_iters * body.acet_ps + 0.5)};
+        const double wcet_ps = K * body.wcet_ps + 0.5;
+        const double acet_ps = expected_iters * body.acet_ps + 0.5;
+        // Truncation to int64 is defined exactly on [-2^63, 2^63).
+        const auto fits = [](double ps) { return ps >= -0x1p63 && ps < 0x1p63; };
+        PASERTA_REQUIRE(fits(wcet_ps) && fits(acet_ps),
+                        "loop '" << lp->name
+                                 << "': collapsed time exceeds the time range");
+        const SimTime wcet{static_cast<std::int64_t>(wcet_ps)};
+        const SimTime acet{static_cast<std::int64_t>(acet_ps)};
         expanded.task(lp->name, wcet,
                       std::min(acet == SimTime::zero() ? SimTime{1} : acet, wcet));
       } else {

@@ -143,6 +143,53 @@ TEST(TextFormat, DuplicateTaskInSectionRejected) {
                Error);
 }
 
+/// The message of the Error `text` raises when loaded, or "" if it loads.
+std::string load_error(const std::string& text) {
+  try {
+    load_application_string(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TextFormat, RejectsTimesSimTimeCannotHold) {
+  // Times are converted to int64 picoseconds; values that are not finite
+  // or overflow that range are rejected with the line number instead of
+  // reaching an undefined double -> int64 conversion.
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {"task A 1e300 1\n", "workload line 1: invalid wcet '1e300'"},
+      {"task A inf 1\n", "workload line 1: invalid wcet 'inf'"},
+      {"task A -inf 1\n", "workload line 1: invalid wcet '-inf'"},
+      {"task A nan 1\n", "workload line 1: invalid wcet 'nan'"},
+      {"task A 9.3e9 1\n", "workload line 1: invalid wcet '9.3e9'"},
+      {"task A 5 -1e300\n", "workload line 1: invalid acet '-1e300'"},
+      {"app x\nsection\n task A 5 NAN\nend\n",
+       "workload line 3: invalid acet 'NAN'"},
+  };
+  for (const auto& c : cases) {
+    const std::string error = load_error(c.text);
+    EXPECT_EQ(error.rfind(c.message, 0), 0u) << c.text << " -> " << error;
+  }
+}
+
+TEST(TextFormat, LargestTimesStillParse) {
+  const Application app = load_application_string("task A 9.2e9 9.2e9\n");
+  EXPECT_EQ(app.graph.node(NodeId{0}).wcet.ps, 9'200'000'000'000'000'000);
+  // Representable but non-positive times still reach the graph's own check.
+  EXPECT_NE(load_error("task A -5 1\n").find("needs positive WCET"),
+            std::string::npos);
+}
+
+TEST(TextFormat, CollapsedLoopBeyondTimeRangeRejected) {
+  const std::string error =
+      load_error("loop L collapse 0.5 0.5\n  task b 9e9 1\nend\n");
+  EXPECT_NE(error.find("loop 'L'"), std::string::npos) << error;
+}
+
 // --------------------------------------------------------------- round-trip
 
 /// Flattened graphs of two programs must be structurally identical.
