@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/list_sched.h"
 
 namespace paserta {
@@ -155,6 +156,65 @@ TEST(ListSched, RejectsBadInput) {
   const std::vector<NodeId> members{a};
   EXPECT_THROW(ltf_schedule(g, members, 0, wcet_of(g)), Error);
   EXPECT_THROW(ltf_schedule(g, std::vector<NodeId>{}, 1, wcet_of(g)), Error);
+}
+
+TEST(ListSched, RejectsRepeatedAndUnknownMembers) {
+  AndOrGraph g;
+  const NodeId a = g.add_task("a", ms(1), ms(1));
+  EXPECT_THROW(ltf_schedule(g, std::vector<NodeId>{a, a}, 1, wcet_of(g)),
+               Error);
+  EXPECT_THROW(ltf_schedule(g, std::vector<NodeId>{NodeId{7}}, 1, wcet_of(g)),
+               Error);
+  const auto s = ltf_schedule(g, std::vector<NodeId>{a}, 1, wcet_of(g));
+  EXPECT_THROW(s.item(NodeId{7}), Error);
+}
+
+TEST(ListSched, SharedScratchMatchesFreshScratch) {
+  // One scratch carried across sections of different graphs, and across
+  // calls that throw part-way, schedules exactly like a fresh scratch.
+  ListSchedScratch scratch;
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    Rng rng(seed);
+    AndOrGraph g;
+    std::vector<NodeId> nodes;
+    const auto n = 1 + static_cast<int>(rng.next_below(40));
+    for (int i = 0; i < n; ++i)
+      nodes.push_back(g.add_task("t" + std::to_string(i),
+                                 ms(1 + static_cast<double>(rng.next_below(5))),
+                                 ms(1)));
+    for (int i = 0; i < n; ++i)
+      for (int j = i + 1; j < n; ++j)
+        if (rng.next_double() < 0.1) g.add_edge(nodes[i], nodes[j]);
+    // A section is a subset; edges to the rest are ignored.
+    std::vector<NodeId> members;
+    for (NodeId v : nodes)
+      if (rng.next_double() < 0.7) members.push_back(v);
+    if (members.empty()) members.push_back(nodes.back());
+    for (const int cpus : {1, 3}) {
+      const auto fresh = ltf_schedule(g, members, cpus, wcet_of(g));
+      const auto reused = ltf_schedule(scratch, g, members, cpus, wcet_of(g));
+      EXPECT_EQ(reused.dispatch_order, fresh.dispatch_order) << seed;
+      EXPECT_EQ(reused.makespan, fresh.makespan) << seed;
+      ASSERT_EQ(reused.items.size(), fresh.items.size());
+      for (std::size_t k = 0; k < fresh.items.size(); ++k) {
+        EXPECT_EQ(reused.items[k].start, fresh.items[k].start);
+        EXPECT_EQ(reused.items[k].finish, fresh.items[k].finish);
+        EXPECT_EQ(reused.items[k].cpu, fresh.items[k].cpu);
+      }
+    }
+    std::vector<NodeId> repeated = members;
+    repeated.push_back(members.front());
+    EXPECT_THROW(ltf_schedule(scratch, g, repeated, 2, wcet_of(g)), Error);
+    // A dependence cycle throws once the acyclic members are scheduled.
+    const NodeId c0 = g.add_task("c0", ms(1), ms(1));
+    const NodeId c1 = g.add_task("c1", ms(1), ms(1));
+    g.add_edge(c0, c1);
+    g.add_edge(c1, c0);
+    std::vector<NodeId> cyclic = members;
+    cyclic.push_back(c0);
+    cyclic.push_back(c1);
+    EXPECT_THROW(ltf_schedule(scratch, g, cyclic, 2, wcet_of(g)), Error);
+  }
 }
 
 TEST(ListSched, MakespanLowerBoundedByCriticalPathAndWork) {

@@ -192,6 +192,40 @@ TEST(Offline, CanonicalWorstMakespanMatchesFullAnalysis) {
   EXPECT_EQ(w, ms(8));
 }
 
+TEST(Offline, DeadlineResultsShareCanonicalTables) {
+  // apply_deadline shares the deadline-independent tables of its canonical
+  // analysis instead of copying them, and keeps them alive after the
+  // analysis handle is gone.
+  Program x, y;
+  x.task("x", ms(4), ms(2));
+  y.chain({t("y1", 3, 1), t("y2", 3, 1)});
+  Program p;
+  p.task("pre", ms(2), ms(1));
+  p.branch("o", {{0.5, std::move(x)}, {0.5, std::move(y)}});
+  const Application app = build_application("share", p);
+  OfflineResult loose, tight;
+  {
+    CanonicalOptions opt;
+    opt.cpus = 2;
+    const CanonicalAnalysis canon = analyze_canonical(app, opt);
+    loose = apply_deadline(canon, ms(100));
+    tight = apply_deadline(canon, ms(8));
+  }
+  EXPECT_EQ(&loose.eo_table(), &tight.eo_table());
+  EXPECT_EQ(&loose.succ_list_table(), &tight.succ_list_table());
+  EXPECT_NE(&loose.eet_table(), &tight.eet_table());
+  const OfflineResult fresh = analyze_offline(app, opts(2, ms(8)));
+  EXPECT_EQ(tight.eo_table(), fresh.eo_table());
+  EXPECT_EQ(tight.eet_table(), fresh.eet_table());
+  const NodeId fork = *app.graph.find("o_fork");
+  EXPECT_EQ(tight.fork_profile(fork).rem_w_alt,
+            fresh.fork_profile(fork).rem_w_alt);
+
+  const OfflineResult none;
+  EXPECT_TRUE(none.eo_table().empty());
+  EXPECT_FALSE(none.has_fork_profile(fork));
+}
+
 TEST(Offline, RejectsBadOptions) {
   Program p;
   p.task("a", ms(1), ms(1));
