@@ -44,10 +44,10 @@ SectionSchedule ltf_schedule(const AndOrGraph& g,
   return ltf_schedule(scratch, g, members, cpus, duration, heuristic);
 }
 
-SectionSchedule ltf_schedule(ListSchedScratch& scratch, const AndOrGraph& g,
-                             std::span<const NodeId> members, int cpus,
-                             const std::function<SimTime(NodeId)>& duration,
-                             ListHeuristic heuristic) {
+const SectionSchedule& ltf_schedule(
+    ListSchedScratch& scratch, const AndOrGraph& g,
+    std::span<const NodeId> members, int cpus,
+    const std::function<SimTime(NodeId)>& duration, ListHeuristic heuristic) {
   PASERTA_REQUIRE(cpus >= 1, "ltf_schedule needs at least one processor");
   PASERTA_REQUIRE(!members.empty(), "ltf_schedule on empty section");
   using ReadyKey = ListSchedScratch::ReadyKey;
@@ -114,9 +114,10 @@ SectionSchedule ltf_schedule(ListSchedScratch& scratch, const AndOrGraph& g,
   // already form a min-heap).
   for (int c = 0; c < cpus; ++c) idle.push_back(c);
 
-  SectionSchedule out;
-  out.dispatch_order.reserve(members.size());
-  out.items.reserve(members.size());
+  SectionSchedule& out = scratch.schedule_;
+  out.dispatch_order.clear();
+  out.items.clear();
+  out.makespan = SimTime::zero();
   SimTime now = SimTime::zero();
 
   const auto release_successors = [&](std::uint32_t node, SimTime at) {

@@ -57,31 +57,31 @@ class ListSchedScratch;
 /// node id). Throws paserta::Error on an empty, repeated or out-of-range
 /// member list, on cpus < 1, and on a dependence cycle among the members.
 ///
-/// `scratch` is working storage: passing one scratch to every call of an
-/// analysis makes scheduling allocation-free apart from the returned
-/// schedule.
-SectionSchedule ltf_schedule(
+/// `scratch` is working storage and also holds the result: the returned
+/// schedule stays valid until the next call with the same scratch. Passing
+/// one scratch to every call of an analysis makes scheduling
+/// allocation-free once the scratch has grown.
+const SectionSchedule& ltf_schedule(
     ListSchedScratch& scratch, const AndOrGraph& g,
     std::span<const NodeId> members, int cpus,
     const std::function<SimTime(NodeId)>& duration,
     ListHeuristic heuristic = ListHeuristic::LongestTaskFirst);
 
-/// Same, with scratch of its own.
+/// Same, with scratch of its own; returns the schedule by value.
 SectionSchedule ltf_schedule(
     const AndOrGraph& g, std::span<const NodeId> members, int cpus,
     const std::function<SimTime(NodeId)>& duration,
     ListHeuristic heuristic = ListHeuristic::LongestTaskFirst);
 
-/// Working storage of ltf_schedule, grown to the largest graph and section
-/// it has served. Its graph-sized member-slot table is all zero between
+/// Working storage and result of ltf_schedule, grown to the largest graph
+/// and section it has served. Its graph-sized member-slot table is all zero between
 /// calls, so a call costs time linear in its section, not in the graph.
 /// One scratch serves one thread at a time.
 class ListSchedScratch {
  private:
-  friend SectionSchedule ltf_schedule(ListSchedScratch&, const AndOrGraph&,
-                                      std::span<const NodeId>, int,
-                                      const std::function<SimTime(NodeId)>&,
-                                      ListHeuristic);
+  friend const SectionSchedule& ltf_schedule(
+      ListSchedScratch&, const AndOrGraph&, std::span<const NodeId>, int,
+      const std::function<SimTime(NodeId)>&, ListHeuristic);
 
   /// Ready-queue key: earlier readiness first, then the heuristic's
   /// priority (a signed duration, so one comparator serves every rule),
@@ -104,6 +104,7 @@ class ListSchedScratch {
   std::vector<ReadyKey> ready_;        // binary min-heap
   std::vector<Completion> running_;    // binary min-heap on (finish, node)
   std::vector<int> idle_;              // binary min-heap of idle cpus
+  SectionSchedule schedule_;           // the last call's result
 };
 
 }  // namespace paserta

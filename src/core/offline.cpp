@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <span>
-#include <unordered_map>
 
 #include "common/error.h"
 #include "core/list_sched.h"
@@ -11,15 +10,26 @@
 namespace paserta {
 namespace {
 
-/// Cached per-segment analysis: canonical schedules and makespans.
+/// Phase-1 result of one segment. The segments of each program occupy one
+/// contiguous block of CanonicalData::segs, so forward and backward walks
+/// both find segment j of a program whose block starts at `base` at
+/// segs[base + j].
 struct SegAnalysis {
-  // Sections:
-  SectionSchedule wcet_sched;  // inflated WCET durations (defines EO & LST)
-  SimTime w{};                 // worst-case makespan
-  SimTime a{};                 // average-case makespan
-  // Branches: per-alternative program times.
-  std::vector<SimTime> alt_w;
-  std::vector<SimTime> alt_a;
+  // Sections: canonical makespans with inflated WCETs (the schedule that
+  // defines EO and LST) and inflated ACETs.
+  SimTime w{};
+  SimTime a{};
+  // Sections: the WCET schedule is CanonicalData::sched_*[first, last).
+  // Branches: alternative i is CanonicalData::alts[first + i].
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+};
+
+/// One alternative of a branch: its program's segment block and times.
+struct AltAnalysis {
+  std::uint32_t base = 0;
+  SimTime w{};
+  SimTime a{};
 };
 
 struct ProgramTimes {
@@ -46,7 +56,12 @@ struct CanonicalData {
   SimTime average_makespan{};
   std::uint32_t max_eo = 0;
   CanonicalTables tables;
-  std::unordered_map<const StructSegment*, SegAnalysis> segs;
+  std::vector<SegAnalysis> segs;
+  std::vector<AltAnalysis> alts;
+  /// Every section's canonical WCET schedule back to back, each in
+  /// dispatch order: node and start time.
+  std::vector<NodeId> sched_node;
+  std::vector<SimTime> sched_start;
 };
 
 /// The only writer of CanonicalAnalysis and OfflineResult (their friend):
@@ -102,15 +117,16 @@ class OfflineAnalyzer {
     t.rem_w.assign(n, SimTime::zero());
 
     OfflineAnalyzer an(app, opt, *data);
-    const ProgramTimes times = an.compute_times(app.structure);
+    data->segs.resize(app.structure.segments.size());
+    const ProgramTimes times = an.compute_times(app.structure, 0);
     data->worst_makespan = times.w;
     data->average_makespan = times.a;
-    data->max_eo = an.assign_eo(app.structure, 0);
+    data->max_eo = an.assign_eo(app.structure, 0, 0);
     PASERTA_ASSERT(
         std::none_of(t.eo.begin(), t.eo.end(),
                      [](std::uint32_t e) { return e == NodeId::kInvalid; }),
         "offline phase left a node without an execution order");
-    an.assign_rem(app.structure, SimTime::zero(), SimTime::zero());
+    an.assign_rem(app.structure, 0, SimTime::zero(), SimTime::zero());
 
     g_canonical_count.fetch_add(1, std::memory_order_relaxed);
     CanonicalAnalysis result;
@@ -139,7 +155,7 @@ class OfflineAnalyzer {
     const std::size_t n = d.app->graph.size();
     r.lst_.assign(n, SimTime::zero());
     r.eet_.resize(n);
-    assign_lst(d, d.app->structure, deadline, r);
+    assign_lst(d, d.app->structure, 0, deadline, r);
     for (std::uint32_t v = 0; v < n; ++v)
       r.eet_[v] = r.lst_[v] + d.tables.inflated_wcet[v];
     return r;
@@ -150,56 +166,76 @@ class OfflineAnalyzer {
                   CanonicalData& data)
       : app_(app), opt_(opt), data_(data) {}
 
-  ProgramTimes compute_times(const StructProgram& p) {
+  /// Schedules every section of `p` (whose segment block starts at
+  /// `base`) and of its nested alternatives; returns the program's times.
+  ProgramTimes compute_times(const StructProgram& p, std::uint32_t base) {
     ProgramTimes total;
-    for (const StructSegment& seg : p.segments) {
+    for (std::size_t j = 0; j < p.segments.size(); ++j) {
+      const StructSegment& seg = p.segments[j];
+      SegAnalysis sa;
       if (seg.kind == StructSegment::Kind::Section) {
-        SegAnalysis sa;
-        sa.wcet_sched = ltf_schedule(
+        const SectionSchedule& wcet_sched = ltf_schedule(
             scratch_, app_.graph, seg.members, opt_.cpus,
             [&](NodeId id) { return data_.tables.inflated_wcet[id.value]; },
             opt_.heuristic);
-        const SectionSchedule acet_sched = ltf_schedule(
-            scratch_, app_.graph, seg.members, opt_.cpus,
-            [&](NodeId id) { return inflated_acet(id); }, opt_.heuristic);
-        sa.w = sa.wcet_sched.makespan;
-        sa.a = acet_sched.makespan;
+        sa.first = static_cast<std::uint32_t>(data_.sched_node.size());
+        data_.sched_node.insert(data_.sched_node.end(),
+                                wcet_sched.dispatch_order.begin(),
+                                wcet_sched.dispatch_order.end());
+        for (const SectionSchedule::Item& item : wcet_sched.items)
+          data_.sched_start.push_back(item.start);
+        sa.last = static_cast<std::uint32_t>(data_.sched_node.size());
+        sa.w = wcet_sched.makespan;
+        sa.a = ltf_schedule(
+                   scratch_, app_.graph, seg.members, opt_.cpus,
+                   [&](NodeId id) { return inflated_acet(id); },
+                   opt_.heuristic)
+                   .makespan;
         total.w += sa.w;
         total.a += sa.a;
-        data_.segs.emplace(&seg, std::move(sa));
       } else {
-        SegAnalysis sa;
+        sa.first = static_cast<std::uint32_t>(data_.alts.size());
+        sa.last = sa.first + static_cast<std::uint32_t>(seg.alternatives.size());
+        data_.alts.resize(sa.last);
         SimTime w_max{};
         double a_exp = 0.0;
         for (std::size_t i = 0; i < seg.alternatives.size(); ++i) {
-          const ProgramTimes t = compute_times(seg.alternatives[i]);
-          sa.alt_w.push_back(t.w);
-          sa.alt_a.push_back(t.a);
+          const StructProgram& alt = seg.alternatives[i];
+          const auto alt_base = static_cast<std::uint32_t>(data_.segs.size());
+          data_.segs.resize(alt_base + alt.segments.size());
+          const ProgramTimes t = compute_times(alt, alt_base);
+          data_.alts[sa.first + i] = AltAnalysis{alt_base, t.w, t.a};
           w_max = std::max(w_max, t.w);
           a_exp += seg.alt_prob[i] * static_cast<double>(t.a.ps);
         }
         total.w += w_max;
         total.a += SimTime{static_cast<std::int64_t>(a_exp + 0.5)};
-        data_.segs.emplace(&seg, std::move(sa));
       }
+      // Assigned last: the recursion above may grow (and move) `segs`.
+      data_.segs[base + j] = sa;
     }
     return total;
   }
 
-  std::uint32_t assign_eo(const StructProgram& p, std::uint32_t counter) {
-    for (const StructSegment& seg : p.segments) {
+  std::uint32_t assign_eo(const StructProgram& p, std::uint32_t base,
+                          std::uint32_t counter) {
+    for (std::size_t j = 0; j < p.segments.size(); ++j) {
+      const StructSegment& seg = p.segments[j];
+      const SegAnalysis& sa = data_.segs[base + j];
       if (seg.kind == StructSegment::Kind::Section) {
-        for (NodeId id : data_.segs.at(&seg).wcet_sched.dispatch_order)
-          data_.tables.eo[id.value] = counter++;
+        for (std::uint32_t k = sa.first; k < sa.last; ++k)
+          data_.tables.eo[data_.sched_node[k].value] = counter++;
       } else {
         data_.tables.eo[seg.fork.value] = counter++;
-        const std::uint32_t base = counter;
+        const std::uint32_t alt_counter = counter;
         std::uint32_t max_span = 0;
-        for (const StructProgram& alt : seg.alternatives) {
-          const std::uint32_t end = assign_eo(alt, base);
-          max_span = std::max(max_span, end - base);
+        for (std::size_t i = 0; i < seg.alternatives.size(); ++i) {
+          const std::uint32_t end =
+              assign_eo(seg.alternatives[i], data_.alts[sa.first + i].base,
+                        alt_counter);
+          max_span = std::max(max_span, end - alt_counter);
         }
-        counter = base + max_span;
+        counter = alt_counter + max_span;
         data_.tables.eo[seg.join.value] = counter++;
       }
     }
@@ -208,12 +244,12 @@ class OfflineAnalyzer {
 
   /// Backward walk computing remaining worst/average times after each OR
   /// node and the per-alternative fork profiles (the PMP data of §2.2).
-  void assign_rem(const StructProgram& p, SimTime rem_w_after,
-                  SimTime rem_a_after) {
+  void assign_rem(const StructProgram& p, std::uint32_t base,
+                  SimTime rem_w_after, SimTime rem_a_after) {
     CanonicalTables& t = data_.tables;
-    for (auto it = p.segments.rbegin(); it != p.segments.rend(); ++it) {
-      const StructSegment& seg = *it;
-      const SegAnalysis& sa = data_.segs.at(&seg);
+    for (std::size_t j = p.segments.size(); j-- > 0;) {
+      const StructSegment& seg = p.segments[j];
+      const SegAnalysis& sa = data_.segs[base + j];
       if (seg.kind == StructSegment::Kind::Section) {
         rem_w_after += sa.w;
         rem_a_after += sa.a;
@@ -224,12 +260,13 @@ class OfflineAnalyzer {
         SimTime rem_w_fork{};
         double rem_a_fork = 0.0;
         for (std::size_t i = 0; i < seg.alternatives.size(); ++i) {
-          prof.rem_w_alt.push_back(sa.alt_w[i] + rem_w_after);
-          prof.rem_a_alt.push_back(sa.alt_a[i] + rem_a_after);
+          const AltAnalysis& alt = data_.alts[sa.first + i];
+          prof.rem_w_alt.push_back(alt.w + rem_w_after);
+          prof.rem_a_alt.push_back(alt.a + rem_a_after);
           rem_w_fork = std::max(rem_w_fork, prof.rem_w_alt.back());
           rem_a_fork += seg.alt_prob[i] *
                         static_cast<double>(prof.rem_a_alt.back().ps);
-          assign_rem(seg.alternatives[i], rem_w_after, rem_a_after);
+          assign_rem(seg.alternatives[i], alt.base, rem_w_after, rem_a_after);
         }
         t.rem_w[seg.fork.value] = rem_w_fork;
         t.rem_a[seg.fork.value] =
@@ -244,22 +281,23 @@ class OfflineAnalyzer {
   /// Shifts this program's canonical schedule so it finishes exactly at
   /// `end`; records LSTs. Returns the program's shifted start time.
   static SimTime assign_lst(const CanonicalData& d, const StructProgram& p,
-                            SimTime end, OfflineResult& r) {
-    for (auto it = p.segments.rbegin(); it != p.segments.rend(); ++it) {
-      const StructSegment& seg = *it;
-      const SegAnalysis& sa = d.segs.at(&seg);
+                            std::uint32_t base, SimTime end,
+                            OfflineResult& r) {
+    for (std::size_t j = p.segments.size(); j-- > 0;) {
+      const StructSegment& seg = p.segments[j];
+      const SegAnalysis& sa = d.segs[base + j];
       if (seg.kind == StructSegment::Kind::Section) {
         const SimTime shift = end - sa.w;
-        const SectionSchedule& sched = sa.wcet_sched;
-        for (std::size_t k = 0; k < sched.items.size(); ++k)
-          r.lst_[sched.dispatch_order[k].value] = sched.items[k].start + shift;
+        for (std::uint32_t k = sa.first; k < sa.last; ++k)
+          r.lst_[d.sched_node[k].value] = d.sched_start[k] + shift;
         end = shift;
       } else {
         r.lst_[seg.join.value] = end;
         SimTime w_max{};
         for (std::size_t i = 0; i < seg.alternatives.size(); ++i) {
-          assign_lst(d, seg.alternatives[i], end, r);
-          w_max = std::max(w_max, sa.alt_w[i]);
+          const AltAnalysis& alt = d.alts[sa.first + i];
+          assign_lst(d, seg.alternatives[i], alt.base, end, r);
+          w_max = std::max(w_max, alt.w);
         }
         const SimTime fork_time = end - w_max;
         r.lst_[seg.fork.value] = fork_time;
