@@ -87,7 +87,7 @@ const SectionSchedule& ltf_schedule(
   }
 
   // Min-heaps: std::*_heap keep the largest element under the comparator
-  // on top, so each comparator says "a dispatches after b".
+  // on top, so each comparator says "a comes after b".
   const auto ready_after = [](const ReadyKey& a, const ReadyKey& b) {
     if (a.ready_time != b.ready_time) return a.ready_time > b.ready_time;
     if (a.priority != b.priority) return a.priority > b.priority;

@@ -74,9 +74,9 @@ SectionSchedule ltf_schedule(
     ListHeuristic heuristic = ListHeuristic::LongestTaskFirst);
 
 /// Working storage and result of ltf_schedule, grown to the largest graph
-/// and section it has served. Its graph-sized member-slot table is all zero between
-/// calls, so a call costs time linear in its section, not in the graph.
-/// One scratch serves one thread at a time.
+/// and section it has served. Its graph-sized member-slot table is all
+/// zero between calls, so a call costs time linear in its section, not in
+/// the graph. One scratch serves one thread at a time.
 class ListSchedScratch {
  private:
   friend const SectionSchedule& ltf_schedule(

@@ -195,7 +195,8 @@ class OfflineAnalyzer {
         total.a += sa.a;
       } else {
         sa.first = static_cast<std::uint32_t>(data_.alts.size());
-        sa.last = sa.first + static_cast<std::uint32_t>(seg.alternatives.size());
+        sa.last =
+            sa.first + static_cast<std::uint32_t>(seg.alternatives.size());
         data_.alts.resize(sa.last);
         SimTime w_max{};
         double a_exp = 0.0;

@@ -118,7 +118,8 @@ SerialBounds serial_bounds_seg(const Program::Impl::Seg& seg) {
       // to the same rule here.
       PASERTA_REQUIRE(t.wcet > SimTime::zero() && t.acet > SimTime::zero() &&
                           t.acet <= t.wcet,
-                      "task '" << t.name << "' needs 0 < ACET <= WCET (got acet="
+                      "task '" << t.name
+                               << "' needs 0 < ACET <= WCET (got acet="
                                << t.acet.ps << "ps, wcet=" << t.wcet.ps
                                << "ps)");
       b.wcet_ps += static_cast<double>(t.wcet.ps);
@@ -409,7 +410,9 @@ Flow Flattener::flatten_program(const Program::Impl& p,
         const double wcet_ps = K * body.wcet_ps + 0.5;
         const double acet_ps = expected_iters * body.acet_ps + 0.5;
         // Truncation to int64 is defined exactly on [-2^63, 2^63).
-        const auto fits = [](double ps) { return ps >= -0x1p63 && ps < 0x1p63; };
+        const auto fits = [](double ps) {
+          return ps >= -0x1p63 && ps < 0x1p63;
+        };
         PASERTA_REQUIRE(fits(wcet_ps) && fits(acet_ps),
                         "loop '" << lp->name
                                  << "': collapsed time exceeds the time range");

@@ -186,8 +186,10 @@ class Parser {
       const std::string_view kw = keyword(l);
       if (kw == "end") break;
       if (kw == "task") {
-        if (l.count == 4 && !index_.emplace(tok(l, 1), sec.tasks.size()).second)
-          syntax_error(l, "duplicate task " + quoted(tok(l, 1)) + " in section");
+        if (l.count == 4 &&
+            !index_.emplace(tok(l, 1), sec.tasks.size()).second)
+          syntax_error(l,
+                       "duplicate task " + quoted(tok(l, 1)) + " in section");
         sec.tasks.push_back(parse_task(l));
       } else if (kw == "edge") {
         if (l.count != 3) syntax_error(l, "expected: edge <from> <to>");
