@@ -3,9 +3,6 @@
 //
 //   point  runs/sec of one run_point call (load 0.5) per thread count —
 //          the PR-1 hot-loop metric, unchanged;
-//   batch  runs/sec of the same point, single-threaded, across a batch-size
-//          ladder (1 = scalar engine forced, 0 = auto) — the batched
-//          engine's speedup over its scalar oracle, gated by bench_compare;
 //   dedup  runs/sec of the ATR point at alpha = 1 (discrete scenario
 //          space), single-threaded, dedup off vs on across a run-count
 //          ladder — the scenario-dedup cache's speedup and hit rate, gated
@@ -167,13 +164,6 @@ int main(int argc, char** argv) {
   const ThroughputReport point_report = measure_throughput(
       app, cfg, deadline, thread_ladder(threads), fig.id + "@load=0.5", reps);
 
-  // Batched-vs-scalar engine section: the same point, single-threaded, at a
-  // batch-size ladder (1 = scalar engine forced, 0 = auto). Outputs are
-  // bit-identical across the ladder, so the ratio is pure engine overhead;
-  // bench_compare gates the auto-vs-scalar speedup against a floor.
-  const BatchThroughputReport batch_report = measure_batch_throughput(
-      app, cfg, deadline, {1, 8, 32, 0}, fig.id + "@load=0.5", reps);
-
   // Scenario-dedup section: the same ATR graph at alpha = 1 (ACET = WCET,
   // so OR forks are the only randomness and the scenario space collapses
   // to a handful of fork outcomes), single-threaded, dedup off vs. on
@@ -227,8 +217,6 @@ int main(int argc, char** argv) {
   }
 
   const std::string doc = "{\n\"point\": " + throughput_to_json(point_report) +
-                          ",\n\"batch\": " +
-                          batch_throughput_to_json(batch_report) +
                           ",\n\"dedup\": " +
                           dedup_throughput_to_json(dedup_report) +
                           ",\n\"sweep\": " +

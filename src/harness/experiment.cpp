@@ -47,7 +47,7 @@ namespace {
 // integer attribution ledger — is *copied* from the first instead of
 // re-simulated. The copy lands in the same run-major stage slot and the
 // counters integer-add into the same slot cells, so sums, CSVs, metrics
-// and ledgers stay bit-identical at every thread count and batch size.
+// and ledgers stay bit-identical at every thread count and chunk size.
 //
 // Sharding mirrors the staging design of §13: each (point, slot) owns a
 // single-threaded OutcomeShard (fingerprint table + id-major record
@@ -63,7 +63,7 @@ bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
   // Replayed runs perform no engine work, so configurations whose purpose
   // is per-run engine work keep the uncached path: verify_traces walks
   // every run's trace, audit re-accounts every run three ways, and a
-  // per-run tracer spans every simulation.
+  // kRuns tracer spans every engine call.
   if (cfg.verify_traces || cfg.audit) return false;
   if (cfg.tracer != nullptr && cfg.tracer->detail() == Tracer::Detail::kRuns)
     return false;
@@ -130,20 +130,6 @@ void append_record(OutcomeShard& sh, const RecordTmp& tmp, bool metrics) {
   sh.rows.insert(sh.rows.end(), tmp.rows.begin(), tmp.rows.end());
   if (metrics)
     sh.cells.insert(sh.cells.end(), tmp.cells.begin(), tmp.cells.end());
-}
-
-/// Appends a new record copied from stage position `i` (the run that was
-/// just simulated there) plus its run-local counter cells.
-void append_record_from_stage(OutcomeShard& sh, const ChunkStage& stage,
-                              std::size_t i, std::size_t nschemes,
-                              const SimCounters* run_cells,
-                              std::size_t ncells) {
-  sh.npm_energy.push_back(stage.npm_energy[i]);
-  sh.degenerate.push_back(stage.degenerate[i]);
-  const SchemeOutcome* row = stage.schemes.data() + i * nschemes;
-  sh.rows.insert(sh.rows.end(), row, row + nschemes);
-  if (run_cells != nullptr)
-    sh.cells.insert(sh.cells.end(), run_cells, run_cells + ncells);
 }
 
 /// Replays cached record `id` into stage position `i`: copies the staged
@@ -231,10 +217,17 @@ struct SharedOutcomes {
   }
 };
 
-/// Observability context of one run, threaded through evaluate_run by the
-/// worker that owns the slot. Everything may be null/defaulted: a
-/// zero-initialized RunObs makes evaluate_run observation-free.
-struct RunObs {
+/// Lanes per simulate_batch call. The value is output-invisible (the
+/// batched engine is bit-identical to the scalar one run for run), so it
+/// is the measured sweet spot: large enough to amortize the per-call setup
+/// (derived tables, devirtualized policy reset) over many runs, small
+/// enough that a lane group's state stays cache-resident on one core.
+constexpr int kBatchLanes = 32;
+
+/// Observability context of one chunk, filled by the worker that owns the
+/// slot. Everything may be null/defaulted: a zero-initialized ChunkObs
+/// makes the chunk observation-free.
+struct ChunkObs {
   Tracer* run_tracer = nullptr;  // non-null only at Tracer::Detail::kRuns
   int slot = 0;
   std::int64_t point = -1;
@@ -281,128 +274,77 @@ void audit_run(const Application& app, const OfflineResult& off,
                            << " J");
 }
 
-/// Evaluates one already-drawn scenario into the caller's output cells:
-/// `npm_energy_out`, `degenerate_out` and the `row` of cfg.schemes.size()
-/// SchemeOutcomes. Every field of every cell is assigned unconditionally,
-/// so callers may hand in reused (stale) buffers — the pooled path stages
-/// chunks through recycled ChunkStages that are never cleared. Thread-safe:
-/// all shared inputs are const, distinct runs write distinct cells; policies
-/// and the workspace are caller-provided (one set per worker slot), so the
-/// loop over runs performs no heap allocation in steady state. The
-/// simulation consumes no randomness — a scenario fully determines every
-/// output bit — which is what lets the dedup layer hoist the draw out and
-/// replay cached records for repeated scenarios (DESIGN.md §15). `run` is
-/// only used to label trace spans.
+/// One scheme's outcome of one run, from the scheme's engine result and
+/// the run's NPM baseline. A degenerate workload (no computation and zero
+/// idle power) yields a zero baseline; dividing by it would poison
+/// RunningStat with NaN/Inf, so such runs carry no normalized energy.
+/// Every field is assigned, so the result may overwrite a reused (stale)
+/// staging entry. The pooled path and the unpooled reference both build
+/// their outcomes here, which is what makes their staged values
+/// bit-identical on bit-identical engine outputs.
+SchemeOutcome scheme_outcome(const SimResult& r, double npm_energy,
+                             bool degenerate, SimTime deadline) {
+  SchemeOutcome so;
+  if (!degenerate) {
+    so.norm_energy = r.total_energy() / npm_energy;
+    so.has_norm = true;
+  }
+  so.speed_changes = static_cast<double>(r.speed_changes);
+  so.finish_frac = static_cast<double>(r.finish_time.ps) /
+                   static_cast<double>(deadline.ps);
+  const Energy total = r.total_energy();
+  if (total > 0.0) {
+    so.busy_frac = r.busy_energy / total;
+    so.overhead_frac = r.overhead_energy / total;
+    so.idle_frac = r.idle_energy / total;
+    so.has_fracs = true;
+  }
+  so.missed = !r.deadline_met;
+  return so;
+}
+
+/// The unpooled reference's evaluation of one drawn scenario: the NPM
+/// baseline, then every scheme, each through the scalar engine with its
+/// own policy object, into the caller's output cells. Audit and
+/// verify_traces apply as on the pooled path, and verify_traces also keeps
+/// the scalar engine's completeness traversal on.
 void evaluate_scenario(const Application& app, const ExperimentConfig& cfg,
                        const OfflineResult& off, const PowerModel& pm,
                        SimTime deadline,
                        std::vector<std::unique_ptr<SpeedPolicy>>& policies,
-                       SpeedPolicy& npm, int run, SimWorkspace& ws,
+                       SpeedPolicy& npm, SimWorkspace& ws,
                        const RunScenario& sc, double& npm_energy_out,
-                       std::uint8_t& degenerate_out, SchemeOutcome* row,
-                       const RunObs& obs = {}) {
-  // Traces are only materialized when something consumes them; the
-  // verifying (test) configuration also keeps the engine's debug
-  // completeness traversal on, and audit needs per-run traces for the
-  // power-curve integral check.
+                       std::uint8_t& degenerate_out, SchemeOutcome* row) {
   SimOptions sim_opt;
   sim_opt.record_trace = cfg.verify_traces || cfg.audit;
   sim_opt.check_completeness = cfg.verify_traces;
   sim_opt.audit = cfg.audit;
-
-  // Audit runs export into a run-local cell first, so attribution_energy
-  // sees exactly one run's ledger; the local is then merged into the
-  // slot-owned cell (integer adds — the merged totals are identical to
-  // direct accumulation).
+  // Audit exports each simulation into a run-local cell, so
+  // attribution_energy sees exactly one run's ledger.
   SimCounters audit_cell;
-  SimCounters* const slot_npm =
-      obs.cells != nullptr ? obs.cells + cfg.schemes.size() : nullptr;
+  if (cfg.audit) sim_opt.counters = &audit_cell;
 
   npm.reset(off, pm);
-  sim_opt.counters = cfg.audit ? &audit_cell : slot_npm;
-  const SimResult npm_r = [&] {
-    TraceSpan span(obs.run_tracer, obs.slot, "NPM", obs.point, run);
-    return simulate(app, off, pm, cfg.overheads, npm, sc, ws, sim_opt);
-  }();
-  if (cfg.audit) {
+  const SimResult npm_r =
+      simulate(app, off, pm, cfg.overheads, npm, sc, ws, sim_opt);
+  if (cfg.audit)
     audit_run(app, off, pm, cfg.overheads, audit_cell, npm_r, Scheme::NPM);
-    if (slot_npm != nullptr) slot_npm->add(audit_cell);
-  }
-  const double npm_energy = npm_r.total_energy();
-  // A degenerate workload (no computation and zero idle power) yields a
-  // zero NPM baseline; dividing by it would poison RunningStat with
-  // NaN/Inf, so such runs are flagged and excluded from norm_energy.
-  const bool degenerate = !(npm_energy > 0.0);
-  npm_energy_out = npm_energy;
+  npm_energy_out = npm_r.total_energy();
+  const bool degenerate = !(npm_energy_out > 0.0);
   degenerate_out = degenerate ? 1 : 0;
 
   for (std::size_t s = 0; s < cfg.schemes.size(); ++s) {
     SpeedPolicy& policy = *policies[s];
     policy.reset(off, pm);
-    SimCounters* const slot_cell =
-        obs.cells != nullptr ? obs.cells + s : nullptr;
     if (cfg.audit) audit_cell = SimCounters{};
-    sim_opt.counters = cfg.audit ? &audit_cell : slot_cell;
-    const SimResult r = [&] {
-      TraceSpan span(obs.run_tracer, obs.slot, to_string(cfg.schemes[s]),
-                     obs.point, run);
-      return simulate(app, off, pm, cfg.overheads, policy, sc, ws, sim_opt);
-    }();
-    if (cfg.audit) {
+    const SimResult r =
+        simulate(app, off, pm, cfg.overheads, policy, sc, ws, sim_opt);
+    if (cfg.audit)
       audit_run(app, off, pm, cfg.overheads, audit_cell, r, cfg.schemes[s]);
-      if (slot_cell != nullptr) slot_cell->add(audit_cell);
-    }
-    // Built from scratch and stored once: the output cell may be a reused
-    // staging entry, so no field may survive from a previous run.
-    SchemeOutcome so;
-    if (!degenerate) {
-      so.norm_energy = r.total_energy() / npm_energy;
-      so.has_norm = true;
-    }
-    so.speed_changes = static_cast<double>(r.speed_changes);
-    so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                     static_cast<double>(deadline.ps);
-    const Energy total = r.total_energy();
-    if (total > 0.0) {
-      so.busy_frac = r.busy_energy / total;
-      so.overhead_frac = r.overhead_energy / total;
-      so.idle_frac = r.idle_energy / total;
-      so.has_fracs = true;
-    }
-    so.missed = !r.deadline_met;
-    if (cfg.verify_traces) {
-      const VerifyReport rep = verify_trace(app, off, sc, r);
-      so.verify_failed = !rep.ok;
-    }
+    SchemeOutcome so = scheme_outcome(r, npm_energy_out, degenerate, deadline);
+    if (cfg.verify_traces) so.verify_failed = !verify_trace(app, off, sc, r).ok;
     row[s] = so;
   }
-}
-
-/// Draw + evaluate of one run on its own seed-derived stream. Scenario
-/// generation goes through the precompiled `sampler` when one is given; a
-/// null sampler falls back to the legacy per-run draw_scenario walk
-/// (bit-identical by contract — run_point_unpooled stays on it as the
-/// in-tree reference).
-void evaluate_run(const Application& app, const ExperimentConfig& cfg,
-                  const OfflineResult& off, const PowerModel& pm,
-                  SimTime deadline, const ScenarioSampler* sampler,
-                  std::vector<std::unique_ptr<SpeedPolicy>>& policies,
-                  SpeedPolicy& npm, int run, SimWorkspace& ws,
-                  RunScenario& sc, double& npm_energy_out,
-                  std::uint8_t& degenerate_out, SchemeOutcome* row,
-                  const RunObs& obs = {}) {
-  Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-  {
-    ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-    if (sampler != nullptr) {
-      sampler->draw_into(run_rng, sc);
-    } else {
-      draw_scenario(app.graph, run_rng, sc);
-    }
-  }
-  ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-  evaluate_scenario(app, cfg, off, pm, deadline, policies, npm, run, ws, sc,
-                    npm_energy_out, degenerate_out, row, obs);
 }
 
 /// Worker-local state, one set per pool slot, reused across every chunk
@@ -416,342 +358,216 @@ void evaluate_run(const Application& app, const ExperimentConfig& cfg,
 /// are read-only, but private copies also dodge capacity fights on a
 /// busy socket and make the no-shared-state property mechanical).
 struct WorkerCtx {
-  std::vector<std::unique_ptr<SpeedPolicy>> policies;
-  std::unique_ptr<SpeedPolicy> npm;
-  SimWorkspace ws;
-  RunScenario sc;
   std::unique_ptr<ChunkStage> stage;  // null until OrderedFold::acquire
   std::vector<std::unique_ptr<ScenarioSampler>> samplers;
-  // Batched-path state (sim/batch_engine.h), sized lazily on first use.
+  // Batched-engine state (sim/batch_engine.h), sized on first use.
   BatchWorkspace batch_ws;
   ScenarioBatch batch_sc;
   std::vector<SimResult> batch_results;
   std::vector<SimCounters> batch_cells;  // audit/dedup: one cell per lane
-  // Dedup-path scratch (DESIGN.md §15), sized lazily on first use.
-  std::vector<std::uint64_t> key;          // one fingerprint (op_count words)
-  std::vector<SimCounters> dedup_cells;    // miss: run-local counter cells
+  RunScenario sc;  // verify_traces: one lane's scenario row, copied out
+  // Dedup scratch (DESIGN.md §15), sized on first use.
+  std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
   RecordTmp rec_tmp;  // shared-store reads copy here under the lock
 
-  WorkerCtx(const ExperimentConfig& cfg, std::size_t sampler_count)
-      : samplers(sampler_count) {
-    for (Scheme s : cfg.schemes)
-      policies.push_back(make_policy(s, cfg.policy_options));
-    npm = make_policy(Scheme::NPM);
-  }
+  explicit WorkerCtx(std::size_t sampler_count)
+      : samplers(sampler_count), batch_results(kBatchLanes) {}
 };
 
-/// Lanes per batched engine call, or 0 for the scalar per-run path.
-/// The value is output-invisible (the batched engine is bit-identical to
-/// the scalar one), so auto just picks the measured sweet spot: large
-/// enough to amortize the per-batch setup (derived tables, devirtualized
-/// policy reset) over many runs, small enough that the batch's lane state
-/// stays cache-resident on one core.
-int batch_lanes_for(const ExperimentConfig& cfg) {
-  if (cfg.batch == 1) return 0;
-  // verify_traces needs the scalar engine's completeness traversal.
-  if (cfg.verify_traces) return 0;
-  if (cfg.batch > 1) return cfg.batch;
-  return 32;
-}
+/// Where simulate_lanes writes lane l's record: npm_energy[l],
+/// degenerate[l], rows[l * nschemes + s] and, when `cells` is set, the
+/// lane's own counters at cells[l * (nschemes + 1) + c] (schemes in config
+/// order, NPM last).
+struct LaneRecords {
+  double* npm_energy = nullptr;
+  std::uint8_t* degenerate = nullptr;
+  SchemeOutcome* rows = nullptr;
+  SimCounters* cells = nullptr;
+};
 
-/// Batched analogue of the per-run evaluate_run loop over one chunk:
-/// draws the chunk's scenarios into a lane-major slab (each lane from its
-/// own run's seed-derived stream) and simulates the NPM baseline plus
-/// every scheme through simulate_batch, `lanes_max` runs per engine call.
-/// Every staged value is computed by the same floating-point expression on
-/// bit-identical engine outputs as evaluate_run's, and counter export
-/// reduces to the same integer sums, so the scalar and batched chunk paths
-/// are interchangeable run for run.
-void evaluate_chunk_batched(const Application& app,
-                            const ExperimentConfig& cfg,
-                            const OfflineResult& off, const PowerModel& pm,
-                            SimTime deadline, const ScenarioSampler& sampler,
-                            int first, int count, int lanes_max,
-                            WorkerCtx& ctx, const RunObs& obs) {
-  const std::size_t nschemes = cfg.schemes.size();
-  ChunkStage& stage = *ctx.stage;
-  SimCounters* const slot_npm =
-      obs.cells != nullptr ? obs.cells + nschemes : nullptr;
-  ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
-  for (int base = 0; base < count; base += lanes_max) {
-    const int lanes = std::min(lanes_max, count - base);
-    const auto nlanes = static_cast<std::size_t>(lanes);
-    ctx.batch_sc.ensure(nlanes, app.graph.size());
-    {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      for (int l = 0; l < lanes; ++l) {
-        Rng run_rng(Rng::stream_seed(
-            cfg.seed, static_cast<std::uint64_t>(first + base + l)));
-        sampler.draw_into(run_rng, ctx.batch_sc,
-                          static_cast<std::size_t>(l));
-      }
-    }
-
-    // One scheme after another over the same scenario slab, the NPM
-    // baseline first (its energies normalize the others). Audit mode
-    // exports each lane into its own cell so attribution_energy sees one
-    // run's ledger, exactly like the scalar path's run-local cell.
-    const auto run_scheme = [&](Scheme scheme, SimCounters* slot_cell) {
-      ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-      BatchSimOptions bo;
-      bo.record_trace = cfg.audit;
-      bo.audit = cfg.audit;
-      bo.prof = obs.prof;
-      bo.ph_setup = obs.ph_batch_setup;
-      bo.ph_drain = obs.ph_batch_drain;
-      bo.slot = obs.slot;
-      if (cfg.audit) {
-        ctx.batch_cells.assign(nlanes, SimCounters{});
-        bo.lane_cells = ctx.batch_cells.data();
-      } else {
-        bo.shared_cell = slot_cell;
-      }
-      simulate_batch(app, off, pm, cfg.overheads, scheme,
-                     cfg.policy_options, ctx.batch_sc, nlanes, ctx.batch_ws,
-                     ctx.batch_results.data(), bo);
-      if (cfg.audit) {
-        for (std::size_t l = 0; l < nlanes; ++l) {
-          audit_run(app, off, pm, cfg.overheads, ctx.batch_cells[l],
-                    ctx.batch_results[l], scheme);
-          if (slot_cell != nullptr) slot_cell->add(ctx.batch_cells[l]);
-        }
-      }
-    };
-
-    run_scheme(Scheme::NPM, slot_npm);
-    for (int l = 0; l < lanes; ++l) {
-      const auto i = static_cast<std::size_t>(base + l);
-      const double npm_energy =
-          ctx.batch_results[static_cast<std::size_t>(l)].total_energy();
-      stage.npm_energy[i] = npm_energy;
-      stage.degenerate[i] = !(npm_energy > 0.0) ? 1 : 0;
-    }
-
-    for (std::size_t s = 0; s < nschemes; ++s) {
-      run_scheme(cfg.schemes[s],
-                 obs.cells != nullptr ? obs.cells + s : nullptr);
-      for (int l = 0; l < lanes; ++l) {
-        const auto i = static_cast<std::size_t>(base + l);
-        const SimResult& r = ctx.batch_results[static_cast<std::size_t>(l)];
-        SchemeOutcome so;
-        if (!stage.degenerate[i]) {
-          so.norm_energy = r.total_energy() / stage.npm_energy[i];
-          so.has_norm = true;
-        }
-        so.speed_changes = static_cast<double>(r.speed_changes);
-        so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                         static_cast<double>(deadline.ps);
-        const Energy total = r.total_energy();
-        if (total > 0.0) {
-          so.busy_frac = r.busy_energy / total;
-          so.overhead_frac = r.overhead_energy / total;
-          so.idle_frac = r.idle_energy / total;
-          so.has_fracs = true;
-        }
-        so.missed = !r.deadline_met;
-        stage.schemes[i * nschemes + s] = so;
-      }
-    }
-  }
-}
-
-/// Scalar dedup chunk path: draws each run's scenario together with its
-/// fingerprint, simulates only first encounters and replays the cached
-/// record for every duplicate. Stage rows and slot cells end up with
-/// exactly the values the plain scalar loop writes (DESIGN.md §15).
-void evaluate_chunk_dedup_scalar(
-    const Application& app, const ExperimentConfig& cfg,
-    const OfflineResult& off, const PowerModel& pm, SimTime deadline,
-    const ScenarioSampler& sampler, int first, int count, WorkerCtx& ctx,
-    const RunObs& obs, OutcomeShard& shard, SharedOutcomes* shared) {
+/// Simulates lanes [0, nlanes) of ctx.batch_sc — the NPM baseline first
+/// (its energies normalize the others), then every scheme — with one
+/// simulate_batch call each, and builds every lane's SchemeOutcome into
+/// `out`. Counters go per lane into out.cells when it is set (a dedup
+/// record caches exactly one run's worth), else into the slot cells
+/// obs.cells. Audit exports each lane into its own cell so
+/// attribution_energy sees one run's ledger; verify_traces checks every
+/// lane's trace against its scenario. A kRuns tracer gets one span per
+/// simulate_batch call, labelled with `first_run`, the group's first run.
+void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
+                    const OfflineResult& off, const PowerModel& pm,
+                    SimTime deadline, std::size_t nlanes, int first_run,
+                    WorkerCtx& ctx, const ChunkObs& obs,
+                    const LaneRecords& out) {
   const std::size_t nschemes = cfg.schemes.size();
   const std::size_t ncells = nschemes + 1;
-  ChunkStage& stage = *ctx.stage;
-  const bool metrics = obs.cells != nullptr;
-  ctx.key.resize(sampler.op_count());
-  if (metrics) ctx.dedup_cells.resize(ncells);
-  for (int k = 0; k < count; ++k) {
-    const int run = first + k;
-    const auto i = static_cast<std::size_t>(k);
-    Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-    {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      sampler.draw_into(run_rng, ctx.sc, ctx.key.data());
+  const bool lane_cells = cfg.audit || out.cells != nullptr;
+
+  // `c` indexes the counter cells: schemes in config order, NPM last.
+  const auto run_scheme = [&](Scheme scheme, std::size_t c) {
+    ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
+    TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
+                   first_run);
+    BatchSimOptions bo;
+    bo.record_trace = cfg.audit || cfg.verify_traces;
+    bo.audit = cfg.audit;
+    bo.prof = obs.prof;
+    bo.ph_setup = obs.ph_batch_setup;
+    bo.ph_drain = obs.ph_batch_drain;
+    bo.slot = obs.slot;
+    SimCounters* const slot_cell =
+        obs.cells != nullptr ? obs.cells + c : nullptr;
+    if (lane_cells) {
+      ctx.batch_cells.assign(nlanes, SimCounters{});
+      bo.lane_cells = ctx.batch_cells.data();
+    } else {
+      bo.shared_cell = slot_cell;
     }
-    bool inserted = false;
-    const std::uint32_t id = shard.table.intern(ctx.key.data(), inserted);
-    if (inserted) {
-      if (shared != nullptr &&
-          shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                            ctx.rec_tmp)) {
-        // Another slot already simulated this scenario: adopt its record
-        // (id == record_count(), so the append keeps id-major alignment).
-        append_record(shard, ctx.rec_tmp, metrics);
-      } else {
-        // First encounter anywhere: simulate straight into the stage row,
-        // capturing the run's counters in run-local cells so the record
-        // caches exactly one run's worth.
-        ++shard.misses;
-        RunObs miss_obs = obs;
-        if (metrics) {
-          std::fill(ctx.dedup_cells.begin(), ctx.dedup_cells.end(),
-                    SimCounters{});
-          miss_obs.cells = ctx.dedup_cells.data();
-        }
-        {
-          ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-          evaluate_scenario(app, cfg, off, pm, deadline, ctx.policies,
-                            *ctx.npm, run, ctx.ws, ctx.sc,
-                            stage.npm_energy[i], stage.degenerate[i],
-                            stage.schemes.data() + i * nschemes,
-                            miss_obs);
-        }
-        if (metrics)
-          for (std::size_t c = 0; c < ncells; ++c)
-            obs.cells[c].add(ctx.dedup_cells[c]);
-        append_record_from_stage(shard, stage, i, nschemes,
-                                 metrics ? ctx.dedup_cells.data() : nullptr,
-                                 ncells);
-        if (shared != nullptr) shard.pending.push_back(id);
-        continue;  // this run's stage row and cells are already written
-      }
+    simulate_batch(app, off, pm, cfg.overheads, scheme, cfg.policy_options,
+                   ctx.batch_sc, nlanes, ctx.batch_ws,
+                   ctx.batch_results.data(), bo);
+    if (!lane_cells) return;
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      if (cfg.audit)
+        audit_run(app, off, pm, cfg.overheads, ctx.batch_cells[l],
+                  ctx.batch_results[l], scheme);
+      if (out.cells != nullptr)
+        out.cells[l * ncells + c] = ctx.batch_cells[l];
+      else if (slot_cell != nullptr)
+        slot_cell->add(ctx.batch_cells[l]);
     }
-    ++shard.hits;
-    replay_record(shard, id, stage, i, nschemes, obs.cells, ncells);
-  }
-  if (shared != nullptr) shared->publish(shard, nschemes, ncells, metrics);
-}
-
-/// Batched dedup chunk path: dedup happens *before* lane packing, so only
-/// first-encounter scenarios occupy engine lanes — duplicates never reach
-/// the batched engine at all. Runs are recorded as (stage index, record id)
-/// pairs and replayed when their flush group materializes, which keeps the
-/// stage bit-identical to the non-dedup batched path (same engine, same
-/// floating-point expressions, same integer counter sums).
-void evaluate_chunk_dedup_batched(
-    const Application& app, const ExperimentConfig& cfg,
-    const OfflineResult& off, const PowerModel& pm, SimTime deadline,
-    const ScenarioSampler& sampler, int first, int count, int lanes_max,
-    WorkerCtx& ctx, const RunObs& obs, OutcomeShard& shard,
-    SharedOutcomes* shared) {
-  const std::size_t nschemes = cfg.schemes.size();
-  const std::size_t ncells = nschemes + 1;
-  const bool metrics = obs.cells != nullptr;
-  ChunkStage& stage = *ctx.stage;
-  const std::uint64_t miss0 = shard.misses;
-  ctx.key.resize(sampler.op_count());
-  ctx.batch_results.resize(static_cast<std::size_t>(lanes_max));
-  ctx.batch_sc.ensure(static_cast<std::size_t>(lanes_max), app.graph.size());
-  ctx.fill.clear();
-  int cur = 0;  // pending lanes in the current flush group
-
-  // Simulates the group's `cur` pending lanes (NPM baseline first, then
-  // every scheme), appends their records in lane order — lane l's record
-  // id is record_count() + l, because intern assigned the group's ids
-  // densely in lane order — then replays every (run, id) pair staged so
-  // far. The record rows are built by the same floating-point expressions
-  // as evaluate_chunk_batched's, on bit-identical engine outputs.
-  const auto flush_group = [&] {
-    if (cur > 0) {
-      const auto nlanes = static_cast<std::size_t>(cur);
-      const std::size_t base = shard.npm_energy.size();
-      shard.npm_energy.resize(base + nlanes);
-      shard.degenerate.resize(base + nlanes);
-      shard.rows.resize((base + nlanes) * nschemes);
-      if (metrics) shard.cells.resize((base + nlanes) * ncells);
-
-      const auto run_scheme = [&](Scheme scheme) {
-        ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-        BatchSimOptions bo;
-        bo.prof = obs.prof;
-        bo.ph_setup = obs.ph_batch_setup;
-        bo.ph_drain = obs.ph_batch_drain;
-        bo.slot = obs.slot;
-        if (metrics) {
-          // Per-lane cells: each record must cache exactly one run's
-          // counters (and ledger), so replay adds per-run quantities.
-          ctx.batch_cells.assign(nlanes, SimCounters{});
-          bo.lane_cells = ctx.batch_cells.data();
-        }
-        simulate_batch(app, off, pm, cfg.overheads, scheme,
-                       cfg.policy_options, ctx.batch_sc, nlanes,
-                       ctx.batch_ws, ctx.batch_results.data(), bo);
-      };
-
-      run_scheme(Scheme::NPM);
-      for (std::size_t l = 0; l < nlanes; ++l) {
-        const double npm_energy = ctx.batch_results[l].total_energy();
-        shard.npm_energy[base + l] = npm_energy;
-        shard.degenerate[base + l] = !(npm_energy > 0.0) ? 1 : 0;
-        if (metrics)
-          shard.cells[(base + l) * ncells + nschemes] = ctx.batch_cells[l];
-      }
-      for (std::size_t s = 0; s < nschemes; ++s) {
-        run_scheme(cfg.schemes[s]);
-        for (std::size_t l = 0; l < nlanes; ++l) {
-          const SimResult& r = ctx.batch_results[l];
-          SchemeOutcome so;
-          if (!shard.degenerate[base + l]) {
-            so.norm_energy = r.total_energy() / shard.npm_energy[base + l];
-            so.has_norm = true;
-          }
-          so.speed_changes = static_cast<double>(r.speed_changes);
-          so.finish_frac = static_cast<double>(r.finish_time.ps) /
-                           static_cast<double>(deadline.ps);
-          const Energy total = r.total_energy();
-          if (total > 0.0) {
-            so.busy_frac = r.busy_energy / total;
-            so.overhead_frac = r.overhead_energy / total;
-            so.idle_frac = r.idle_energy / total;
-            so.has_fracs = true;
-          }
-          so.missed = !r.deadline_met;
-          shard.rows[(base + l) * nschemes + s] = so;
-          if (metrics) shard.cells[(base + l) * ncells + s] = ctx.batch_cells[l];
-        }
-      }
-      if (shared != nullptr)
-        for (std::size_t l = 0; l < nlanes; ++l)
-          shard.pending.push_back(static_cast<std::uint32_t>(base + l));
-      shard.misses += nlanes;
-      cur = 0;
-    }
-    for (const auto& [idx, id] : ctx.fill)
-      replay_record(shard, id, stage, static_cast<std::size_t>(idx),
-                    nschemes, obs.cells, ncells);
-    ctx.fill.clear();
   };
 
-  for (int k = 0; k < count; ++k) {
-    if (cur == lanes_max) flush_group();
-    const int run = first + k;
-    Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
-    {
-      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      sampler.draw_into(run_rng, ctx.batch_sc, static_cast<std::size_t>(cur),
-                        ctx.key.data());
+  run_scheme(Scheme::NPM, nschemes);
+  for (std::size_t l = 0; l < nlanes; ++l) {
+    const double npm_energy = ctx.batch_results[l].total_energy();
+    out.npm_energy[l] = npm_energy;
+    out.degenerate[l] = !(npm_energy > 0.0) ? 1 : 0;
+  }
+  const std::size_t nodes = ctx.batch_sc.nodes();
+  for (std::size_t s = 0; s < nschemes; ++s) {
+    run_scheme(cfg.schemes[s], s);
+    for (std::size_t l = 0; l < nlanes; ++l) {
+      const SimResult& r = ctx.batch_results[l];
+      SchemeOutcome so = scheme_outcome(r, out.npm_energy[l],
+                                        out.degenerate[l] != 0, deadline);
+      if (cfg.verify_traces) {
+        const SimTime* actual = ctx.batch_sc.lane_actual(l);
+        const int* choice = ctx.batch_sc.lane_choice(l);
+        ctx.sc.actual.assign(actual, actual + nodes);
+        ctx.sc.or_choice.assign(choice, choice + nodes);
+        so.verify_failed = !verify_trace(app, off, ctx.sc, r).ok;
+      }
+      out.rows[l * nschemes + s] = so;
     }
-    bool inserted = false;
-    const std::uint32_t id = shard.table.intern(ctx.key.data(), inserted);
-    if (inserted) {
-      if (shared != nullptr &&
-          shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                            ctx.rec_tmp)) {
-        // Adopting a shared record mid-group would slot its id between
-        // the group's pending lane ids; materialize the group first so
-        // the append lands exactly at id (dense order restored).
-        flush_group();
-        append_record(shard, ctx.rec_tmp, metrics);
-      } else {
-        ++cur;  // lane `cur` holds this scenario until the group flushes
+  }
+}
+
+/// Evaluates runs [first, first + count) of one point into ctx.stage. Each
+/// run is drawn from its own seed-derived stream into the next free lane
+/// of ctx.batch_sc, and every full lane group (and the last, partial one)
+/// is simulated by simulate_lanes straight into the stage rows.
+///
+/// With a dedup `shard` (DESIGN.md §15) each draw also emits its
+/// fingerprint, and only a first encounter keeps its lane; every run of
+/// the group is then replayed from the shard once the group's records
+/// exist. A first encounter that another slot already published to
+/// `shared` is adopted instead of simulated. Its record id follows the
+/// group's pending lane ids, so it ends the group: the lanes are appended
+/// first, then the adopted record, which keeps the arenas dense and
+/// id-aligned. Replay writes exactly the stage values and counter sums
+/// that simulating the run would have.
+void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
+                    const OfflineResult& off, const PowerModel& pm,
+                    SimTime deadline, const ScenarioSampler& sampler,
+                    int first, int count, WorkerCtx& ctx, const ChunkObs& obs,
+                    OutcomeShard* shard, SharedOutcomes* shared) {
+  const std::size_t nschemes = cfg.schemes.size();
+  const std::size_t ncells = nschemes + 1;
+  const bool metrics = obs.cells != nullptr;
+  ChunkStage& stage = *ctx.stage;
+  ctx.batch_sc.ensure(static_cast<std::size_t>(std::min(kBatchLanes, count)),
+                      app.graph.size());
+  if (shard != nullptr) ctx.key.resize(sampler.op_count());
+  const std::uint64_t miss0 = shard != nullptr ? shard->misses : 0;
+  int k = 0;    // next run of the chunk to draw
+  int cur = 0;  // lanes taken in the open group
+  bool adopted = false;  // ctx.rec_tmp holds a record adopted from `shared`
+
+  while (k < count) {
+    {
+      // Fill the open group. harness.sample covers the draws and, on a
+      // dedup point, their fingerprint lookups.
+      ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
+      for (; k < count && cur < kBatchLanes && !adopted; ++k) {
+        Rng run_rng(
+            Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(first + k)));
+        const auto lane = static_cast<std::size_t>(cur);
+        if (shard == nullptr) {
+          sampler.draw_into(run_rng, ctx.batch_sc, lane);
+          ++cur;
+          continue;
+        }
+        sampler.draw_into(run_rng, ctx.batch_sc, lane, ctx.key.data());
+        bool inserted = false;
+        const std::uint32_t id = shard->table.intern(ctx.key.data(), inserted);
+        if (inserted) {
+          if (shared != nullptr &&
+              shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
+                                ctx.rec_tmp))
+            adopted = true;
+          else
+            ++cur;  // lane `cur` holds this scenario until the group runs
+        }
+        ctx.fill.emplace_back(k, id);
       }
     }
-    ctx.fill.emplace_back(k, id);
+
+    if (shard == nullptr) {
+      const auto i = static_cast<std::size_t>(k - cur);
+      simulate_lanes(app, cfg, off, pm, deadline,
+                     static_cast<std::size_t>(cur), first + k - cur, ctx, obs,
+                     {stage.npm_energy.data() + i, stage.degenerate.data() + i,
+                      stage.schemes.data() + i * nschemes, nullptr});
+      cur = 0;
+      continue;
+    }
+    if (cur > 0) {
+      // Lane l's record id is record_count() + l: intern assigned the
+      // group's ids densely in lane order.
+      const auto nlanes = static_cast<std::size_t>(cur);
+      const std::size_t base = shard->record_count();
+      shard->npm_energy.resize(base + nlanes);
+      shard->degenerate.resize(base + nlanes);
+      shard->rows.resize((base + nlanes) * nschemes);
+      if (metrics) shard->cells.resize((base + nlanes) * ncells);
+      // Dedup never runs under a kRuns tracer (dedup_for), so the group
+      // needs no span label.
+      simulate_lanes(app, cfg, off, pm, deadline, nlanes, -1, ctx, obs,
+                     {shard->npm_energy.data() + base,
+                      shard->degenerate.data() + base,
+                      shard->rows.data() + base * nschemes,
+                      metrics ? shard->cells.data() + base * ncells
+                              : nullptr});
+      if (shared != nullptr)
+        for (std::size_t l = 0; l < nlanes; ++l)
+          shard->pending.push_back(static_cast<std::uint32_t>(base + l));
+      shard->misses += nlanes;
+      cur = 0;
+    }
+    if (adopted) {
+      append_record(*shard, ctx.rec_tmp, metrics);
+      adopted = false;
+    }
+    for (const auto& [idx, id] : ctx.fill)
+      replay_record(*shard, id, stage, static_cast<std::size_t>(idx),
+                    nschemes, obs.cells, ncells);
+    ctx.fill.clear();
   }
-  flush_group();
-  shard.hits += static_cast<std::uint64_t>(count) - (shard.misses - miss0);
-  if (shared != nullptr) shared->publish(shard, nschemes, ncells, metrics);
+  if (shard == nullptr) return;
+  shard->hits += static_cast<std::uint64_t>(count) - (shard->misses - miss0);
+  if (shared != nullptr) shared->publish(*shard, nschemes, ncells, metrics);
 }
 
 /// One prepared sweep point: the (application, offline result, deadline)
@@ -882,7 +698,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   const int total_chunks = static_cast<int>(total_chunks64);
   const int max_workers = std::min(cfg.threads, total_chunks);
   const int claim_batch = claim_batch_for(total_chunks64, max_workers);
-  const int batch_lanes = batch_lanes_for(cfg);
 
   // --- Observability. Everything in this block is write-only for the
   // simulation (see the determinism contract in obs/metrics.h): the
@@ -893,10 +708,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
                                      : &MetricsRegistry::global())
           : nullptr;
   Tracer* const tracer = cfg.tracer;
-  Tracer* const run_tracer =
-      (tracer != nullptr && tracer->detail() == Tracer::Detail::kRuns)
-          ? tracer
-          : nullptr;
+  ChunkObs obs_proto;
+  if (tracer != nullptr && tracer->detail() == Tracer::Detail::kRuns)
+    obs_proto.run_tracer = tracer;
   PoolTelemetry tel;
   const PoolTelemetry* telp = nullptr;
   if (reg != nullptr) {
@@ -916,7 +730,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // finalize they tile this call's wall time; the harness.* run and fold
   // phases and batch.* are nested inside pool.busy.
   Profiler* const prof = cfg.prof;
-  RunObs obs_proto;
   int ph_setup = -1;
   int ph_fold = -1;
   if (prof != nullptr) {
@@ -1016,15 +829,13 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
 
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
-    if (!ctx) ctx = std::make_unique<WorkerCtx>(cfg, samplers.size());
+    if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
     const int p = c / chunks_per_point;
     const int first = (c % chunks_per_point) * chunk;
-    const int last = std::min(runs, first + chunk);
-    const int count = last - first;
+    const int count = std::min(runs, first + chunk) - first;
     const PointSpec& spec = specs[static_cast<std::size_t>(p)];
     TraceSpan chunk_span(tracer, slot, "chunk", p, first);
-    RunObs obs = obs_proto;
-    obs.run_tracer = run_tracer;
+    ChunkObs obs = obs_proto;
     obs.slot = slot;
     obs.point = p;
     if (!cells.empty())
@@ -1039,48 +850,24 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
       ctx->samplers[sidx] = std::make_unique<ScenarioSampler>(*samplers[sidx]);
     // Evaluate the whole chunk into the slot's private stage, then hand it
     // to the ordered fold: the per-run loop touches no shared mutable
-    // memory at all. The batched and scalar chunk paths stage
-    // bit-identical values (the engines are interchangeable run for run);
-    // per-run tracer spans exist only on the scalar path, so kRuns detail
-    // keeps it.
+    // memory at all.
     if (!ctx->stage) ctx->stage = fold.acquire();
+    OutcomeShard* shard = nullptr;
+    SharedOutcomes* shared = nullptr;
     if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
-      // Dedup path (dedup_for already excludes every configuration that
-      // needs per-run engine work, including a kRuns tracer). The shard is
-      // created by the owning slot's own thread, like the rest of its
-      // worker-local state.
-      auto& shard = shards[static_cast<std::size_t>(p) * nslots +
+      // The shard is created by the owning slot's own thread, like the
+      // rest of its worker-local state.
+      auto& owned = shards[static_cast<std::size_t>(p) * nslots +
                            static_cast<std::size_t>(slot)];
-      if (!shard)
-        shard = std::make_unique<OutcomeShard>(ctx->samplers[sidx]->op_count());
-      SharedOutcomes* const shared =
-          shared_stores.empty()
-              ? nullptr
-              : shared_stores[static_cast<std::size_t>(p)].get();
-      if (batch_lanes > 0) {
-        evaluate_chunk_dedup_batched(*spec.app, cfg, *spec.off, pm,
-                                     spec.deadline, *ctx->samplers[sidx],
-                                     first, count, batch_lanes, *ctx, obs,
-                                     *shard, shared);
-      } else {
-        evaluate_chunk_dedup_scalar(*spec.app, cfg, *spec.off, pm,
-                                    spec.deadline, *ctx->samplers[sidx],
-                                    first, count, *ctx, obs, *shard, shared);
-      }
-    } else if (batch_lanes > 0 && run_tracer == nullptr) {
-      evaluate_chunk_batched(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                             *ctx->samplers[sidx], first, count, batch_lanes,
-                             *ctx, obs);
-    } else {
-      for (int run = first; run < last; ++run) {
-        const auto i = static_cast<std::size_t>(run - first);
-        evaluate_run(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                     ctx->samplers[sidx].get(), ctx->policies, *ctx->npm,
-                     run, ctx->ws, ctx->sc, ctx->stage->npm_energy[i],
-                     ctx->stage->degenerate[i],
-                     ctx->stage->schemes.data() + i * nschemes, obs);
-      }
+      if (!owned)
+        owned = std::make_unique<OutcomeShard>(ctx->samplers[sidx]->op_count());
+      shard = owned.get();
+      if (!shared_stores.empty())
+        shared = shared_stores[static_cast<std::size_t>(p)].get();
     }
+    evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline,
+                   *ctx->samplers[sidx], first, count, *ctx, obs, shard,
+                   shared);
     // Folds this chunk (and any parked successors) when it extends the
     // point's folded prefix, else parks it; a parked stage leaves
     // ctx->stage null and the next chunk acquires another.
@@ -1198,8 +985,8 @@ void export_offline_cache_delta(const ExperimentConfig& cfg,
 
 }  // namespace
 
-int resolved_batch_lanes(const ExperimentConfig& config) {
-  return batch_lanes_for(config);
+int resolved_batch_lanes(const ExperimentConfig&) {
+  return kBatchLanes;
 }
 
 bool resolved_dedup(const ExperimentConfig& config,
@@ -1273,19 +1060,25 @@ SweepPoint run_point_unpooled(const Application& app,
   outcomes.ensure(cfg.runs, nschemes);
 
   auto worker = [&](int first, int step) {
-    WorkerCtx ctx(cfg, /*sampler_count=*/0);
-    // nullptr sampler: the baseline keeps the legacy per-run
-    // draw_scenario walk, so it doubles as the sampler's bit-identity
-    // reference (tests compare it against the pooled path). Outcomes are
+    std::vector<std::unique_ptr<SpeedPolicy>> policies;
+    for (Scheme s : cfg.schemes)
+      policies.push_back(make_policy(s, cfg.policy_options));
+    const std::unique_ptr<SpeedPolicy> npm = make_policy(Scheme::NPM);
+    SimWorkspace ws;
+    RunScenario sc;
+    // The legacy per-run draw_scenario walk and the scalar engine make
+    // this the bit-identity reference of both the sampler and the batched
+    // engine (tests compare it against the pooled path). Outcomes are
     // written straight into the shared run-major store — the strided,
     // false-sharing-prone layout is part of the pre-pool behaviour this
     // baseline preserves.
     for (int run = first; run < cfg.runs; run += step) {
       const auto r = static_cast<std::size_t>(run);
-      evaluate_run(app, cfg, off, pm, deadline, /*sampler=*/nullptr,
-                   ctx.policies, *ctx.npm, run, ctx.ws, ctx.sc,
-                   outcomes.npm_energy[r], outcomes.degenerate[r],
-                   outcomes.schemes.data() + r * nschemes);
+      Rng run_rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
+      draw_scenario(app.graph, run_rng, sc);
+      evaluate_scenario(app, cfg, off, pm, deadline, policies, *npm, ws, sc,
+                        outcomes.npm_energy[r], outcomes.degenerate[r],
+                        outcomes.schemes.data() + r * nschemes);
     }
   };
 
@@ -1352,12 +1145,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
     specs.push_back(spec);
   }
 
-  if (cfg.parallel_points) return run_point_specs(specs, cfg);
-  std::vector<SweepPoint> points;
-  points.reserve(specs.size());
-  for (const PointSpec& spec : specs)
-    points.push_back(run_point_specs({&spec, 1}, cfg).front());
-  return points;
+  return run_point_specs(specs, cfg);
 }
 
 std::vector<SweepPoint> sweep_alpha(const Application& app,

@@ -78,21 +78,9 @@ struct ExperimentConfig {
   /// identical results; smaller chunks balance better, larger chunks touch
   /// the shared counter less.
   int chunk_runs = 0;
-  /// Overlap independent sweep points on the worker pool (sweep_load).
-  /// Off = points evaluated one after another (each still run-parallel).
-  /// Either way the output is identical; this is purely a scheduling knob.
-  bool parallel_points = true;
-  /// Scenarios simulated in lockstep per engine call (sim/batch_engine.h):
-  /// 0 = auto, 1 = force the scalar per-run engine, N >= 2 = N lanes.
-  /// Purely a scheduling knob: the batched engine is bit-identical to the
-  /// scalar one run-for-run, so every output (energies, counters, CSV) is
-  /// the same for every value. Configurations that need engine facilities
-  /// only the scalar path has (verify_traces' completeness traversal,
-  /// per-run tracer spans) fall back to scalar regardless.
-  int batch = 0;
   /// Scenario-dedup outcome memoization (see DedupMode). Configurations
   /// that need genuinely per-run engine work — verify_traces, audit's
-  /// three-way re-accounting, a per-run tracer — force the uncached path
+  /// three-way re-accounting, a kRuns tracer — force the uncached path
   /// regardless, because a replayed run performs no engine work to verify,
   /// re-account or span. Output is bit-identical for every mode.
   DedupMode dedup = DedupMode::kAuto;
@@ -100,8 +88,9 @@ struct ExperimentConfig {
   ListHeuristic heuristic = ListHeuristic::LongestTaskFirst;
   /// Speculative-floor rounding mode (see PolicyOptions).
   PolicyOptions policy_options;
-  /// Verify every trace against the model invariants (slower; used by
-  /// tests, off by default in benches).
+  /// Verify every run's trace against the model invariants with the
+  /// independent verifier of sim/verify.h (slower; used by tests, off by
+  /// default in benches).
   bool verify_traces = false;
 
   // --- Observability (obs/). Everything below is strictly write-only with
@@ -116,8 +105,8 @@ struct ExperimentConfig {
   /// with collect_metrics on = MetricsRegistry::global().
   MetricsRegistry* registry = nullptr;
   /// Span tracer: the harness records sweep / offline-analysis / chunk
-  /// spans (and per-simulation spans at Tracer::Detail::kRuns) for Chrome
-  /// trace export (obs/chrome_trace.h). Null = no tracing.
+  /// spans (and one span per batched engine call at Tracer::Detail::kRuns)
+  /// for Chrome trace export (obs/chrome_trace.h). Null = no tracing.
   Tracer* tracer = nullptr;
   /// Live progress: registered with the total chunk count up front, ticked
   /// once per completed chunk. Null = silent.
@@ -199,10 +188,9 @@ struct SweepPoint {
   const SchemeStats& of(Scheme s) const;
 };
 
-/// Lanes per batched engine call that `config` resolves to, 0 = the scalar
-/// per-run path (config.batch == 1, or a configuration that needs scalar-
-/// only engine facilities). run_point's workers use exactly this rule;
-/// exposed so benches and tests can label measurements with it.
+/// Lanes per batched engine call of run_point's workers: 32 for every
+/// configuration (every pooled chunk runs on the batched engine). Exposed
+/// so benches and tests can mirror and label the harness's engine calls.
 int resolved_batch_lanes(const ExperimentConfig& config);
 
 /// Whether `config` resolves to scenario-dedup memoization for a workload
@@ -223,20 +211,20 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& config,
                      OfflineCache* cache = nullptr);
 
 /// The pre-pool implementation: spawns and joins a fresh strided
-/// std::thread set, runs its own offline analysis, and draws scenarios
+/// std::thread set, runs its own offline analysis, draws scenarios
 /// through the legacy per-run draw_scenario walk (not the precompiled
-/// ScenarioSampler). Kept as the benchmark baseline for the pooled path
+/// ScenarioSampler) and simulates every run with the scalar engine (not
+/// the batched one). Kept as the benchmark baseline for the pooled path
 /// (harness/throughput.cpp) and as a cross-check in tests — output is
-/// bit-identical to run_point, which also pins the sampler against the
-/// legacy scenario path.
+/// bit-identical to run_point, which pins both the sampler and the batched
+/// engine against the legacy path. Collects no metrics.
 SweepPoint run_point_unpooled(const Application& app,
                               const ExperimentConfig& config,
                               SimTime deadline, double x_value);
 
 /// Load sweep: deadline = W / load for each load in `loads` (0 < load <= 1).
 /// Performs exactly one canonical offline analysis (shared across points
-/// via OfflineCache) and, with config.parallel_points, overlaps the points
-/// on the worker pool.
+/// via OfflineCache) and overlaps the points on the worker pool.
 std::vector<SweepPoint> sweep_load(const Application& app,
                                    const ExperimentConfig& config,
                                    const std::vector<double>& loads);

@@ -130,75 +130,6 @@ std::string throughput_to_json(const ThroughputReport& report) {
   return os.str();
 }
 
-BatchThroughputReport measure_batch_throughput(const Application& app,
-                                               ExperimentConfig cfg,
-                                               SimTime deadline,
-                                               const std::vector<int>& batches,
-                                               const std::string& label,
-                                               int reps) {
-  PASERTA_REQUIRE(!batches.empty(), "need at least one batch size");
-  PASERTA_REQUIRE(reps >= 1, "need at least one repetition");
-  BatchThroughputReport report;
-  report.label = label;
-  report.runs = cfg.runs;
-  report.schemes = static_cast<int>(cfg.schemes.size());
-  cfg.threads = 1;
-  report.threads = cfg.threads;
-
-  cfg.batch = batches.front();
-  (void)run_point(app, cfg, deadline, 0.0);  // untimed warm-up
-
-  for (int batch : batches) {
-    cfg.batch = batch;
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = clock_type::now();
-      (void)run_point(app, cfg, deadline, 0.0);
-      best = std::min(best, seconds_since(t0));
-    }
-    BatchThroughputSample s;
-    s.batch = batch;
-    s.lanes = resolved_batch_lanes(cfg);
-    s.seconds = best;
-    s.runs_per_sec =
-        s.seconds > 0.0 ? static_cast<double>(cfg.runs) / s.seconds : 0.0;
-    report.samples.push_back(s);
-  }
-
-  cfg.batch = batches.front();
-  profile_section(static_cast<double>(cfg.runs), report.hw,
-                  [&] { (void)run_point(app, cfg, deadline, 0.0); });
-  return report;
-}
-
-std::string batch_throughput_to_json(const BatchThroughputReport& report) {
-  std::ostringstream os;
-  JsonWriter w(os, 2);
-  w.begin_object()
-      .key("benchmark").value("batch_throughput")
-      .key("label").value(report.label)
-      .key("runs").value(report.runs)
-      .key("schemes").value(report.schemes)
-      .key("threads").value(report.threads)
-      .key("cycles_per_run").value(report.hw.cycles_per_run)
-      .key("ipc").value(report.hw.ipc)
-      .key("samples").begin_array();
-  for (const BatchThroughputSample& s : report.samples) {
-    std::ostringstream item;
-    JsonWriter iw(item);
-    iw.begin_object()
-        .key("batch").value(s.batch)
-        .key("lanes").value(s.lanes)
-        .key("seconds").value(s.seconds)
-        .key("runs_per_sec").value(s.runs_per_sec)
-        .end_object();
-    w.raw(item.str());
-  }
-  w.end_array().end_object();
-  os << "\n";
-  return os.str();
-}
-
 DedupThroughputReport measure_dedup_throughput(
     const Application& app, ExperimentConfig cfg, SimTime deadline,
     const std::vector<int>& run_counts, const std::string& label, int reps) {
@@ -306,7 +237,6 @@ SweepThroughputReport measure_sweep_throughput(
   report.schemes = static_cast<int>(cfg.schemes.size());
   report.host_threads =
       static_cast<int>(std::thread::hardware_concurrency());
-  cfg.parallel_points = true;
 
   // Untimed warm-up of the pooled path (faults in the pool's threads too).
   cfg.threads = thread_counts.front();
@@ -396,7 +326,6 @@ std::string measure_pool_balance_json(const Application& app,
   MetricsRegistry reg;  // scoped: the measurement cannot bleed elsewhere
   cfg.collect_metrics = true;
   cfg.registry = &reg;
-  cfg.parallel_points = true;
   (void)sweep_load(app, cfg, loads);
   const MetricsSnapshot snap = reg.snapshot();
 

@@ -63,39 +63,6 @@ ThroughputReport measure_throughput(const Application& app,
 /// Renders the report as a JSON object (pretty-printed, newline-terminated).
 std::string throughput_to_json(const ThroughputReport& report);
 
-struct BatchThroughputSample {
-  int batch = 0;              // requested ExperimentConfig::batch (0 = auto)
-  int lanes = 0;              // lanes per engine call it resolved to (0 = scalar)
-  double seconds = 0.0;       // wall time of the timed run_point call
-  double runs_per_sec = 0.0;  // runs / seconds
-};
-
-struct BatchThroughputReport {
-  std::string label;  // e.g. "fig4a@load=0.5"
-  int runs = 0;
-  int schemes = 0;
-  int threads = 1;  // worker count the section was measured at
-  HwColumns hw;     // measured at the first batch entry
-  std::vector<BatchThroughputSample> samples;
-};
-
-/// Times run_point once per entry of `batches` (cfg.batch is overridden;
-/// cfg.threads is forced to 1 so the section isolates the engine choice
-/// from thread scaling), after one untimed warm-up. Batched and scalar
-/// run_point outputs are bit-identical, so the section measures pure
-/// scheduling overhead differences: the batched-vs-scalar speedup gated by
-/// tools/bench_compare --check. `reps` keeps the fastest repetition (see
-/// measure_throughput).
-BatchThroughputReport measure_batch_throughput(const Application& app,
-                                               ExperimentConfig cfg,
-                                               SimTime deadline,
-                                               const std::vector<int>& batches,
-                                               const std::string& label,
-                                               int reps = 1);
-
-/// Renders the report as a JSON object (pretty-printed, newline-terminated).
-std::string batch_throughput_to_json(const BatchThroughputReport& report);
-
 struct DedupThroughputSample {
   int runs = 0;  // Monte-Carlo runs of this rung of the ladder
   // Dedup forced off: every run simulated.
@@ -173,9 +140,8 @@ struct SweepThroughputReport {
 
 /// Times sweep_load(app, cfg, loads) — pooled and legacy — once per entry
 /// of `thread_counts`, after one untimed pooled warm-up at the first
-/// thread count. cfg.parallel_points is forced on for the pooled path.
-/// `reps` > 1 keeps the fastest of that many repetitions per path and
-/// thread count (see measure_throughput for the rationale).
+/// thread count. `reps` > 1 keeps the fastest of that many repetitions per
+/// path and thread count (see measure_throughput for the rationale).
 SweepThroughputReport measure_sweep_throughput(
     const Application& app, ExperimentConfig cfg,
     const std::vector<double>& loads, const std::vector<int>& thread_counts,

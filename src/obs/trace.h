@@ -1,7 +1,7 @@
 // Span tracing for the experiment pipeline.
 //
 // A Tracer collects timed spans — sweep, offline analysis, pool chunk,
-// per-scheme simulation — sharded per worker-pool slot exactly like the
+// per-scheme engine call — sharded per worker-pool slot exactly like the
 // metrics (obs/metrics.h): each slot appends to its own event vector, so
 // recording takes no lock and perturbs nothing shared. The merged event
 // list is read after the parallel section has joined (the pool's join is
@@ -44,8 +44,10 @@ class Tracer {
   /// How deep the experiment harness instruments:
   ///   kChunks — sweep / offline / pool-chunk spans only (cheap, bounded
   ///             by chunk count);
-  ///   kRuns   — additionally one span per (run, scheme) simulation (full
-  ///             Figure-2 visibility; event count scales with runs).
+  ///   kRuns   — additionally one span per batched engine call: per scheme
+  ///             (NPM included) and lane group of up to 32 runs, named by
+  ///             the scheme, with the point and the group's first run as
+  ///             args (event count scales with runs / 32).
   enum class Detail { kChunks, kRuns };
 
   explicit Tracer(Detail detail = Detail::kRuns);

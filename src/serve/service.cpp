@@ -339,7 +339,6 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
       cfg.runs = req.runs;
       cfg.seed = req.seed;
       cfg.threads = settings_.threads;
-      cfg.batch = settings_.batch;
       cfg.dedup = settings_.dedup;
       cfg.heuristic = req.heuristic;
       if (!req.schemes.empty()) cfg.schemes = req.schemes;

@@ -52,8 +52,6 @@ class Tracer;
 struct ServeSettings {
   /// Worker threads per dispatched simulation (ExperimentConfig::threads).
   int threads = 1;
-  /// Batched-engine lanes (ExperimentConfig::batch; 0 = auto).
-  int batch = 0;
   DedupMode dedup = DedupMode::kAuto;
   /// Pending requests beyond which submit() rejects with "overloaded"
   /// (the 429-style backpressure bound).

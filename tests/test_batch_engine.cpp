@@ -1,17 +1,17 @@
 // Batched-engine bit-identity suite: simulate_batch (sim/batch_engine.h)
 // must reproduce the scalar engine run-for-run — energies, finish times,
-// traces, counters and the attribution ledger, bitwise — and run_point
-// must produce byte-identical points for every batch size. The suite
-// cross-validates on randomized AND/OR applications (apps/random_app.h),
-// so the lockstep dispatch loop is exercised across graph shapes no
-// hand-written workload covers: nested OR forks, loops, empty
-// alternatives, wide sections. Batch sizes deliberately include odd
-// remainders (runs not divisible by the lane count) and lane counts
-// larger than the run count.
+// traces, counters and the attribution ledger, bitwise — and run_point,
+// which simulates every pooled chunk on it, must reproduce the scalar
+// unpooled reference for every chunk size. The suite cross-validates on
+// randomized AND/OR applications (apps/random_app.h), so the lockstep
+// dispatch loop is exercised across graph shapes no hand-written workload
+// covers: nested OR forks, loops, empty alternatives, wide sections. Chunk
+// sizes deliberately leave lane groups with odd remainders.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +19,8 @@
 #include "core/offline.h"
 #include "harness/experiment.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
+#include "obs/trace.h"
 #include "power/power_model.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
@@ -77,7 +79,9 @@ void expect_stat_eq(const RunningStat& a, const RunningStat& b) {
   EXPECT_EQ(a.max(), b.max());
 }
 
-void expect_point_eq(const SweepPoint& a, const SweepPoint& b) {
+// Everything but the engine counters (the unpooled reference collects
+// none).
+void expect_stats_eq(const SweepPoint& a, const SweepPoint& b) {
   EXPECT_EQ(a.x, b.x);
   EXPECT_EQ(a.deadline.ps, b.deadline.ps);
   expect_stat_eq(a.npm_energy, b.npm_energy);
@@ -94,15 +98,6 @@ void expect_point_eq(const SweepPoint& a, const SweepPoint& b) {
     expect_stat_eq(a.stats[i].idle_frac, b.stats[i].idle_frac);
     EXPECT_EQ(a.stats[i].deadline_misses, b.stats[i].deadline_misses);
     EXPECT_EQ(a.stats[i].verify_failures, b.stats[i].verify_failures);
-  }
-  ASSERT_EQ(a.metrics.enabled(), b.metrics.enabled());
-  if (a.metrics.enabled()) {
-    expect_counters_eq(a.metrics.npm, b.metrics.npm);
-    ASSERT_EQ(a.metrics.schemes.size(), b.metrics.schemes.size());
-    for (std::size_t i = 0; i < a.metrics.schemes.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "scheme counters " << i);
-      expect_counters_eq(a.metrics.schemes[i], b.metrics.schemes[i]);
-    }
   }
 }
 
@@ -185,11 +180,13 @@ TEST(BatchEngine, MatchesScalarEngineOnRandomApps) {
   }
 }
 
-// Harness level: run_point output (stats, metrics, degenerate counts) is
-// identical for every batch size against the forced-scalar reference,
-// including lane counts that leave odd remainders (50 % 3, 50 % 8) and
-// one larger than the run count. Audit and metrics stay on, so the
-// counter export paths (shared cell vs per-lane cells) are both covered.
+// Harness level: run_point (every chunk on the batched engine) against
+// the scalar references — statistics and degenerate counts against
+// run_point_unpooled, engine counters against a plain loop of scalar
+// simulate calls — at chunk sizes whose lane groups leave odd remainders
+// (1, 3, 8, and 50 = one group of 32 plus 18). Audit and metrics stay on,
+// so both counter export paths (per-lane cells folded into the slot, and
+// the shared slot cell) are covered.
 TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
   constexpr int kRuns = 50;
   for (std::uint64_t app_seed : {2u, 11u}) {
@@ -197,48 +194,106 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
     ExperimentConfig cfg;
     cfg.runs = kRuns;
     cfg.seed = 99;
-    cfg.audit = true;
-    cfg.collect_metrics = true;
-    MetricsRegistry ref_reg;
-    cfg.registry = &ref_reg;
     const SimTime w = canonical_worst_makespan(
         app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
         cfg.heuristic);
     const SimTime deadline{static_cast<std::int64_t>(
         std::ceil(static_cast<double>(w.ps) / 0.5))};
+    const SweepPoint ref = run_point_unpooled(app, cfg, deadline, 0.5);
 
-    cfg.batch = 1;  // forced scalar
-    ASSERT_EQ(resolved_batch_lanes(cfg), 0);
-    const SweepPoint ref = run_point(app, cfg, deadline, 0.5);
+    // Counter reference: every run's scenario through the scalar engine,
+    // each scheme's policy (then NPM's) reset before every run.
+    const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
+    OfflineOptions oo;
+    oo.cpus = cfg.cpus;
+    oo.deadline = deadline;
+    oo.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
+    oo.heuristic = cfg.heuristic;
+    const OfflineResult off = analyze_offline(app, oo);
+    std::vector<std::unique_ptr<SpeedPolicy>> policies;
+    for (Scheme scheme : cfg.schemes)
+      policies.push_back(make_policy(scheme, cfg.policy_options));
+    policies.push_back(make_policy(Scheme::NPM));
+    std::vector<SimCounters> want(policies.size());  // schemes, then NPM
+    SimWorkspace ws;
+    RunScenario sc;
+    SimOptions so;
+    so.record_trace = false;
+    for (int run = 0; run < kRuns; ++run) {
+      Rng rng(Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(run)));
+      draw_scenario(app.graph, rng, sc);
+      for (std::size_t s = 0; s < policies.size(); ++s) {
+        policies[s]->reset(off, pm);
+        so.counters = &want[s];
+        (void)simulate(app, off, pm, cfg.overheads, *policies[s], sc, ws, so);
+      }
+    }
 
-    for (int b : {0, 3, 8, 64, kRuns}) {
+    for (int chunk : {1, 3, 8, kRuns}) {
       SCOPED_TRACE(testing::Message()
-                   << "app seed " << app_seed << " batch " << b);
-      ExperimentConfig bcfg = cfg;
-      bcfg.batch = b;
+                   << "app seed " << app_seed << " chunk_runs " << chunk);
+      ExperimentConfig ccfg = cfg;
+      ccfg.chunk_runs = chunk;
+      ccfg.audit = true;
+      ccfg.collect_metrics = true;
       MetricsRegistry reg;
-      bcfg.registry = &reg;
-      EXPECT_GT(resolved_batch_lanes(bcfg), 0);
-      expect_point_eq(ref, run_point(app, bcfg, deadline, 0.5));
+      ccfg.registry = &reg;
+      const SweepPoint got = run_point(app, ccfg, deadline, 0.5);
+      expect_stats_eq(ref, got);
+      ASSERT_EQ(got.metrics.schemes.size() + 1, want.size());
+      expect_counters_eq(got.metrics.npm, want.back());
+      for (std::size_t s = 0; s < got.metrics.schemes.size(); ++s) {
+        SCOPED_TRACE(testing::Message() << "scheme counters " << s);
+        expect_counters_eq(got.metrics.schemes[s], want[s]);
+      }
     }
   }
 }
 
-// verify_traces needs the scalar engine's completeness traversal, so such
-// configurations must resolve to the scalar path no matter what batch
-// size was requested — silently degrading verification would be worse
-// than the lost batching.
-TEST(BatchEngine, ScalarOnlyFacilitiesForceScalarResolution) {
+// verify_traces and a kRuns tracer run on the batched engine like every
+// other configuration: the independent verifier and the per-call spans
+// observe the engine production runs, not a scalar stand-in.
+TEST(BatchEngine, VerifyAndRunTracingRunOnBatchedEngine) {
+  const Application app = random_app(5);
   ExperimentConfig cfg;
-  cfg.batch = 64;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 64);
-  cfg.verify_traces = true;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 0);
-  cfg.verify_traces = false;
-  cfg.batch = 0;
-  EXPECT_GT(resolved_batch_lanes(cfg), 1);  // auto resolves to real lanes
-  cfg.batch = 1;
-  EXPECT_EQ(resolved_batch_lanes(cfg), 0);
+  cfg.runs = 40;
+  cfg.chunk_runs = 40;  // one chunk: lane groups of 32 and 8 runs
+  const SimTime w = canonical_worst_makespan(
+      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
+      cfg.heuristic);
+  const SimTime deadline{2 * w.ps};
+
+  const auto drain_calls = [](const Profiler& prof) {
+    std::uint64_t calls = 0;
+    for (const ProfPhaseTotals& p : prof.snapshot())
+      if (p.name == "batch.drain") calls = p.count;
+    return calls;
+  };
+
+  Profiler verify_prof(Profiler::Mode::kFallback);
+  ExperimentConfig vcfg = cfg;
+  vcfg.verify_traces = true;
+  vcfg.prof = &verify_prof;
+  const SweepPoint verified = run_point(app, vcfg, deadline, 0.5);
+  EXPECT_GT(drain_calls(verify_prof), 0u);
+  for (const SchemeStats& st : verified.stats)
+    EXPECT_EQ(st.verify_failures, 0u) << to_string(st.scheme);
+
+  Profiler trace_prof(Profiler::Mode::kFallback);
+  Tracer tracer(Tracer::Detail::kRuns);
+  ExperimentConfig tcfg = cfg;
+  tcfg.tracer = &tracer;
+  tcfg.prof = &trace_prof;
+  const SweepPoint traced = run_point(app, tcfg, deadline, 0.5);
+  EXPECT_GT(drain_calls(trace_prof), 0u);
+  for (const SchemeStats& st : traced.stats)
+    EXPECT_EQ(st.verify_failures, 0u) << to_string(st.scheme);
+  // One span per simulate_batch call: the NPM baseline and each scheme
+  // once per lane group.
+  std::size_t gss_spans = 0;
+  for (const TraceEvent& ev : tracer.events())
+    if (std::string(ev.name) == "GSS") ++gss_spans;
+  EXPECT_EQ(gss_spans, 2u);
 }
 
 }  // namespace

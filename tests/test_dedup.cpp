@@ -8,9 +8,8 @@
 // AND/OR applications, in both the discrete (high-hit-rate) and the
 // continuous (all-miss) regime, a dedup-on evaluation must produce
 // byte-identical rendered output and bitwise-equal counter totals to
-// dedup-off at every (thread count x batch size). Carries the
-// batch_identity label (ASan/UBSan CI) and the dedup_identity label
-// (TSan CI).
+// dedup-off at every thread count. Carries the batch_identity and the
+// dedup_identity labels (TSan CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -199,11 +198,9 @@ struct EvalResult {
 };
 
 EvalResult evaluate(const Application& app, ExperimentConfig cfg,
-                    SimTime deadline, DedupMode mode, int threads,
-                    int batch) {
+                    SimTime deadline, DedupMode mode, int threads) {
   cfg.dedup = mode;
   cfg.threads = threads;
-  cfg.batch = batch;
   cfg.collect_metrics = true;
   MetricsRegistry reg;
   cfg.registry = &reg;
@@ -245,26 +242,23 @@ void cross_validate(const Application& app, std::uint64_t seed,
   const SimTime deadline{w.ps * 2};
 
   const EvalResult ref =
-      evaluate(app, cfg, deadline, DedupMode::kOff, 1, 1);
+      evaluate(app, cfg, deadline, DedupMode::kOff, 1);
   EXPECT_FALSE(ref.dedup.enabled);
 
   for (int threads : {1, 2, 4}) {
-    for (int batch : {1, 0}) {
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " batch=" << batch);
-      const EvalResult on =
-          evaluate(app, cfg, deadline, DedupMode::kOn, threads, batch);
-      EXPECT_EQ(on.json, ref.json);
-      ASSERT_EQ(on.metrics.schemes.size(), ref.metrics.schemes.size());
-      for (std::size_t s = 0; s < on.metrics.schemes.size(); ++s)
-        expect_counters_eq(on.metrics.schemes[s], ref.metrics.schemes[s]);
-      expect_counters_eq(on.metrics.npm, ref.metrics.npm);
-      EXPECT_TRUE(on.dedup.enabled);
-      EXPECT_EQ(on.dedup.hits + on.dedup.misses,
-                static_cast<std::uint64_t>(cfg.runs));
-      if (expect_hits) {
-        EXPECT_GT(on.dedup.hits, 0u);
-      }
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const EvalResult on =
+        evaluate(app, cfg, deadline, DedupMode::kOn, threads);
+    EXPECT_EQ(on.json, ref.json);
+    ASSERT_EQ(on.metrics.schemes.size(), ref.metrics.schemes.size());
+    for (std::size_t s = 0; s < on.metrics.schemes.size(); ++s)
+      expect_counters_eq(on.metrics.schemes[s], ref.metrics.schemes[s]);
+    expect_counters_eq(on.metrics.npm, ref.metrics.npm);
+    EXPECT_TRUE(on.dedup.enabled);
+    EXPECT_EQ(on.dedup.hits + on.dedup.misses,
+              static_cast<std::uint64_t>(cfg.runs));
+    if (expect_hits) {
+      EXPECT_GT(on.dedup.hits, 0u);
     }
   }
 }

@@ -872,7 +872,7 @@ TEST(ObsAudit, Fig4SweepAuditsCleanAtOneAndFourThreads) {
   // The acceptance pin: a full fig4 sweep under audit at 1 and 4 threads.
   // Every run of every scheme (and the NPM baseline) passes all three
   // audit checks — ledger time conservation, exact counter-rebuilt
-  // energies, power-trace integral — or evaluate_run throws and the test
+  // energies, power-trace integral — or the harness throws and the test
   // fails. The attribution totals themselves must be thread-invariant.
   FigureDef fig = paper_figure("fig4a", /*runs=*/10);
   const Application app = figure_workload(fig);

@@ -240,22 +240,17 @@ TEST(PoolDeterminism, SweepInvariantAcrossThreadsChunksPointModes) {
   const Application app = apps::build_synthetic();
   const std::vector<double> loads = {0.3, 0.5, 0.9};
 
-  ExperimentConfig base_cfg = config(30, 1);
-  base_cfg.parallel_points = false;
-  const std::vector<SweepPoint> baseline = sweep_load(app, base_cfg, loads);
+  const std::vector<SweepPoint> baseline =
+      sweep_load(app, config(30, 1), loads);
 
   for (int threads : {1, 2, 5}) {
     for (int chunk : {0, 1, 7, 64}) {
-      for (bool parallel_points : {false, true}) {
-        ExperimentConfig cfg = config(30, threads);
-        cfg.chunk_runs = chunk;
-        cfg.parallel_points = parallel_points;
-        const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
-        SCOPED_TRACE(testing::Message()
-                     << "threads=" << threads << " chunk=" << chunk
-                     << " parallel_points=" << parallel_points);
-        expect_sweep_identical(baseline, sweep);
-      }
+      ExperimentConfig cfg = config(30, threads);
+      cfg.chunk_runs = chunk;
+      const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " chunk=" << chunk);
+      expect_sweep_identical(baseline, sweep);
     }
   }
 }
@@ -277,16 +272,12 @@ TEST(PoolDeterminism, LoadSweepRunsExactlyOneCanonicalAnalysis) {
   const std::vector<double> loads = sweep_range(0.1, 1.0, 0.1);
   ASSERT_EQ(loads.size(), 10u);
 
-  for (bool parallel_points : {true, false}) {
-    ExperimentConfig cfg = config(5, 2);
-    cfg.parallel_points = parallel_points;
-    const std::uint64_t before = canonical_analysis_count();
-    const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
-    EXPECT_EQ(sweep.size(), 10u);
-    EXPECT_EQ(canonical_analysis_count() - before, 1u)
-        << "a load sweep must run round 1 once, parallel_points="
-        << parallel_points;
-  }
+  const ExperimentConfig cfg = config(5, 2);
+  const std::uint64_t before = canonical_analysis_count();
+  const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
+  EXPECT_EQ(sweep.size(), 10u);
+  EXPECT_EQ(canonical_analysis_count() - before, 1u)
+      << "a load sweep must run round 1 once";
 }
 
 }  // namespace

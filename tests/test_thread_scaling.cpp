@@ -26,7 +26,7 @@
 namespace paserta {
 namespace {
 
-// Small enough to keep the 9-configuration sweep (and its TSan run) fast,
+// Small enough to keep the 15-configuration sweep (and its TSan run) fast,
 // large enough that every chunk-size regime below is distinct: chunk=1
 // makes one chunk per run, chunk=kRuns one chunk per point, and the
 // default auto size lands in between.
@@ -67,8 +67,10 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
   const std::string ref_csv = unpooled_reference_csv(fig, app);
   ASSERT_FALSE(ref_csv.empty());
 
+  // Chunk sizes 3 and 8 leave the batched engine's lane groups with odd
+  // remainders; 0 is auto and kRuns one chunk per point.
   for (int threads : {1, 2, 4}) {
-    for (int chunk : {0, 1, kRuns}) {
+    for (int chunk : {0, 1, 3, 8, kRuns}) {
       ExperimentConfig cfg = fig.config;
       cfg.threads = threads;
       cfg.chunk_runs = chunk;
@@ -82,35 +84,6 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
       const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " chunk_runs=" << chunk);
-      EXPECT_EQ(csv, ref_csv);
-    }
-  }
-}
-
-// The batched engine (sim/batch_engine.h) under the same contract: the
-// rendered fig4a sweep must stay byte-identical to the unpooled reference
-// at every (thread count x batch size), with audit and metrics on. Batch
-// sizes cover forced scalar (1), a small size that leaves sub-batch
-// remainders wherever a claimed chunk's run count is not a multiple of 8,
-// auto (0), and lanes = the whole point.
-TEST(ThreadScalingBitIdentity, Fig4aSweepIdenticalAcrossBatchSizes) {
-  const FigureDef fig = paper_figure("fig4a", kRuns);
-  const Application app = figure_workload(fig);
-  const std::string ref_csv = unpooled_reference_csv(fig, app);
-  ASSERT_FALSE(ref_csv.empty());
-
-  for (int threads : {1, 2, 4}) {
-    for (int batch : {1, 8, 0, kRuns}) {
-      ExperimentConfig cfg = fig.config;
-      cfg.threads = threads;
-      cfg.batch = batch;
-      cfg.audit = true;
-      cfg.collect_metrics = true;
-      MetricsRegistry reg;
-      cfg.registry = &reg;
-      const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " batch=" << batch);
       EXPECT_EQ(csv, ref_csv);
     }
   }
@@ -137,16 +110,15 @@ void expect_counters_eq(const SimCounters& a, const SimCounters& b) {
 // space collapses to a handful of outcomes (most runs replay a cached
 // record). The rendered sweep CSV and the per-point engine-counter totals
 // (including the integer attribution ledger) must be byte-identical with
-// dedup forced on vs. forced off, at every (thread count x batch size).
+// dedup forced on vs. forced off, at every thread count.
 TEST(ThreadScalingBitIdentity, DedupOnMatchesOffOnDiscreteWorkload) {
   const FigureDef fig = paper_figure("fig4a", kRuns);
   Application app = figure_workload(fig);
   assign_alpha(app.graph, 1.0);  // ACET = WCET: discrete scenario space
 
-  // Reference: dedup forced off, serial, scalar engine, metrics on.
+  // Reference: dedup forced off, serial, metrics on.
   ExperimentConfig ref_cfg = fig.config;
   ref_cfg.threads = 1;
-  ref_cfg.batch = 1;
   ref_cfg.dedup = DedupMode::kOff;
   ref_cfg.collect_metrics = true;
   MetricsRegistry ref_reg;
@@ -158,35 +130,31 @@ TEST(ThreadScalingBitIdentity, DedupOnMatchesOffOnDiscreteWorkload) {
   for (const SweepPoint& pt : ref_points) EXPECT_FALSE(pt.dedup.enabled);
 
   for (int threads : {1, 2, 4}) {
-    for (int batch : {1, 0}) {
-      ExperimentConfig cfg = fig.config;
-      cfg.threads = threads;
-      cfg.batch = batch;
-      cfg.dedup = DedupMode::kOn;
-      cfg.collect_metrics = true;
-      MetricsRegistry reg;
-      cfg.registry = &reg;
-      const std::vector<SweepPoint> points = sweep_load(app, cfg, fig.xs);
-      SCOPED_TRACE(testing::Message()
-                   << "threads=" << threads << " batch=" << batch);
-      EXPECT_EQ(render_csv(fig, points), ref_csv);
-      ASSERT_EQ(points.size(), ref_points.size());
-      for (std::size_t p = 0; p < points.size(); ++p) {
-        SCOPED_TRACE(testing::Message() << "point=" << p);
-        // The dedup layer actually engaged and accounted for every run.
-        EXPECT_TRUE(points[p].dedup.enabled);
-        EXPECT_EQ(points[p].dedup.hits + points[p].dedup.misses,
-                  static_cast<std::uint64_t>(kRuns));
-        EXPECT_GT(points[p].dedup.hits, 0u);
-        // Engine-counter totals (with attribution ledgers) are bitwise
-        // equal to the uncached reference.
-        const PointMetrics& m = points[p].metrics;
-        const PointMetrics& rm = ref_points[p].metrics;
-        ASSERT_EQ(m.schemes.size(), rm.schemes.size());
-        for (std::size_t s = 0; s < m.schemes.size(); ++s)
-          expect_counters_eq(m.schemes[s], rm.schemes[s]);
-        expect_counters_eq(m.npm, rm.npm);
-      }
+    ExperimentConfig cfg = fig.config;
+    cfg.threads = threads;
+    cfg.dedup = DedupMode::kOn;
+    cfg.collect_metrics = true;
+    MetricsRegistry reg;
+    cfg.registry = &reg;
+    const std::vector<SweepPoint> points = sweep_load(app, cfg, fig.xs);
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    EXPECT_EQ(render_csv(fig, points), ref_csv);
+    ASSERT_EQ(points.size(), ref_points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      SCOPED_TRACE(testing::Message() << "point=" << p);
+      // The dedup layer actually engaged and accounted for every run.
+      EXPECT_TRUE(points[p].dedup.enabled);
+      EXPECT_EQ(points[p].dedup.hits + points[p].dedup.misses,
+                static_cast<std::uint64_t>(kRuns));
+      EXPECT_GT(points[p].dedup.hits, 0u);
+      // Engine-counter totals (with attribution ledgers) are bitwise
+      // equal to the uncached reference.
+      const PointMetrics& m = points[p].metrics;
+      const PointMetrics& rm = ref_points[p].metrics;
+      ASSERT_EQ(m.schemes.size(), rm.schemes.size());
+      for (std::size_t s = 0; s < m.schemes.size(); ++s)
+        expect_counters_eq(m.schemes[s], rm.schemes[s]);
+      expect_counters_eq(m.npm, rm.npm);
     }
   }
 }

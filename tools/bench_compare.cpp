@@ -9,7 +9,6 @@
 // throughput series between them, matched by thread count:
 //
 //   point.samples[].runs_per_sec          (Monte-Carlo hot loop, by threads)
-//   batch.samples[].runs_per_sec          (batched engine, by batch size)
 //   dedup.samples[].on_runs_per_sec       (scenario-dedup path, by run count)
 //   sweep.samples[].pooled_points_per_sec (whole-sweep pooled path)
 //   serve.samples[].requests_per_sec      (resident daemon, by client count)
@@ -26,18 +25,14 @@
 // must not fall below the floor, so thread scaling can never silently
 // regress back to ~1x while absolute throughput stays flat. Entries
 // without host_threads provenance (recorded before it existed) skip the
-// gate with a note. It is also held to a batched-engine floor
-// (--batch-floor, default 1.0): in the batch section, the auto batch size
-// (batch=0) must run at least that multiple of the forced-scalar (batch=1)
-// runs/sec — the two share one invocation, so the ratio is host-speed
-// independent. Entries without a batch section skip this gate with a note.
-// A third floor (--dedup-floor, default 3.0) holds the dedup section's
-// recorded on-over-off speedup at its largest run count; entries without a
-// dedup section skip it with a note. A fourth floor (--serve-cache-floor,
-// default 0.9) holds the serve section's offline-cache hit rate at its
-// largest client count: the daemon's whole point is that a resident
-// process re-serves repeated graphs from the cross-request cache, so a hit
-// rate collapse is a regression even if raw requests/sec still looks fine.
+// gate with a note. A second floor (--dedup-floor, default 3.0) holds the
+// dedup section's recorded on-over-off speedup at its largest run count;
+// entries without a dedup section skip it with a note. A third floor
+// (--serve-cache-floor, default 0.9) holds the serve section's
+// offline-cache hit rate at its largest client count: the daemon's whole
+// point is that a resident process re-serves repeated graphs from the
+// cross-request cache, so a hit rate collapse is a regression even if raw
+// requests/sec still looks fine.
 // Entries without a serve section skip it with a note. Failure summaries
 // name every series and gate that tripped.
 //
@@ -66,7 +61,6 @@ struct Args {
   bool check = false;
   double threshold_pct = 5.0;
   double efficiency_floor = 0.5;
-  double batch_floor = 1.0;
   double dedup_floor = 3.0;
   double serve_cache_floor = 0.9;
 };
@@ -74,7 +68,8 @@ struct Args {
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg != nullptr) std::cerr << "error: " << msg << "\n";
   std::cerr << "usage: bench_compare [HISTORY] [--check] [--threshold PCT]\n"
-               "                     [--efficiency-floor F] [--batch-floor F]\n"
+               "                     [--efficiency-floor F] [--dedup-floor F]\n"
+               "                     [--serve-cache-floor F]\n"
                "\n"
                "  HISTORY          throughput history file (default\n"
                "                   BENCH_throughput.json)\n"
@@ -90,12 +85,6 @@ struct Args {
                "                   normalizing by the recording host's\n"
                "                   min(threads, host_threads) (default 0.5;\n"
                "                   0 disables the gate)\n"
-               "  --batch-floor F  minimum batched-over-scalar speedup in\n"
-               "                   the newest entry's batch section (auto\n"
-               "                   batch runs/sec over batch=1 runs/sec;\n"
-               "                   default 1.0; 0 disables the gate;\n"
-               "                   entries without a batch section skip it\n"
-               "                   with a note)\n"
                "  --dedup-floor F  minimum dedup-on over dedup-off speedup\n"
                "                   at the largest run count of the newest\n"
                "                   entry's dedup section (default 3.0; 0\n"
@@ -142,12 +131,6 @@ Args parse_args(int argc, char** argv) {
       a.efficiency_floor = std::strtod(v.c_str(), &end);
       if (end == v.c_str() || *end != '\0' || !(a.efficiency_floor >= 0.0))
         usage("--efficiency-floor needs a non-negative number");
-    } else if (flag == "--batch-floor") {
-      char* end = nullptr;
-      const std::string v = value("--batch-floor");
-      a.batch_floor = std::strtod(v.c_str(), &end);
-      if (end == v.c_str() || *end != '\0' || !(a.batch_floor >= 0.0))
-        usage("--batch-floor needs a non-negative number");
     } else if (flag == "--serve-cache-floor") {
       char* end = nullptr;
       const std::string v = value("--serve-cache-floor");
@@ -209,7 +192,7 @@ struct Series {
 
 /// Flattens one entry's throughput series: every sample of `section` keyed
 /// by `key` (the per-sample discriminator — thread count for the point and
-/// sweep sections, requested batch size for the batch section), reading
+/// sweep sections, run count for dedup, client count for serve), reading
 /// `field`.
 void collect(const JsonValue& entry, const char* section, const char* key,
              const char* field, std::vector<Series>& out) {
@@ -233,7 +216,6 @@ void collect(const JsonValue& entry, const char* section, const char* key,
 std::vector<Series> collect_entry(const JsonValue& entry) {
   std::vector<Series> out;
   collect(entry, "point", "threads", "runs_per_sec", out);
-  collect(entry, "batch", "batch", "runs_per_sec", out);
   collect(entry, "dedup", "runs", "on_runs_per_sec", out);
   collect(entry, "sweep", "threads", "pooled_points_per_sec", out);
   collect(entry, "serve", "clients", "requests_per_sec", out);
@@ -294,47 +276,6 @@ bool efficiency_gate_ok(const JsonValue& entry, std::size_t index,
             << static_cast<long long>(best_threads) << ": raw " << raw
             << ", host_threads " << static_cast<long long>(host->number)
             << " -> normalized " << normalized << " (floor " << floor
-            << ")\n";
-  return ok;
-}
-
-/// Batched-engine gate on one entry: the auto batch size (batch == 0) must
-/// deliver at least `floor` times the forced-scalar (batch == 1) runs/sec
-/// in the entry's batch section. Both measurements come from the same
-/// bench invocation, so the ratio cancels host speed and isolates engine
-/// overhead — the batched path is bit-identical to the scalar oracle, so
-/// anything below 1.0 is pure loss. Returns false on a violation.
-bool batch_gate_ok(const JsonValue& entry, std::size_t index, double floor) {
-  if (!(floor > 0.0)) return true;  // disabled
-  const JsonValue* batch = entry.find("batch");
-  const JsonValue* samples =
-      batch != nullptr && batch->is_object() ? batch->find("samples") : nullptr;
-  if (samples == nullptr || !samples->is_array()) {
-    std::cout << "note: " << entry_label(entry, index)
-              << " has no batch section — batch gate skipped\n";
-    return true;
-  }
-  const double* scalar = nullptr;
-  const double* batched = nullptr;
-  for (const JsonValue& s : samples->array) {
-    const JsonValue* b = s.find("batch");
-    const JsonValue* v = s.find("runs_per_sec");
-    if (b == nullptr || b->type != JsonValue::Type::Number || v == nullptr ||
-        v->type != JsonValue::Type::Number)
-      continue;
-    if (b->number == 1.0) scalar = &v->number;
-    if (b->number == 0.0) batched = &v->number;
-  }
-  if (scalar == nullptr || batched == nullptr || !(*scalar > 0.0)) {
-    std::cout << "note: " << entry_label(entry, index)
-              << " lacks batch=1 / batch=0 samples — batch gate skipped\n";
-    return true;
-  }
-  const double speedup = *batched / *scalar;
-  const bool ok = speedup >= floor;
-  std::cout << "  " << (ok ? "ok" : "REGRESSION")
-            << "  batch.runs_per_sec@batch=0 over @batch=1: " << *batched
-            << " / " << *scalar << " -> " << speedup << "x (floor " << floor
             << ")\n";
   return ok;
 }
@@ -511,13 +452,9 @@ int main(int argc, char** argv) {
   const bool efficiency_ok =
       efficiency_gate_ok(*candidate, candidate_idx, args.efficiency_floor);
   if (!efficiency_ok) regressed_names.push_back("sweep.efficiency floor");
-  // Batched-engine gate, also newest-entry-only: the batched and scalar
+  // Scenario-dedup gate, also newest-entry-only: the dedup-off and -on
   // numbers share one bench invocation, so a floor on their ratio is
   // host-independent in a way a cross-entry delta is not.
-  const bool batch_ok =
-      batch_gate_ok(*candidate, candidate_idx, args.batch_floor);
-  if (!batch_ok) regressed_names.push_back("batch.speedup floor");
-  // Scenario-dedup gate, newest-entry-only for the same reason.
   const bool dedup_ok =
       dedup_gate_ok(*candidate, candidate_idx, args.dedup_floor);
   if (!dedup_ok) regressed_names.push_back("dedup.speedup floor");
@@ -527,7 +464,7 @@ int main(int argc, char** argv) {
       serve_gate_ok(*candidate, candidate_idx, args.serve_cache_floor);
   if (!serve_ok) regressed_names.push_back("serve.cache_hit_rate floor");
 
-  if (compared == 0 && efficiency_ok && batch_ok && dedup_ok && serve_ok) {
+  if (compared == 0 && efficiency_ok && dedup_ok && serve_ok) {
     std::cout << "note: no matching throughput series between the two "
                  "entries\n";
     return 0;
@@ -535,15 +472,15 @@ int main(int argc, char** argv) {
   if (!regressed_names.empty()) {
     std::cout << regressed_names.size() << " series regressed (threshold "
               << args.threshold_pct << "%, efficiency floor "
-              << args.efficiency_floor << ", batch floor " << args.batch_floor
-              << ", dedup floor " << args.dedup_floor << ", serve cache floor "
+              << args.efficiency_floor << ", dedup floor " << args.dedup_floor
+              << ", serve cache floor "
               << args.serve_cache_floor << "):\n";
     for (const std::string& name : regressed_names)
       std::cout << "  FAILED  " << name << "\n";
     return args.check ? 1 : 0;
   }
   std::cout << "all " << compared
-            << " series within threshold; efficiency, batch, dedup and serve "
-               "floors met\n";
+            << " series within threshold; efficiency, dedup and serve floors "
+               "met\n";
   return 0;
 }

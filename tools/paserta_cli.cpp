@@ -31,13 +31,12 @@
 //   --json             emit JSON instead of CSV
 //   --threads N        worker threads for the Monte-Carlo loop (default 1;
 //                      results are bit-identical for any value)
-//   --batch B          scenarios per batched engine call (0 = auto, 1 =
-//                      force the scalar engine; output identical either way)
 //   --dedup MODE       auto | on | off: scenario-dedup memoization —
 //                      simulate each distinct scenario once, replay
 //                      duplicates (bit-identical, so output is the same)
 //   --trace-out FILE   write a Chrome/Perfetto trace of the sweep (open in
-//                      ui.perfetto.dev or chrome://tracing)
+//                      ui.perfetto.dev or chrome://tracing); it traces the
+//                      same batched engine an untraced sweep runs
 //   --metrics-out DEST write engine + pool metrics to DEST ("-" = stdout)
 //   --metrics-format F json | prometheus (default json)
 //   --audit            self-audit every run: attribution counters must
@@ -45,12 +44,15 @@
 //                      power-trace integral must match
 //   --progress         live progress line on stderr
 //
-// Flags accept both "--flag value" and "--flag=value".
+// Flags accept both "--flag value" and "--flag=value". A numeric value
+// must parse as a whole token within the flag's range.
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <ctime>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,7 +103,6 @@ struct Options {
   double from = 0.1, to = 1.0, step = 0.1;
   bool json = false;
   int threads = 1;
-  int batch = 0;
   std::string dedup = "auto";
   std::string trace_out;
   std::string metrics_out;
@@ -159,17 +160,14 @@ struct Options {
       "  --json              emit JSON instead of CSV\n"
       "  --threads N         worker threads (default 1; output identical\n"
       "                      for any value)\n"
-      "  --batch B           scenarios per batched engine call (default 0 =\n"
-      "                      auto; 1 forces the scalar engine; the batched\n"
-      "                      engine is bit-identical, so output is the same\n"
-      "                      for any value)\n"
       "  --dedup MODE        auto | on | off (default auto): simulate each\n"
       "                      distinct scenario once and replay duplicates;\n"
       "                      auto enables it when the scenario space is\n"
       "                      provably finite and <= runs. Replay is\n"
       "                      bit-identical, so output is the same either way\n"
       "  --trace-out FILE    Chrome/Perfetto trace of the sweep (open in\n"
-      "                      ui.perfetto.dev)\n"
+      "                      ui.perfetto.dev); traces the same batched\n"
+      "                      engine an untraced sweep runs\n"
       "  --metrics-out DEST  engine + pool metrics; DEST is a file path or\n"
       "                      \"-\" for stdout\n"
       "  --metrics-format F  json | prometheus (default json)\n"
@@ -184,7 +182,7 @@ struct Options {
       "  --fallback          force the monotonic-clock fallback even when\n"
       "                      perf_event_open is available (PASERTA_NO_PERF=1\n"
       "                      does the same from the environment)\n"
-      "  --runs/--threads/--batch/--dedup apply as in sweep\n"
+      "  --runs/--threads/--dedup apply as in sweep\n"
       "serve:\n"
       "  --port N            listen port on 127.0.0.1 (default 0 =\n"
       "                      ephemeral; the bound port is printed)\n"
@@ -196,10 +194,29 @@ struct Options {
       "  --stream-interval-ms N   spacing of {\"event\":\"progress\"} lines\n"
       "                      for NDJSON requests with \"stream\":true\n"
       "                      (default 250)\n"
-      "  --threads/--batch/--dedup, --trace-out, --metrics-out and\n"
+      "  --threads/--dedup, --trace-out, --metrics-out and\n"
       "  --metrics-format apply to the daemon's simulations; SIGINT or\n"
       "  SIGTERM drains in-flight requests and flushes the sinks\n";
   std::exit(2);
+}
+
+/// The value `v` of numeric flag `flag`, parsed as one whole token of type
+/// T in [lo, hi]. Anything else — a suffix ("5k", "0.5x"), a fraction for
+/// an integer flag ("3.9"), a sign the type cannot hold ("-1" for the
+/// seed), an out-of-range or non-finite value — is a usage error, not the
+/// prefix it starts with.
+template <typename T>
+T numeric_value(const char* flag, const std::string& v,
+                T lo = std::numeric_limits<T>::lowest(),
+                T hi = std::numeric_limits<T>::max()) {
+  T x{};
+  const char* const end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, x);
+  // Negated comparisons also reject NaN; the default double range rejects
+  // the infinities.
+  if (ec != std::errc{} || stop != end || !(x >= lo) || !(x <= hi))
+    usage(("bad " + std::string(flag) + " value \"" + v + "\"").c_str());
+  return x;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -222,6 +239,13 @@ Options parse_args(int argc, char** argv) {
     if (i >= argc) usage((std::string(flag) + " needs a value").c_str());
     return argv[i++];
   };
+  auto int_value = [&](const char* flag, int lo,
+                       int hi = std::numeric_limits<int>::max()) {
+    return numeric_value<int>(flag, need_value(flag), lo, hi);
+  };
+  auto double_value = [&](const char* flag) {
+    return numeric_value<double>(flag, need_value(flag));
+  };
   for (; i < argc;) {
     std::string flag = argv[i++];
     inline_value.reset();
@@ -230,29 +254,24 @@ Options parse_args(int argc, char** argv) {
       inline_value = flag.substr(eq + 1);
       flag.erase(eq);
     }
-    if (flag == "--cpus") o.cpus = std::stoi(need_value("--cpus"));
+    if (flag == "--cpus") o.cpus = int_value("--cpus", 1);
     else if (flag == "--table") o.table = need_value("--table");
-    else if (flag == "--load") o.load = std::stod(need_value("--load"));
+    else if (flag == "--load") o.load = double_value("--load");
     else if (flag == "--deadline-ms")
-      o.deadline_ms = std::stod(need_value("--deadline-ms"));
+      o.deadline_ms = double_value("--deadline-ms");
     else if (flag == "--heuristic") o.heuristic = need_value("--heuristic");
     else if (flag == "--scheme") o.scheme = need_value("--scheme");
     else if (flag == "--seed")
-      o.seed = std::stoull(need_value("--seed"));
+      o.seed = numeric_value<std::uint64_t>("--seed", need_value("--seed"));
     else if (flag == "--power-csv") o.power_csv = true;
     else if (flag == "--svg") o.svg_path = need_value("--svg");
     else if (flag == "--x") o.x = need_value("--x");
-    else if (flag == "--runs") o.runs = std::stoi(need_value("--runs"));
-    else if (flag == "--from") o.from = std::stod(need_value("--from"));
-    else if (flag == "--to") o.to = std::stod(need_value("--to"));
-    else if (flag == "--step") o.step = std::stod(need_value("--step"));
+    else if (flag == "--runs") o.runs = int_value("--runs", 1);
+    else if (flag == "--from") o.from = double_value("--from");
+    else if (flag == "--to") o.to = double_value("--to");
+    else if (flag == "--step") o.step = double_value("--step");
     else if (flag == "--json") o.json = true;
-    else if (flag == "--threads")
-      o.threads = std::stoi(need_value("--threads"));
-    else if (flag == "--batch") {
-      o.batch = std::stoi(need_value("--batch"));
-      if (o.batch < 0) usage("--batch must be >= 0");
-    }
+    else if (flag == "--threads") o.threads = int_value("--threads", 1);
     else if (flag == "--dedup") {
       o.dedup = need_value("--dedup");
       if (o.dedup != "auto" && o.dedup != "on" && o.dedup != "off")
@@ -272,15 +291,13 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--progress") o.progress = true;
     else if (flag == "--sweep") o.sweep = true;
     else if (flag == "--fallback") o.fallback = true;
-    else if (flag == "--port") o.port = std::stoi(need_value("--port"));
+    else if (flag == "--port") o.port = int_value("--port", 0, 65535);
     else if (flag == "--queue-limit")
-      o.queue_limit = std::stoi(need_value("--queue-limit"));
-    else if (flag == "--timeout-ms")
-      o.timeout_ms = std::stoi(need_value("--timeout-ms"));
-    else if (flag == "--max-conn")
-      o.max_conn = std::stoi(need_value("--max-conn"));
+      o.queue_limit = int_value("--queue-limit", 0);
+    else if (flag == "--timeout-ms") o.timeout_ms = int_value("--timeout-ms", 0);
+    else if (flag == "--max-conn") o.max_conn = int_value("--max-conn", 1);
     else if (flag == "--stream-interval-ms")
-      o.stream_interval_ms = std::stoi(need_value("--stream-interval-ms"));
+      o.stream_interval_ms = int_value("--stream-interval-ms", 0);
     else usage(("unknown flag " + flag).c_str());
     if (inline_value) usage(("flag " + flag + " takes no value").c_str());
   }
@@ -435,7 +452,6 @@ int cmd_sweep(const Options& o) {
   cfg.runs = o.runs;
   cfg.seed = o.seed;
   cfg.threads = o.threads;
-  cfg.batch = o.batch;
   cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
               : o.dedup == "off" ? DedupMode::kOff
                                  : DedupMode::kAuto;
@@ -526,7 +542,6 @@ int cmd_profile(const Options& o) {
   cfg.runs = o.runs;
   cfg.seed = o.seed;
   cfg.threads = o.threads;
-  cfg.batch = o.batch;
   cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
               : o.dedup == "off" ? DedupMode::kOff
                                  : DedupMode::kAuto;
@@ -647,7 +662,6 @@ int cmd_serve(const Options& o) {
 
   ServeSettings settings;
   settings.threads = o.threads;
-  settings.batch = o.batch;
   settings.dedup = o.dedup == "on"    ? DedupMode::kOn
                    : o.dedup == "off" ? DedupMode::kOff
                                       : DedupMode::kAuto;
