@@ -26,7 +26,7 @@
 namespace paserta {
 namespace {
 
-// Small enough to keep the 15-configuration sweep (and its TSan run) fast,
+// Small enough to keep the 9-configuration sweeps (and their TSan run) fast,
 // large enough that every chunk-size regime below is distinct: chunk=1
 // makes one chunk per run, chunk=kRuns one chunk per point, and the
 // default auto size lands in between.
@@ -67,10 +67,8 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
   const std::string ref_csv = unpooled_reference_csv(fig, app);
   ASSERT_FALSE(ref_csv.empty());
 
-  // Chunk sizes 3 and 8 leave the batched engine's lane groups with odd
-  // remainders; 0 is auto and kRuns one chunk per point.
   for (int threads : {1, 2, 4}) {
-    for (int chunk : {0, 1, 3, 8, kRuns}) {
+    for (int chunk : {0, 1, kRuns}) {
       ExperimentConfig cfg = fig.config;
       cfg.threads = threads;
       cfg.chunk_runs = chunk;
@@ -80,6 +78,36 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
       cfg.audit = true;
       cfg.collect_metrics = true;
       MetricsRegistry reg;  // scoped: keep the global registry clean
+      cfg.registry = &reg;
+      const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " chunk_runs=" << chunk);
+      EXPECT_EQ(csv, ref_csv);
+    }
+  }
+}
+
+// The batched engine (sim/batch_engine.h) under the same contract: the
+// rendered fig4a sweep must stay byte-identical to the unpooled reference
+// at every (thread count x lane-group size), with audit and metrics on.
+// A chunk's runs are simulated in lane groups of min(32, runs left), so
+// chunk_runs sets the group sizes: 3 gives 3-lane groups and a 1-lane
+// tail chunk (40 = 13 x 3 + 1), 8 gives five full 8-lane groups, and 32
+// one full-width group followed by an 8-lane chunk.
+TEST(ThreadScalingBitIdentity, Fig4aSweepIdenticalAcrossBatchSizes) {
+  const FigureDef fig = paper_figure("fig4a", kRuns);
+  const Application app = figure_workload(fig);
+  const std::string ref_csv = unpooled_reference_csv(fig, app);
+  ASSERT_FALSE(ref_csv.empty());
+
+  for (int threads : {1, 2, 4}) {
+    for (int chunk : {3, 8, 32}) {
+      ExperimentConfig cfg = fig.config;
+      cfg.threads = threads;
+      cfg.chunk_runs = chunk;
+      cfg.audit = true;
+      cfg.collect_metrics = true;
+      MetricsRegistry reg;
       cfg.registry = &reg;
       const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
       SCOPED_TRACE(testing::Message()
