@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
         "ratio" + std::to_string(ratio), 16, fmin, kFmax,
         0.8 + ratio * 1.0, 1.8);
     auto cfg = benchutil::paper_config(table, 2, runs);
-    const SimTime w = canonical_worst_makespan(
-        syn, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table));
-    const SimTime deadline{
-        static_cast<std::int64_t>(static_cast<double>(w.ps) / kLoad + 1)};
+    const SimTime deadline = deadline_at_load(
+        canonical_worst_makespan(syn, cfg.cpus,
+                                 cfg.overheads.worst_case_budget(cfg.table)),
+        kLoad);
     points.push_back(run_point(syn, cfg, deadline, ratio));
   }
   benchutil::emit("Ablation.minspeed",

@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
     for (double ovh_us : {0.0, 1.0, 5.0, 25.0, 100.0, 500.0}) {
       auto cfg = benchutil::paper_config(table, 2, runs);
       cfg.overheads.speed_change_time = SimTime::from_us(ovh_us);
-      const SimTime w = canonical_worst_makespan(
-          syn, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table));
-      const SimTime deadline{
-          static_cast<std::int64_t>(static_cast<double>(w.ps) / kLoad + 1)};
+      const SimTime deadline = deadline_at_load(
+          canonical_worst_makespan(syn, cfg.cpus,
+                                   cfg.overheads.worst_case_budget(cfg.table)),
+          kLoad);
       points.push_back(run_point(syn, cfg, deadline, ovh_us));
     }
     benchutil::emit("Ablation.overhead." + table.name(),

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
         for (auto& t : inflated.tasks)
           t.wcet += ovh.worst_case_budget(table);
         const auto canon = canonical_independent(inflated, kCpus);
-        const SimTime d{static_cast<std::int64_t>(
-            static_cast<double>(canon.makespan.ps) / load + 1)};
+        const SimTime d = deadline_at_load(canon.makespan, load);
         const auto actual = draw_independent_actuals(set, rng);
 
         const double npm =

@@ -33,9 +33,8 @@ int main(int argc, char** argv) {
       OfflineOptions o;
       o.cpus = 2;
       o.overhead_budget = ovh.worst_case_budget(table);
-      const SimTime w = canonical_worst_makespan(app, 2, o.overhead_budget);
-      o.deadline = SimTime{static_cast<std::int64_t>(
-          static_cast<double>(w.ps) / load + 1)};
+      o.deadline = deadline_at_load(
+          canonical_worst_makespan(app, 2, o.overhead_budget), load);
       const OfflineResult off = analyze_offline(app, o);
 
       Rng master(991);

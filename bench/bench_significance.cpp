@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
       OfflineOptions o;
       o.cpus = 2;
       o.overhead_budget = ovh.worst_case_budget(table);
-      const SimTime w = canonical_worst_makespan(app, 2, o.overhead_budget);
-      o.deadline = SimTime{static_cast<std::int64_t>(
-          static_cast<double>(w.ps) / load + 1)};
+      o.deadline = deadline_at_load(
+          canonical_worst_makespan(app, 2, o.overhead_budget), load);
       const OfflineResult off = analyze_offline(app, o);
 
       RunningStat as_vs_gss, as_vs_ss1;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   opt.overhead_budget = ovh.worst_case_budget(pm.table());
   const SimTime w = canonical_worst_makespan(app, opt.cpus,
                                              opt.overhead_budget);
-  opt.deadline = SimTime{static_cast<std::int64_t>(w.ps / 0.6)};  // load 0.6
+  opt.deadline = deadline_at_load(w, 0.6);
   const OfflineResult off = analyze_offline(app, opt);
 
   std::cout << "ATR: " << app.graph.task_count() << " tasks, worst case "

@@ -40,8 +40,7 @@ int main(int argc, char** argv) {
   opt.cpus = cpus;
   opt.overhead_budget = ovh.worst_case_budget(pm.table());
   const SimTime w = canonical_worst_makespan(app, cpus, opt.overhead_budget);
-  opt.deadline = SimTime{static_cast<std::int64_t>(
-      static_cast<double>(w.ps) / load + 1)};
+  opt.deadline = deadline_at_load(w, load);
   const OfflineResult off = analyze_offline(app, opt);
   std::cout << "W = " << to_string(w) << ", deadline = "
             << to_string(off.deadline()) << " (load " << load << "), "

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <compare>
 #include <limits>
+#include <optional>
 #include <string>
 
 namespace paserta {
@@ -43,6 +44,14 @@ struct SimTime {
   }
   static constexpr SimTime from_ms(double ms) {
     return SimTime{static_cast<std::int64_t>(ms * 1e9 + 0.5)};
+  }
+  /// from_ms for untrusted input: nullopt unless ms * 1e9 + 0.5, the value
+  /// from_ms truncates toward zero, lies in [-2^63, 2^63), the range where
+  /// that conversion is defined (NaN and the infinities fail).
+  static constexpr std::optional<SimTime> try_from_ms(double ms) {
+    const double ps = ms * 1e9 + 0.5;
+    if (!(ps >= -0x1p63 && ps < 0x1p63)) return std::nullopt;
+    return SimTime{static_cast<std::int64_t>(ps)};
   }
   static constexpr SimTime from_sec(double s) {
     return SimTime{static_cast<std::int64_t>(s * 1e12 + 0.5)};

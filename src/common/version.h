@@ -1,6 +1,6 @@
 // Build provenance: the git revision and build type stamped into the
-// binary at configure time. This is the same provenance the bench history
-// records per entry (BENCH_throughput.json `git_rev`), surfaced at run
+// binary at configure time. This is the same provenance perfbench's run.py
+// records with every run (git revision and dirty flag), surfaced at run
 // time so a deployed server or CLI can always say which tree produced it.
 //
 // The stamp is computed by CMake (`git rev-parse --short HEAD`) when the

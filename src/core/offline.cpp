@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <span>
 
 #include "common/error.h"
@@ -365,6 +366,17 @@ SimTime canonical_worst_makespan(const Application& app, int cpus,
   opt.overhead_budget = overhead_budget;
   opt.heuristic = heuristic;
   return analyze_canonical(app, opt).worst_makespan();
+}
+
+SimTime deadline_at_load(SimTime worst_makespan, double load) {
+  const double ps = std::ceil(static_cast<double>(worst_makespan.ps) / load);
+  // Negated comparisons reject NaN too; 2^63 is the first double the int64
+  // conversion cannot hold.
+  PASERTA_REQUIRE(ps >= 1.0 && ps < 0x1p63,
+                  "load " << load << " gives no deadline in (0, 2^63) ps for "
+                          << "the worst-case makespan "
+                          << to_string(worst_makespan));
+  return SimTime{static_cast<std::int64_t>(ps)};
 }
 
 std::uint64_t canonical_analysis_count() {

@@ -245,6 +245,15 @@ SimTime canonical_worst_makespan(
     const Application& app, int cpus, SimTime overhead_budget,
     ListHeuristic heuristic = ListHeuristic::LongestTaskFirst);
 
+/// The load-factor deadline of §5.1, D = W / load, in whole picoseconds:
+/// ceil(worst_makespan / load). Every site that turns a load into a
+/// deadline calls this, so one load names one deadline everywhere (the
+/// byte-identity of serve responses with `paserta_cli sweep --json`
+/// rests on it). Throws paserta::Error naming the load when the quotient
+/// is not a positive SimTime: load <= 0 or NaN, or a load so small that
+/// W / load leaves the int64 range.
+SimTime deadline_at_load(SimTime worst_makespan, double load);
+
 /// Process-wide count of phase-1 (round 1) analyses performed. Test hook:
 /// lets sweeps assert they ran exactly one canonical analysis. Monotonic;
 /// take a before/after difference rather than resetting.

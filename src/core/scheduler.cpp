@@ -1,7 +1,5 @@
 #include "core/scheduler.h"
 
-#include <cmath>
-
 #include "common/error.h"
 #include "sim/scenario.h"
 
@@ -29,10 +27,9 @@ PowerAwareScheduler::PowerAwareScheduler(Application app, const Config& cfg)
   } else {
     PASERTA_REQUIRE(*cfg.load > 0.0 && *cfg.load <= 1.0,
                     "load must be in (0,1], got " << *cfg.load);
-    const SimTime w =
-        canonical_worst_makespan(app_, cfg.cpus, opt.overhead_budget);
-    opt.deadline = SimTime{static_cast<std::int64_t>(
-        std::ceil(static_cast<double>(w.ps) / *cfg.load))};
+    opt.deadline = deadline_at_load(
+        canonical_worst_makespan(app_, cfg.cpus, opt.overhead_budget),
+        *cfg.load);
   }
   off_ = analyze_offline(app_, opt);
   PASERTA_REQUIRE(off_.feasible(),

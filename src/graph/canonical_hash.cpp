@@ -18,6 +18,15 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Number of distinct values in `sig`; `scratch` is reused storage.
+std::size_t distinct_count(const std::vector<std::uint64_t>& sig,
+                           std::vector<std::uint64_t>& scratch) {
+  scratch.assign(sig.begin(), sig.end());
+  std::sort(scratch.begin(), scratch.end());
+  return static_cast<std::size_t>(
+      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+}
+
 /// Branch probability of edge k out of `n`: OR forks carry one per
 /// successor; every other edge is certain. bit_cast keeps the exact
 /// double bits in the signature, so any probability change re-keys.
@@ -45,14 +54,18 @@ std::vector<std::uint64_t> graph_canonical_form(const AndOrGraph& g) {
     h = hash_combine_u64(h, static_cast<std::uint64_t>(nodes[i].acet.ps));
     sig[i] = h;
   }
-  // Signatures stabilize once every node has absorbed its whole
-  // reachable neighborhood; the DAG depth bounds that, and n bounds the
-  // depth. Capped for pathological chains — beyond the cap, far-apart
-  // differences stop propagating, which only risks extra hash ties that
-  // the canonical-form compare resolves.
+  // Each round re-mixes every signature, so the values never repeat; the
+  // partition into colour classes is what settles. A node's new colour
+  // mixes in its old one, so classes only split, and a round that splits
+  // none leaves a partition no later round changes: stop there. n bounds
+  // the splitting rounds; the cap bounds pathological chains, beyond
+  // which far-apart differences stop propagating, which only risks extra
+  // hash ties that the canonical-form compare resolves.
   const std::size_t rounds = std::min<std::size_t>(n, 64);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> out_edges;
   std::vector<std::uint64_t> in_sigs;
+  std::vector<std::uint64_t> scratch;
+  std::size_t classes = distinct_count(sig, scratch);
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t i = 0; i < n; ++i) {
       const Node& node = nodes[i];
@@ -69,8 +82,10 @@ std::vector<std::uint64_t> graph_canonical_form(const AndOrGraph& g) {
       for (const std::uint64_t s : in_sigs) h = hash_combine_u64(h, s);
       next[i] = h;
     }
-    if (next == sig) break;  // already stable
     sig.swap(next);
+    const std::size_t refined = distinct_count(sig, scratch);
+    if (refined == classes) break;
+    classes = refined;
   }
 
   // --- canonical node order -------------------------------------------

@@ -71,13 +71,11 @@ double parse_number(const Line& line, std::string_view tok, const char* what) {
 /// NaN) here, with the line number, instead of handing SimTime::from_ms a
 /// value whose integer conversion overflows.
 SimTime parse_time(const Line& line, std::string_view tok, const char* what) {
-  const double ms = parse_number(line, tok, what);
-  // from_ms truncates ms * 1e9 + 0.5 toward zero: defined exactly when
-  // that lies in [-2^63, 2^63).
-  const double ps = ms * 1e9 + 0.5;
-  if (!(ps >= -0x1p63 && ps < 0x1p63))
+  const std::optional<SimTime> t =
+      SimTime::try_from_ms(parse_number(line, tok, what));
+  if (!t)
     syntax_error(line, std::string("invalid ") + what + " " + quoted(tok));
-  return SimTime::from_ms(ms);
+  return *t;
 }
 
 // ------------------------------------------------------------------ parser

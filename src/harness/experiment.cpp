@@ -955,20 +955,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   return points;
 }
 
-CanonicalOptions canonical_options(const ExperimentConfig& cfg) {
-  CanonicalOptions opt;
-  opt.cpus = cfg.cpus;
-  opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
-  opt.heuristic = cfg.heuristic;
-  return opt;
-}
-
-SimTime deadline_for(SimTime worst_makespan, double load) {
-  PASERTA_REQUIRE(load > 0.0, "load must be positive, got " << load);
-  return SimTime{static_cast<std::int64_t>(
-      std::ceil(static_cast<double>(worst_makespan.ps) / load))};
-}
-
 /// Exports an OfflineCache::get delta as offline.cache.{hits,misses}
 /// registry counters (collect_metrics only). Callers snapshot the cache's
 /// lifetime counters before their get() calls and pass the snapshot here,
@@ -984,6 +970,14 @@ void export_offline_cache_delta(const ExperimentConfig& cfg,
 }
 
 }  // namespace
+
+CanonicalOptions canonical_options(const ExperimentConfig& cfg) {
+  CanonicalOptions opt;
+  opt.cpus = cfg.cpus;
+  opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
+  opt.heuristic = cfg.heuristic;
+  return opt;
+}
 
 int resolved_batch_lanes(const ExperimentConfig&) {
   return kBatchLanes;
@@ -1132,7 +1126,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   offs.reserve(loads.size());
   specs.reserve(loads.size());
   for (double load : loads) {
-    const SimTime deadline = deadline_for(canon.worst_makespan(), load);
+    const SimTime deadline = deadline_at_load(canon.worst_makespan(), load);
     {
       ProfScope ps(prof, ph_apply, 0);
       offs.push_back(apply_deadline(canon, deadline));
@@ -1157,7 +1151,7 @@ std::vector<SweepPoint> sweep_alpha(const Application& app,
   const SimTime w = canonical_worst_makespan(
       app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
       cfg.heuristic);
-  const SimTime deadline = deadline_for(w, load);
+  const SimTime deadline = deadline_at_load(w, load);
 
   // One variant buffer reused across alphas: assign_alpha overwrites every
   // computation node's ACET from its (untouched) WCET, so successive

@@ -188,6 +188,10 @@ struct SweepPoint {
   const SchemeStats& of(Scheme s) const;
 };
 
+/// The deadline-independent analysis options of `config`: the key under
+/// which sweeps and the serve daemon share one canonical analysis.
+CanonicalOptions canonical_options(const ExperimentConfig& config);
+
 /// Lanes per batched engine call of run_point's workers: 32 for every
 /// configuration (every pooled chunk runs on the batched engine). Exposed
 /// so benches and tests can mirror and label the harness's engine calls.
@@ -214,15 +218,15 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& config,
 /// std::thread set, runs its own offline analysis, draws scenarios
 /// through the legacy per-run draw_scenario walk (not the precompiled
 /// ScenarioSampler) and simulates every run with the scalar engine (not
-/// the batched one). Kept as the benchmark baseline for the pooled path
-/// (harness/throughput.cpp) and as a cross-check in tests — output is
+/// the batched one). Kept as the tests' scalar reference: output is
 /// bit-identical to run_point, which pins both the sampler and the batched
 /// engine against the legacy path. Collects no metrics.
 SweepPoint run_point_unpooled(const Application& app,
                               const ExperimentConfig& config,
                               SimTime deadline, double x_value);
 
-/// Load sweep: deadline = W / load for each load in `loads` (0 < load <= 1).
+/// Load sweep: deadline = deadline_at_load(W, load) for each load in `loads`
+/// (0 < load <= 1).
 /// Performs exactly one canonical offline analysis (shared across points
 /// via OfflineCache) and overlaps the points on the worker pool.
 std::vector<SweepPoint> sweep_load(const Application& app,

@@ -434,7 +434,7 @@ class JsonParser {
               text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
               text_[pos_] == '+' || text_[pos_] == '-'))
         ++pos_;
-      const std::string tok = text_.substr(start, pos_ - start);
+      std::string tok = text_.substr(start, pos_ - start);
       // Strict RFC 8259 number grammar before handing the token to
       // strtod: rejects the lenient shapes strtod would accept ("01",
       // "1.", "1e", hex), which matters once input is untrusted.
@@ -444,6 +444,7 @@ class JsonParser {
       }
       v.type = JsonValue::Type::Number;
       v.number = std::strtod(tok.c_str(), nullptr);
+      v.str = std::move(tok);
       return v;
     }
     fail("unexpected character");

@@ -120,6 +120,8 @@ struct JsonValue {
   Type type = Type::Null;
   bool boolean = false;
   double number = 0.0;
+  /// A String's value; a Number's token as written, which stays exact
+  /// where `number` rounds (integers past 2^53).
   std::string str;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;

@@ -20,7 +20,7 @@
 // order-independent by construction.
 //
 // Cost. Disabled mode is a null-pointer check at each would-be increment
-// site; BENCH_throughput.json records the end-to-end bound (< 2 %).
+// site; its end-to-end cost measured under 2 % on the fig4a point.
 //
 // Registries. MetricsRegistry::global() is the process-wide instance the
 // harness defaults to; tests and tools construct scoped local registries

@@ -6,17 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <cstring>
 #include <sstream>
-#include <thread>
-
-#include "harness/json.h"
-#include "obs/metrics.h"
-#include "serve/server.h"
-#include "serve/service.h"
 
 namespace paserta {
 namespace {
@@ -46,13 +36,6 @@ bool send_all(int fd, const std::string& data) {
     off += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-std::uint64_t counter_value(const MetricsSnapshot& snap,
-                            const std::string& name) {
-  for (const auto& row : snap.counters)
-    if (row.name == name) return row.value;
-  return 0;
 }
 
 }  // namespace
@@ -115,94 +98,6 @@ std::string http_request(std::uint16_t port, const std::string& path,
   const std::size_t split = response.find("\r\n\r\n");
   return split == std::string::npos ? std::string{}
                                     : response.substr(split + 4);
-}
-
-ServeThroughputReport measure_serve_throughput(
-    SimService& service, SimServer& server, const std::string& request_line,
-    const std::vector<int>& client_counts, int requests_per_client,
-    const std::string& label, int runs) {
-  ServeThroughputReport report;
-  report.label = label;
-  report.runs = runs;
-
-  {
-    // Warm-up: faults in the code paths and seeds the graph store and
-    // offline cache, the daemon's steady state.
-    ServeClient warm(server.port());
-    warm.request(request_line);
-  }
-
-  for (int clients : client_counts) {
-    const MetricsSnapshot before = service.registry().snapshot();
-    std::vector<std::thread> threads;
-    std::atomic<std::uint64_t> completed{0};
-    const auto t0 = std::chrono::steady_clock::now();
-    threads.reserve(static_cast<std::size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        ServeClient client(server.port());
-        for (int i = 0; i < requests_per_client; ++i) {
-          if (!client.request(request_line).empty())
-            completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const MetricsSnapshot after = service.registry().snapshot();
-
-    ServeThroughputSample s;
-    s.clients = clients;
-    s.requests = completed.load();
-    s.seconds = seconds;
-    s.requests_per_sec = seconds > 0.0
-                             ? static_cast<double>(s.requests) / seconds
-                             : 0.0;
-    const std::uint64_t hits =
-        counter_value(after, "offline.cache.hits") -
-        counter_value(before, "offline.cache.hits");
-    const std::uint64_t misses =
-        counter_value(after, "offline.cache.misses") -
-        counter_value(before, "offline.cache.misses");
-    s.cache_hit_rate = (hits + misses) > 0
-                           ? static_cast<double>(hits) /
-                                 static_cast<double>(hits + misses)
-                           : 0.0;
-    s.coalesced = counter_value(after, "serve.coalesced") -
-                  counter_value(before, "serve.coalesced");
-    const double p50 = service.latency_quantile(0.50);
-    const double p95 = service.latency_quantile(0.95);
-    s.p50_ms = std::isnan(p50) ? 0.0 : p50 * 1e3;
-    s.p95_ms = std::isnan(p95) ? 0.0 : p95 * 1e3;
-    report.samples.push_back(s);
-  }
-  return report;
-}
-
-std::string serve_throughput_to_json(const ServeThroughputReport& report) {
-  std::ostringstream os;
-  JsonWriter w(os, 2);
-  w.begin_object()
-      .key("label").value(report.label)
-      .key("runs").value(report.runs)
-      .key("samples").begin_array();
-  for (const ServeThroughputSample& s : report.samples) {
-    w.begin_object()
-        .key("clients").value(s.clients)
-        .key("requests").value(s.requests)
-        .key("seconds").value(s.seconds)
-        .key("requests_per_sec").value(s.requests_per_sec)
-        .key("cache_hit_rate").value(s.cache_hit_rate)
-        .key("coalesced").value(s.coalesced)
-        .key("p50_ms").value(s.p50_ms)
-        .key("p95_ms").value(s.p95_ms)
-        .end_object();
-  }
-  w.end_array().end_object();
-  os << "\n";
-  return os.str();
 }
 
 }  // namespace paserta

@@ -1,17 +1,12 @@
-// Loopback load generator for the serve daemon: the blocking NDJSON/HTTP
-// client used by test_serve, plus the benchmark harness behind the
-// "serve" section of BENCH_throughput.json (bench_throughput wraps it,
-// tools/bench_compare gates it — same split as harness/throughput).
+// Loopback clients for the serve daemon: the blocking NDJSON client
+// test_serve drives it with, and a one-shot HTTP request (test_serve and
+// perfbench's serve_mix read /metrics through it).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace paserta {
-
-class SimServer;
-class SimService;
 
 /// Minimal blocking NDJSON client for 127.0.0.1:<port>. One request line
 /// out, one response line back; the connection stays open across
@@ -44,45 +39,5 @@ class ServeClient {
 /// `body` non-empty turns it into a POST.
 std::string http_request(std::uint16_t port, const std::string& path,
                          const std::string& body = "");
-
-struct ServeThroughputSample {
-  int clients = 0;
-  std::uint64_t requests = 0;  // completed responses across all clients
-  double seconds = 0.0;        // wall time, first send to last response
-  double requests_per_sec = 0.0;
-  /// offline.cache hit rate across this sample's requests — the
-  /// cross-request cache at work (with one resident graph this approaches
-  /// 1 after the very first request ever).
-  double cache_hit_rate = 0.0;
-  /// Requests that shared another request's simulation (serve.coalesced
-  /// delta). Grows with concurrent clients: identical in-flight requests
-  /// land in one dispatcher batch and collapse into one run.
-  std::uint64_t coalesced = 0;
-  /// Cumulative serve.request_seconds quantiles at the end of the sample
-  /// (milliseconds; cumulative across the ladder, matching what a
-  /// scraped /metrics would show).
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-};
-
-struct ServeThroughputReport {
-  std::string label;  // e.g. "atr@load=0.5"
-  int runs = 0;       // Monte-Carlo runs per request
-  std::vector<ServeThroughputSample> samples;
-};
-
-/// Drives `server` over loopback with a ladder of concurrent NDJSON
-/// clients, each sending `requests_per_client` copies of `request_line`
-/// back-to-back, after one untimed warm-up request (faults in code paths
-/// and seeds the offline cache, as a resident daemon would be). Counter
-/// deltas come from `service`'s registry, so the service must be the one
-/// behind `server` and otherwise idle.
-ServeThroughputReport measure_serve_throughput(
-    SimService& service, SimServer& server, const std::string& request_line,
-    const std::vector<int>& client_counts, int requests_per_client,
-    const std::string& label, int runs);
-
-/// Renders the report as a JSON object (pretty-printed, newline-terminated).
-std::string serve_throughput_to_json(const ServeThroughputReport& report);
 
 }  // namespace paserta

@@ -1,10 +1,12 @@
 #include "serve/protocol.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 
 #include "common/error.h"
+#include "common/time.h"
 #include "common/version.h"
 #include "harness/json.h"
 
@@ -134,11 +136,16 @@ SimRequest parse_request(const std::string& line, const ServeLimits& limits) {
     }
   }
   if (const JsonValue* s = doc.find("seed")) {
-    PASERTA_REQUIRE(s->type == JsonValue::Type::Number &&
-                        std::isfinite(s->number) &&
-                        s->number == std::floor(s->number) && s->number >= 0,
-                    "request field 'seed' must be a non-negative integer");
-    req.seed = static_cast<std::uint64_t>(s->number);
+    // Read from the number as written: its double rounds past 2^53, where
+    // 9007199254740993 would silently run as 9007199254740992. The cap
+    // keeps every accepted seed exact in any JSON reader.
+    std::uint64_t seed = 0;
+    const char* const end = s->str.data() + s->str.size();
+    const auto [stop, ec] = std::from_chars(s->str.data(), end, seed);
+    PASERTA_REQUIRE(s->type == JsonValue::Type::Number && ec == std::errc{} &&
+                        stop == end && seed <= (std::uint64_t{1} << 53),
+                    "request field 'seed' must be an integer in [0, 2^53]");
+    req.seed = seed;
   }
 
   if (const JsonValue* st = doc.find("stream")) {
@@ -159,9 +166,13 @@ SimRequest parse_request(const std::string& line, const ServeLimits& limits) {
     req.load = load->number;
   }
   if (dms != nullptr) {
-    PASERTA_REQUIRE(dms->type == JsonValue::Type::Number &&
-                        std::isfinite(dms->number) && dms->number > 0.0,
-                    "request field 'deadline_ms' must be a positive number");
+    const std::optional<SimTime> d =
+        dms->type == JsonValue::Type::Number
+            ? SimTime::try_from_ms(dms->number)
+            : std::nullopt;
+    PASERTA_REQUIRE(d && *d > SimTime::zero(),
+                    "request field 'deadline_ms' must be positive and below "
+                    "2^63 ps (about 9.2e6 ms)");
     req.deadline_ms = dms->number;
   }
   return req;

@@ -57,6 +57,8 @@ struct SimRequest {
   ListHeuristic heuristic = ListHeuristic::LongestTaskFirst;
   std::vector<Scheme> schemes;  // empty = the CLI's default five
   int runs = 200;
+  /// On the wire a plain integer in [0, 2^53] (no fraction or exponent):
+  /// a JSON number is a double, exact only up to 2^53.
   std::uint64_t seed = 1;
   /// Deadline: exactly one of load (D = ceil(W / load), the sweep rule)
   /// or deadline_ms. Neither given = load 0.5, the CLI default.

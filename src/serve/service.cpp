@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -37,14 +36,6 @@ Application build_app(const SimRequest& req) {
 LevelTable table_of(const std::string& name) {
   return name == "xscale" ? LevelTable::intel_xscale()
                           : LevelTable::transmeta_tm5400();
-}
-
-// sweep_load's per-point deadline rule (experiment.cpp deadline_for):
-// D = ceil(W / load). Must match exactly — the bit-identity contract with
-// `paserta_cli sweep` hangs on it.
-SimTime deadline_from_load(SimTime worst_makespan, double load) {
-  return SimTime{static_cast<std::int64_t>(
-      std::ceil(static_cast<double>(worst_makespan.ps) / load))};
 }
 
 /// The coalescing key: every request input that can influence the
@@ -366,14 +357,12 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
           // run_point's internal gets are exported by the harness.
           const std::uint64_t h0 = cache_.hits();
           const std::uint64_t m0 = cache_.misses();
-          const CanonicalAnalysis& canon = cache_.get(
-              app, CanonicalOptions{
-                       cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
-                       cfg.heuristic});
+          const CanonicalAnalysis& canon =
+              cache_.get(app, canonical_options(cfg));
           registry_->counter("offline.cache.hits").add(0, cache_.hits() - h0);
           registry_->counter("offline.cache.misses")
               .add(0, cache_.misses() - m0);
-          deadline = deadline_from_load(canon.worst_makespan(), req.load);
+          deadline = deadline_at_load(canon.worst_makespan(), req.load);
           x = req.load;
           x_name = "load";
         }

@@ -130,11 +130,6 @@ class SimService {
 
   const ServeLimits& limits() const { return settings_.limits; }
 
-  /// Quantile of the cumulative serve.request_seconds histogram (seconds;
-  /// NaN while empty). Read-side; call while the dispatcher is quiet for
-  /// an exact answer.
-  double latency_quantile(double q) const { return latency_->percentile(q); }
-
   /// The service's phase profiler — counter tracks for the daemon's
   /// --trace-out flush. Snapshot/samples are safe from any thread.
   const Profiler& profiler() const { return prof_; }

@@ -28,7 +28,6 @@
 #include "harness/json.h"
 #include "harness/pool.h"
 #include "harness/report.h"
-#include "harness/throughput.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
@@ -726,21 +725,6 @@ TEST(ObsMetrics, ChunkDetailTracerOmitsPerRunSpans) {
   for (const TraceEvent& ev : deep.events())
     saw_scheme = saw_scheme || std::string(ev.name) == "GSS";
   EXPECT_TRUE(saw_scheme);
-}
-
-TEST(ObsMetrics, PoolBalanceJsonParses) {
-  const Application app = apps::build_synthetic();
-  ExperimentConfig cfg = harness_config(16, 2);
-  const std::string doc =
-      measure_pool_balance_json(app, cfg, {0.5, 1.0});
-  const JsonValue v = json_parse(doc);
-  ASSERT_TRUE(v.is_object());
-  EXPECT_DOUBLE_EQ(v.at("threads").number, 2.0);
-  ASSERT_TRUE(v.at("chunks_per_slot").is_array());
-  double total = 0.0;
-  for (const JsonValue& c : v.at("chunks_per_slot").array) total += c.number;
-  EXPECT_DOUBLE_EQ(total, v.at("chunk_seconds").at("count").number);
-  EXPECT_GT(total, 0.0);
 }
 
 // ------------------------------------------------- energy attribution

@@ -192,6 +192,26 @@ TEST(Offline, CanonicalWorstMakespanMatchesFullAnalysis) {
   EXPECT_EQ(w, ms(8));
 }
 
+TEST(Offline, DeadlineAtLoadIsCeilingOfWorstOverLoad) {
+  // D = ceil(W / load) in whole picoseconds: a whole quotient is exact (no
+  // extra picosecond), a fractional one rounds up.
+  const SimTime w{123'456'789};
+  EXPECT_EQ(deadline_at_load(w, 0.5), SimTime{2 * w.ps});
+  EXPECT_EQ(deadline_at_load(w, 1.0), w);
+  EXPECT_EQ(deadline_at_load(SimTime{10}, 0.3), SimTime{34});
+  // A quotient SimTime cannot hold is refused by name, not converted.
+  try {
+    (void)deadline_at_load(w, 1e-300);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("load 1e-300"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)deadline_at_load(w, 0.0), Error);
+  EXPECT_THROW((void)deadline_at_load(w, -0.5), Error);
+  EXPECT_THROW((void)deadline_at_load(SimTime::zero(), 0.5), Error);
+}
+
 TEST(Offline, DeadlineResultsShareCanonicalTables) {
   // apply_deadline shares the deadline-independent tables of its canonical
   // analysis instead of copying them, and keeps them alive after the

@@ -90,6 +90,11 @@ TEST(ServeProtocol, ParsesMinimalAndFullRequests) {
             (std::vector<Scheme>{Scheme::GSS, Scheme::AS}));
   ASSERT_TRUE(full.deadline_ms.has_value());
   EXPECT_DOUBLE_EQ(*full.deadline_ms, 12.5);
+
+  // 2^53, the largest seed a JSON number carries exactly, is accepted.
+  const SimRequest big_seed = parse_request(
+      "{\"graph\":\"@atr\",\"seed\":9007199254740992}", limits);
+  EXPECT_EQ(big_seed.seed, std::uint64_t{1} << 53);
 }
 
 TEST(ServeProtocol, RejectsInvalidRequests) {
@@ -118,6 +123,16 @@ TEST(ServeProtocol, RejectsInvalidRequests) {
                Error);
   EXPECT_THROW(parse_request("{\"graph\":\"@atr\",\"id\":[1]}", limits),
                Error);
+  // Numbers past what the seed and SimTime conversions hold: a seed above
+  // 2^53 (2^53 + 1 parses to the double 2^53) and a deadline above 2^63 ps.
+  EXPECT_THROW(parse_request("{\"graph\":\"@atr\",\"seed\":1e30}", limits),
+               Error);
+  EXPECT_THROW(
+      parse_request("{\"graph\":\"@atr\",\"seed\":9007199254740993}", limits),
+      Error);
+  EXPECT_THROW(
+      parse_request("{\"graph\":\"@atr\",\"deadline_ms\":1e10}", limits),
+      Error);
   // Size limits: request line and inline graph text.
   ServeLimits tiny;
   tiny.max_request_bytes = 16;
@@ -268,6 +283,14 @@ TEST(ServeService, AsyncGraphAndConfigErrorsAreStructured) {
       json_parse(service.submit("{\"graph\":\"@nope\"}").get());
   EXPECT_EQ(bad_builtin.at("code").str, "bad_request");
   EXPECT_EQ(counter(service, "serve.bad_requests"), 2u);
+  // A load inside (0, 1] whose deadline W / load leaves SimTime's range
+  // fails by name instead of reaching the simulation as garbage.
+  const JsonValue tiny_load = json_parse(
+      service.submit("{\"graph\":\"@atr\",\"load\":1e-300}").get());
+  EXPECT_EQ(tiny_load.at("type").str, "error");
+  EXPECT_NE(tiny_load.at("message").str.find("load 1e-300"),
+            std::string::npos)
+      << tiny_load.at("message").str;
 }
 
 TEST(ServeService, InlineTextMatchesEquivalentRun) {

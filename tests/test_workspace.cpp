@@ -5,7 +5,6 @@
 // must hold.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 
 #include "apps/atr.h"
@@ -13,7 +12,6 @@
 #include "common/error.h"
 #include "core/scheduler.h"
 #include "harness/experiment.h"
-#include "harness/throughput.h"
 #include "sim/engine.h"
 #include "sim/gantt.h"
 #include "sim/scenario.h"
@@ -369,111 +367,6 @@ TEST(Scheduler, RecordTraceConfig) {
   EXPECT_DOUBLE_EQ(traced.summary().norm_energy.mean(),
                    silent.summary().norm_energy.mean());
   EXPECT_EQ(traced.summary().degenerate_frames, 0u);
-}
-
-TEST(Throughput, MeasuresAndEmitsJson) {
-  const Application app = apps::build_synthetic();
-  ExperimentConfig cfg;
-  cfg.cpus = 2;
-  cfg.table = LevelTable::intel_xscale();
-  cfg.schemes = {Scheme::GSS};
-  cfg.runs = 10;
-  cfg.seed = 1;
-  const ThroughputReport rep =
-      measure_throughput(app, cfg, ms(120), {1, 2}, "unit\"test");
-
-  ASSERT_EQ(rep.samples.size(), 2u);
-  EXPECT_EQ(rep.runs, 10);
-  EXPECT_EQ(rep.schemes, 1);
-  EXPECT_EQ(rep.samples[0].threads, 1);
-  EXPECT_EQ(rep.samples[1].threads, 2);
-  for (const ThroughputSample& s : rep.samples) {
-    EXPECT_GT(s.seconds, 0.0);
-    EXPECT_GT(s.runs_per_sec, 0.0);
-  }
-
-  const std::string json = throughput_to_json(rep);
-  EXPECT_NE(json.find("\"benchmark\": \"throughput\""), std::string::npos);
-  EXPECT_NE(json.find("\"label\": \"unit\\\"test\""), std::string::npos);
-  EXPECT_NE(json.find("\"runs\": 10"), std::string::npos);
-  EXPECT_NE(json.find("\"runs_per_sec\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-  EXPECT_EQ(json.back(), '\n');
-}
-
-TEST(Throughput, BestOfRepsKeepsOneSamplePerThreadCount) {
-  const Application app = apps::build_synthetic();
-  ExperimentConfig cfg;
-  cfg.cpus = 2;
-  cfg.table = LevelTable::intel_xscale();
-  cfg.schemes = {Scheme::GSS};
-  cfg.runs = 10;
-  cfg.seed = 1;
-  // Repetitions collapse to the fastest timing — still exactly one sample
-  // per thread count, and a finite positive one.
-  const ThroughputReport rep =
-      measure_throughput(app, cfg, ms(120), {1, 2}, "reps", /*reps=*/3);
-  ASSERT_EQ(rep.samples.size(), 2u);
-  for (const ThroughputSample& s : rep.samples) {
-    EXPECT_GT(s.seconds, 0.0);
-    EXPECT_GT(s.runs_per_sec, 0.0);
-  }
-  EXPECT_THROW(measure_throughput(app, cfg, ms(120), {1}, "bad", 0), Error);
-  EXPECT_THROW(
-      measure_sweep_throughput(app, cfg, {0.5}, {1}, "bad", 0), Error);
-}
-
-// ------------------------------------------------ measurement history
-
-TEST(Throughput, HistoryEntrySplicesProvenance) {
-  const std::string entry = throughput_history_entry(
-      "abc1234", /*dirty=*/false, "2026-08-06", "{\n\"point\": {\"x\": 1}\n}\n");
-  EXPECT_NE(entry.find("\"git_rev\": \"abc1234\""), std::string::npos);
-  EXPECT_NE(entry.find("\"dirty\": false"), std::string::npos);
-  EXPECT_NE(entry.find("\"date\": \"2026-08-06\""), std::string::npos);
-  EXPECT_NE(entry.find("\"point\": {\"x\": 1}"), std::string::npos);
-  EXPECT_EQ(std::count(entry.begin(), entry.end(), '{'),
-            std::count(entry.begin(), entry.end(), '}'));
-}
-
-TEST(Throughput, HistoryEntryRecordsDirtyTree) {
-  const std::string entry = throughput_history_entry(
-      "abc1234", /*dirty=*/true, "2026-08-06", "{\"point\": {}}");
-  EXPECT_NE(entry.find("\"dirty\": true"), std::string::npos);
-  // The provenance order pins dirty between git_rev and date.
-  EXPECT_LT(entry.find("\"git_rev\""), entry.find("\"dirty\""));
-  EXPECT_LT(entry.find("\"dirty\""), entry.find("\"date\""));
-}
-
-TEST(Throughput, HistoryAppendStartsNewArray) {
-  const std::string out = throughput_history_append("", "{\"a\": 1}\n");
-  EXPECT_EQ(out, "[\n{\"a\": 1}\n]\n");
-  EXPECT_EQ(throughput_history_append("  \n\t", "{\"a\": 1}\n"), out);
-}
-
-TEST(Throughput, HistoryAppendExtendsArray) {
-  const std::string once = throughput_history_append("", "{\"a\": 1}\n");
-  const std::string twice = throughput_history_append(once, "{\"b\": 2}\n");
-  EXPECT_EQ(twice, "[\n{\"a\": 1},\n{\"b\": 2}\n]\n");
-  EXPECT_EQ(throughput_history_append("[]", "{\"c\": 3}\n"),
-            "[\n{\"c\": 3}\n]\n");
-}
-
-TEST(Throughput, HistoryAppendWrapsLegacyBaseline) {
-  // The pre-history file format was a single JSON object; appending must
-  // keep it as the first entry instead of discarding the old numbers.
-  const std::string legacy = "{\n\"point\": {\"old\": true}\n}\n";
-  const std::string out = throughput_history_append(legacy, "{\"new\": 1}\n");
-  EXPECT_EQ(out.front(), '[');
-  EXPECT_LT(out.find("\"old\": true"), out.find("\"new\": 1"));
-  EXPECT_EQ(out.substr(out.size() - 2), "]\n");
-  // A second append now follows the array path.
-  const std::string again = throughput_history_append(out, "{\"new\": 2}\n");
-  EXPECT_EQ(std::count(again.begin(), again.end(), '['), 1);
-  EXPECT_LT(again.find("\"new\": 1"), again.find("\"new\": 2"));
 }
 
 }  // namespace

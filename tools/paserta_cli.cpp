@@ -92,7 +92,7 @@ struct Options {
   int cpus = 2;
   std::string table = "transmeta";
   double load = 0.5;
-  std::optional<double> deadline_ms;
+  std::optional<SimTime> deadline;
   std::string heuristic = "ltf";
   std::string scheme = "gss";
   std::uint64_t seed = 1;
@@ -257,8 +257,13 @@ Options parse_args(int argc, char** argv) {
     if (flag == "--cpus") o.cpus = int_value("--cpus", 1);
     else if (flag == "--table") o.table = need_value("--table");
     else if (flag == "--load") o.load = double_value("--load");
-    else if (flag == "--deadline-ms")
-      o.deadline_ms = double_value("--deadline-ms");
+    else if (flag == "--deadline-ms") {
+      const std::string v = need_value("--deadline-ms");
+      o.deadline =
+          SimTime::try_from_ms(numeric_value<double>("--deadline-ms", v));
+      if (!o.deadline)
+        usage(("bad --deadline-ms value \"" + v + "\"").c_str());
+    }
     else if (flag == "--heuristic") o.heuristic = need_value("--heuristic");
     else if (flag == "--scheme") o.scheme = need_value("--scheme");
     else if (flag == "--seed")
@@ -348,14 +353,13 @@ OfflineResult analyze_with(const Application& app, const Options& o,
   opt.cpus = o.cpus;
   opt.heuristic = heuristic_of(o);
   opt.overhead_budget = ovh.worst_case_budget(pm.table());
-  if (o.deadline_ms) {
-    opt.deadline = SimTime::from_ms(*o.deadline_ms);
+  if (o.deadline) {
+    opt.deadline = *o.deadline;
   } else {
-    const SimTime w = canonical_worst_makespan(app, o.cpus,
-                                               opt.overhead_budget,
-                                               opt.heuristic);
-    opt.deadline = SimTime{static_cast<std::int64_t>(
-        static_cast<double>(w.ps) / o.load + 1)};
+    opt.deadline = deadline_at_load(
+        canonical_worst_makespan(app, o.cpus, opt.overhead_budget,
+                                 opt.heuristic),
+        o.load);
   }
   return analyze_offline(app, opt);
 }
