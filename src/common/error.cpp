@@ -5,11 +5,7 @@
 
 namespace paserta::detail {
 
-[[noreturn]] void throw_error(const char* file, int line, const std::string& msg) {
-  std::ostringstream oss;
-  oss << msg << " (" << file << ":" << line << ")";
-  throw Error(oss.str());
-}
+[[noreturn]] void throw_error(const std::string& msg) { throw Error(msg); }
 
 [[noreturn]] void fail_assert(const char* file, int line, const char* expr,
                               const std::string& msg) {

@@ -19,18 +19,20 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] void throw_error(const char* file, int line, const std::string& msg);
+[[noreturn]] void throw_error(const std::string& msg);
 [[noreturn]] void fail_assert(const char* file, int line, const char* expr,
                               const std::string& msg);
 }  // namespace detail
 
 /// Validate a user-facing precondition; throws paserta::Error on failure.
+/// The message is the rule alone, without a source location: it reaches
+/// users verbatim (CLI errors, serve's error responses).
 #define PASERTA_REQUIRE(cond, msg)                                      \
   do {                                                                  \
     if (!(cond)) {                                                      \
       ::std::ostringstream oss_;                                        \
       oss_ << msg;                                                      \
-      ::paserta::detail::throw_error(__FILE__, __LINE__, oss_.str());   \
+      ::paserta::detail::throw_error(oss_.str());                       \
     }                                                                   \
   } while (0)
 

@@ -16,8 +16,6 @@
 #include "harness/pool.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
-#include "obs/trace.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/fingerprint.h"
@@ -62,11 +60,8 @@ namespace {
 bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
   // Replayed runs perform no engine work, so configurations whose purpose
   // is per-run engine work keep the uncached path: verify_traces walks
-  // every run's trace, audit re-accounts every run three ways, and a
-  // kRuns tracer spans every engine call.
+  // every run's trace and audit re-accounts every run three ways.
   if (cfg.verify_traces || cfg.audit) return false;
-  if (cfg.tracer != nullptr && cfg.tracer->detail() == Tracer::Detail::kRuns)
-    return false;
   switch (cfg.dedup) {
     case DedupMode::kOff:
       return false;
@@ -228,9 +223,8 @@ constexpr int kBatchLanes = 32;
 /// slot. Everything may be null/defaulted: a zero-initialized ChunkObs
 /// makes the chunk observation-free.
 struct ChunkObs {
-  Tracer* run_tracer = nullptr;  // non-null only at Tracer::Detail::kRuns
   int slot = 0;
-  std::int64_t point = -1;
+  std::int64_t point = -1;  // span arg of the per-engine-call scopes
   /// Slot-owned telemetry cells for this (point, slot): one SimCounters
   /// per scheme in config order, then one for the NPM baseline. Null =
   /// counting off.
@@ -393,8 +387,9 @@ struct LaneRecords {
 /// record caches exactly one run's worth), else into the slot cells
 /// obs.cells. Audit exports each lane into its own cell so
 /// attribution_energy sees one run's ledger; verify_traces checks every
-/// lane's trace against its scenario. A kRuns tracer gets one span per
-/// simulate_batch call, labelled with `first_run`, the group's first run.
+/// lane's trace against its scenario. Each simulate_batch call is one
+/// harness.simulate charge whose span is named by the scheme and carries
+/// the point and `first_run`, the group's first run (-1 = none).
 void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
                     const OfflineResult& off, const PowerModel& pm,
                     SimTime deadline, std::size_t nlanes, int first_run,
@@ -406,9 +401,8 @@ void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
 
   // `c` indexes the counter cells: schemes in config order, NPM last.
   const auto run_scheme = [&](Scheme scheme, std::size_t c) {
-    ProfScope ps(obs.prof, obs.ph_simulate, obs.slot);
-    TraceSpan span(obs.run_tracer, obs.slot, to_string(scheme), obs.point,
-                   first_run);
+    ProfScope ps(obs.prof, obs.ph_simulate, obs.slot, to_string(scheme),
+                 obs.point, first_run);
     BatchSimOptions bo;
     bo.record_trace = cfg.audit || cfg.verify_traces;
     bo.audit = cfg.audit;
@@ -542,8 +536,8 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
       shard->degenerate.resize(base + nlanes);
       shard->rows.resize((base + nlanes) * nschemes);
       if (metrics) shard->cells.resize((base + nlanes) * ncells);
-      // Dedup never runs under a kRuns tracer (dedup_for), so the group
-      // needs no span label.
+      // A dedup group's lanes are not consecutive runs, so its spans carry
+      // no first-run arg.
       simulate_lanes(app, cfg, off, pm, deadline, nlanes, -1, ctx, obs,
                      {shard->npm_energy.data() + base,
                       shard->degenerate.data() + base,
@@ -707,10 +701,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
           ? (cfg.registry != nullptr ? cfg.registry
                                      : &MetricsRegistry::global())
           : nullptr;
-  Tracer* const tracer = cfg.tracer;
   ChunkObs obs_proto;
-  if (tracer != nullptr && tracer->detail() == Tracer::Detail::kRuns)
-    obs_proto.run_tracer = tracer;
   PoolTelemetry tel;
   const PoolTelemetry* telp = nullptr;
   if (reg != nullptr) {
@@ -720,18 +711,15 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     tel.busy_ns = &reg->counter("pool.busy_ns");
     tel.idle_ns = &reg->counter("pool.idle_ns");
   }
-  if (cfg.progress != nullptr) {
-    tel.progress = cfg.progress;
-    cfg.progress->add_total(total_chunks);
-  }
   // Phase profiler: resolve every phase id once, before the workers start
   // (Profiler::phase takes a mutex; the hot paths then index by id). The
   // pool.* phases are top-level — together with harness.setup/compile/
   // finalize they tile this call's wall time; the harness.* run and fold
-  // phases and batch.* are nested inside pool.busy.
+  // phases and batch.* are nested inside pool.busy. This call's chunks
+  // register against pool.busy, which the pool charges once per chunk:
+  // that is the profiler's progress view.
   Profiler* const prof = cfg.prof;
-  int ph_setup = -1;
-  int ph_fold = -1;
+  int ph_setup = -1, ph_compile = -1, ph_fold = -1, ph_finalize = -1;
   if (prof != nullptr) {
     tel.prof = prof;
     tel.ph_claim = prof->phase("pool.claim", /*top_level=*/true);
@@ -744,9 +732,11 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     ph_fold = prof->phase("harness.fold");
     obs_proto.ph_batch_setup = prof->phase("batch.setup");
     obs_proto.ph_batch_drain = prof->phase("batch.drain");
+    ph_compile = prof->phase("harness.compile", /*top_level=*/true);
+    ph_finalize = prof->phase("harness.finalize", /*top_level=*/true);
+    prof->expect(tel.ph_busy, static_cast<std::uint64_t>(total_chunks));
   }
-  if (reg != nullptr || cfg.progress != nullptr || prof != nullptr)
-    telp = &tel;
+  if (reg != nullptr || prof != nullptr) telp = &tel;
 
   // Everything between here and the pool run that is not sampler
   // compilation is accumulator, counter-cell and dedup plumbing; charge it
@@ -781,11 +771,8 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   std::vector<const Application*> sampler_apps;
   std::vector<std::size_t> spec_sampler_idx(specs.size());
   {
-    TraceSpan span(tracer, 0, "compile_samplers");
     setup_scope.reset();  // close the setup stretch around the compile
-    ProfScope ps(prof, prof != nullptr ? prof->phase("harness.compile", true)
-                                       : -1,
-                 0);
+    ProfScope ps(prof, ph_compile, 0);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       std::size_t j = 0;
       while (j < sampler_apps.size() && sampler_apps[j] != specs[i].app) ++j;
@@ -834,7 +821,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     const int first = (c % chunks_per_point) * chunk;
     const int count = std::min(runs, first + chunk) - first;
     const PointSpec& spec = specs[static_cast<std::size_t>(p)];
-    TraceSpan chunk_span(tracer, slot, "chunk", p, first);
     ChunkObs obs = obs_proto;
     obs.slot = slot;
     obs.point = p;
@@ -877,27 +863,20 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   };
 
   setup_scope.reset();
-  {
-    TraceSpan span(tracer, 0, "monte_carlo");
-    if (max_workers <= 1) {
-      // Fully serial: never touches (or instantiates) the process pool.
-      WorkerPool::serial_chunks(total_chunks, body, telp);
-    } else {
-      WorkerPool& pool = WorkerPool::process_pool();
-      pool.ensure_threads(max_workers - 1);
-      pool.parallel_chunks(total_chunks, max_workers, body, telp,
-                           claim_batch);
-    }
+  if (max_workers <= 1) {
+    // Fully serial: never touches (or instantiates) the process pool.
+    WorkerPool::serial_chunks(total_chunks, body, telp);
+  } else {
+    WorkerPool& pool = WorkerPool::process_pool();
+    pool.ensure_threads(max_workers - 1);
+    pool.parallel_chunks(total_chunks, max_workers, body, telp, claim_batch);
   }
 
   // The runs are already folded; what remains is summing the per-slot
   // counter cells and dedup shards.
   std::vector<SweepPoint> points = fold.release();
   {
-    TraceSpan span(tracer, 0, "finalize");
-    ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
-                                       : -1,
-                 0);
+    ProfScope ps(prof, ph_finalize, 0);
     for (std::size_t p = 0; p < specs.size(); ++p) {
       if (cfg.collect_metrics) {
         // Sum the slot cells in fixed slot order (integer adds: the order
@@ -930,9 +909,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   if (reg != nullptr) {
     // Counter flushing is part of wrapping the run up — second entry into
     // the finalize phase, so profile attribution covers the whole tail.
-    ProfScope ps(prof, prof != nullptr ? prof->phase("harness.finalize", true)
-                                       : -1,
-                 0);
+    ProfScope ps(prof, ph_finalize, 0);
     for (const SweepPoint& pt : points) {
       for (std::size_t s = 0; s < nschemes; ++s)
         flush_sim_counters(
@@ -953,6 +930,12 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     }
   }
   return points;
+}
+
+/// The id of top-level phase `name` on `prof`; -1 (no-op scopes) without
+/// a profiler.
+int top_phase(Profiler* prof, const char* name) {
+  return prof != nullptr ? prof->phase(name, /*top_level=*/true) : -1;
 }
 
 /// Exports an OfflineCache::get delta as offline.cache.{hits,misses}
@@ -994,35 +977,30 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
   PASERTA_REQUIRE(deadline > SimTime::zero(), "deadline must be positive");
 
   Profiler* const prof = cfg.prof;
-  const int ph_analyze =
-      prof != nullptr ? prof->phase("offline.analyze", true) : -1;
-  const int ph_apply =
-      prof != nullptr ? prof->phase("offline.apply", true) : -1;
+  const int ph_analyze = top_phase(prof, "offline.analyze");
+  const int ph_apply = top_phase(prof, "offline.apply");
   OfflineResult off;
-  {
-    TraceSpan span(cfg.tracer, 0, "offline_analysis");
-    if (cache != nullptr) {
-      const std::uint64_t h0 = cache->hits();
-      const std::uint64_t m0 = cache->misses();
-      const CanonicalAnalysis* canon = nullptr;
-      {
-        ProfScope ps(prof, ph_analyze, 0);
-        canon = &cache->get(app, canonical_options(cfg));
-      }
-      {
-        ProfScope ps(prof, ph_apply, 0);
-        off = apply_deadline(*canon, deadline);
-      }
-      export_offline_cache_delta(cfg, *cache, h0, m0);
-    } else {
-      OfflineOptions opt;
-      opt.cpus = cfg.cpus;
-      opt.deadline = deadline;
-      opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
-      opt.heuristic = cfg.heuristic;
+  if (cache != nullptr) {
+    const std::uint64_t h0 = cache->hits();
+    const std::uint64_t m0 = cache->misses();
+    const CanonicalAnalysis* canon = nullptr;
+    {
       ProfScope ps(prof, ph_analyze, 0);
-      off = analyze_offline(app, opt);
+      canon = &cache->get(app, canonical_options(cfg));
     }
+    {
+      ProfScope ps(prof, ph_apply, 0);
+      off = apply_deadline(*canon, deadline);
+    }
+    export_offline_cache_delta(cfg, *cache, h0, m0);
+  } else {
+    OfflineOptions opt;
+    opt.cpus = cfg.cpus;
+    opt.deadline = deadline;
+    opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
+    opt.heuristic = cfg.heuristic;
+    ProfScope ps(prof, ph_analyze, 0);
+    off = analyze_offline(app, opt);
   }
 
   PointSpec spec;
@@ -1100,7 +1078,6 @@ std::vector<SweepPoint> sweep_load(const Application& app,
                                    const ExperimentConfig& cfg,
                                    const std::vector<double>& loads) {
   validate_config(cfg);
-  TraceSpan sweep_span(cfg.tracer, 0, "sweep_load");
   // One canonical (round-1) analysis for the whole sweep: only the
   // deadline varies across points, and the deadline enters the offline
   // data solely through the cheap round-2 shift.
@@ -1108,10 +1085,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   OfflineCache cache;
   const CanonicalAnalysis* canon_ptr = nullptr;
   {
-    TraceSpan span(cfg.tracer, 0, "offline_analysis");
-    ProfScope ps(prof,
-                 prof != nullptr ? prof->phase("offline.analyze", true) : -1,
-                 0);
+    ProfScope ps(prof, top_phase(prof, "offline.analyze"), 0);
     const std::uint64_t h0 = cache.hits();
     const std::uint64_t m0 = cache.misses();
     canon_ptr = &cache.get(app, canonical_options(cfg));
@@ -1119,8 +1093,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   }
   const CanonicalAnalysis& canon = *canon_ptr;
 
-  const int ph_apply =
-      prof != nullptr ? prof->phase("offline.apply", true) : -1;
+  const int ph_apply = top_phase(prof, "offline.apply");
   std::vector<OfflineResult> offs;
   std::vector<PointSpec> specs;
   offs.reserve(loads.size());

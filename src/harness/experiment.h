@@ -34,9 +34,7 @@
 
 namespace paserta {
 
-class Tracer;            // obs/trace.h
-class ProgressReporter;  // obs/progress.h
-class Profiler;          // obs/prof.h
+class Profiler;  // obs/prof.h
 
 /// Scenario-dedup memoization (DESIGN.md §15): simulate each distinct
 /// scenario of a point once, replay the cached per-run record for every
@@ -79,10 +77,10 @@ struct ExperimentConfig {
   /// the shared counter less.
   int chunk_runs = 0;
   /// Scenario-dedup outcome memoization (see DedupMode). Configurations
-  /// that need genuinely per-run engine work — verify_traces, audit's
-  /// three-way re-accounting, a kRuns tracer — force the uncached path
-  /// regardless, because a replayed run performs no engine work to verify,
-  /// re-account or span. Output is bit-identical for every mode.
+  /// that need genuinely per-run engine work — verify_traces and audit's
+  /// three-way re-accounting — force the uncached path regardless,
+  /// because a replayed run performs no engine work to verify or
+  /// re-account. Output is bit-identical for every mode.
   DedupMode dedup = DedupMode::kAuto;
   /// Canonical-schedule priority rule (paper evaluates LTF).
   ListHeuristic heuristic = ListHeuristic::LongestTaskFirst;
@@ -104,20 +102,16 @@ struct ExperimentConfig {
   /// Registry receiving the pool metrics and engine counter totals; null
   /// with collect_metrics on = MetricsRegistry::global().
   MetricsRegistry* registry = nullptr;
-  /// Span tracer: the harness records sweep / offline-analysis / chunk
-  /// spans (and one span per batched engine call at Tracer::Detail::kRuns)
-  /// for Chrome trace export (obs/chrome_trace.h). Null = no tracing.
-  Tracer* tracer = nullptr;
-  /// Live progress: registered with the total chunk count up front, ticked
-  /// once per completed chunk. Null = silent.
-  ProgressReporter* progress = nullptr;
-  /// Cycle-level phase profiler (obs/prof.h): the harness charges the
-  /// offline analyze/apply, sampler compile, pool claim/busy/idle, per-run
-  /// sample/simulate, batch setup/drain, run-ordered fold and finalize
-  /// phases.
+  /// Cycle-level phase profiler (obs/prof.h), the harness's one
+  /// instrumentation point: it charges the offline analyze/apply, sampler
+  /// compile, pool claim/busy/idle, per-run sample/simulate, batch
+  /// setup/drain, run-ordered fold and finalize phases. A tracer attached
+  /// to the profiler turns the same charges into Perfetto spans (one per
+  /// batched engine call named by its scheme), and the profiler's
+  /// progress() view counts this call's pool chunks.
   /// Null = every ProfScope is a single pointer test. Strictly write-only
   /// like the rest of this block: output is bit-identical with profiling
-  /// on or off (prof_identity suite).
+  /// and tracing on or off (prof_identity suite).
   Profiler* prof = nullptr;
   /// Self-auditing observability: every run is re-accounted three ways and
   /// the books must agree — (1) the engine asserts the attribution

@@ -185,9 +185,11 @@ void write_sweep_json(std::ostream& os, const std::vector<SweepPoint>& points,
   for (std::size_t p = 0; p < points.size(); ++p) {
     const SweepPoint& pt = points[p];
     if (p) os << ",";
-    os << "{\"" << escape(opt.x_name) << "\":" << num(pt.x)
-       << ",\"deadline_ms\":" << num(pt.deadline.ms())
-       << ",\"worst_makespan_ms\":" << num(pt.worst_makespan.ms()) << ",";
+    // A deadline sweep's x is the deadline itself: one key, not two.
+    os << "{\"" << escape(opt.x_name) << "\":" << num(pt.x);
+    if (opt.x_name != "deadline_ms")
+      os << ",\"deadline_ms\":" << num(pt.deadline.ms());
+    os << ",\"worst_makespan_ms\":" << num(pt.worst_makespan.ms()) << ",";
     write_stat(os, "npm_energy_joules", pt.npm_energy);
     os << ",\"schemes\":{";
     for (std::size_t s = 0; s < pt.stats.size(); ++s) {

@@ -12,7 +12,6 @@
 #include "common/error.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
 
 namespace paserta {
 
@@ -34,16 +33,27 @@ std::int64_t now_ns() {
       .count();
 }
 
-/// Accounts one completed chunk into every non-null telemetry sink.
-void record_chunk(const PoolTelemetry& tel, int slot, std::int64_t body_ns) {
+/// Accounts one completed chunk, whose body ran over [t0, t1), into every
+/// non-null telemetry sink.
+void record_chunk(const PoolTelemetry& tel, int slot, std::int64_t t0,
+                  std::int64_t t1) {
+  const std::int64_t body_ns = t1 - t0;
   if (tel.chunks) tel.chunks->add(slot);
   if (tel.busy_ns) tel.busy_ns->add(slot, static_cast<std::uint64_t>(body_ns));
   if (tel.chunk_seconds)
     tel.chunk_seconds->record(slot, static_cast<double>(body_ns) * 1e-9);
-  if (tel.prof != nullptr && tel.ph_busy >= 0)
-    tel.prof->add_ns(tel.ph_busy, slot,
-                     static_cast<std::uint64_t>(body_ns));
-  if (tel.progress) tel.progress->add_done(1);
+  if (tel.prof != nullptr) tel.prof->charge(tel.ph_busy, slot, t0, t1);
+}
+
+/// Accounts the stretch [from, until) of `slot` spent outside bodies:
+/// idle time for the registry, `phase` (claim or idle) for the profiler.
+/// Empty stretches are not charged.
+void record_gap(const PoolTelemetry& tel, int phase, int slot,
+                std::int64_t from, std::int64_t until) {
+  if (until <= from) return;
+  if (tel.idle_ns)
+    tel.idle_ns->add(slot, static_cast<std::uint64_t>(until - from));
+  if (tel.prof != nullptr) tel.prof->charge(phase, slot, from, until);
 }
 
 }  // namespace
@@ -109,63 +119,49 @@ struct WorkerPool::Impl {
 
   /// Same claim loop as run_chunks plus per-chunk timing: time inside the
   /// body is busy, everything else between entering and leaving the loop
-  /// (claims, the final failed claim) is idle. With a phase profiler in
-  /// the telemetry, the same stretches additionally land in its
-  /// claim/busy/idle phases — the claim split (counter contention vs
-  /// genuine waiting) exists only there, paid for by one extra clock read
-  /// per claim.
+  /// (claims, the final failed claim) is idle. One time mark splits the
+  /// loop into stretches, and each is charged once to the registry
+  /// counters and the profiler alike. With a profiler the stretch up to
+  /// each claim is its own pool.claim stretch (counter contention vs
+  /// genuine waiting), paid for by one extra clock read per claim.
   void run_chunks_instrumented(Job& job_ref, int slot) {
     const PoolTelemetry& tel = *job_ref.telemetry;
-    const bool prof = tel.prof != nullptr;
-    std::int64_t mark = now_ns();  // start of the current idle stretch
-    std::int64_t prof_mark = mark;  // start of the uncharged profile stretch
-    const auto account_idle = [&](std::int64_t until) {
-      if (tel.idle_ns && until > mark)
-        tel.idle_ns->add(slot, static_cast<std::uint64_t>(until - mark));
-      if (prof && tel.ph_idle >= 0 && until > prof_mark) {
-        tel.prof->add_ns(tel.ph_idle, slot,
-                         static_cast<std::uint64_t>(until - prof_mark));
-        prof_mark = until;
-      }
+    std::int64_t mark = now_ns();  // end of the last charged stretch
+    const auto gap = [&](int phase, std::int64_t until) {
+      record_gap(tel, phase, slot, mark, until);
+      mark = until;
     };
     for (;;) {
       const std::int64_t c0 = job_ref.next_chunk.fetch_add(
           job_ref.claim_batch, std::memory_order_relaxed);
-      if (prof && tel.ph_claim >= 0) {
-        const std::int64_t t_claim = now_ns();
-        if (t_claim > prof_mark)
-          tel.prof->add_ns(tel.ph_claim, slot,
-                           static_cast<std::uint64_t>(t_claim - prof_mark));
-        prof_mark = t_claim;
-      }
+      if (tel.prof != nullptr) gap(tel.ph_claim, now_ns());
       if (c0 >= job_ref.chunks) break;
       const std::int64_t c1 =
           std::min<std::int64_t>(job_ref.chunks, c0 + job_ref.claim_batch);
       for (std::int64_t c = c0; c < c1; ++c) {
         if (job_ref.abort.load(std::memory_order_relaxed)) {
-          account_idle(now_ns());
+          gap(tel.ph_idle, now_ns());
           return;
         }
         const std::int64_t t0 = now_ns();
-        account_idle(t0);
+        gap(tel.ph_idle, t0);
         t_inside_body = true;
         try {
           (*job_ref.body)(static_cast<int>(c), slot);
           t_inside_body = false;
         } catch (...) {
           t_inside_body = false;
-          record_chunk(tel, slot, now_ns() - t0);
+          record_chunk(tel, slot, t0, now_ns());
           std::lock_guard<std::mutex> lock(m);
           if (!job_ref.error) job_ref.error = std::current_exception();
           job_ref.abort.store(true, std::memory_order_relaxed);
           return;
         }
         mark = now_ns();
-        prof_mark = mark;  // body time reaches the profiler via record_chunk
-        record_chunk(tel, slot, mark - t0);
+        record_chunk(tel, slot, t0, mark);
       }
     }
-    account_idle(now_ns());
+    gap(tel.ph_idle, now_ns());
   }
 
   void worker_main() {
@@ -255,10 +251,7 @@ void WorkerPool::parallel_chunks(
 
   impl_->run_chunks(job, 0);  // the caller is participant slot 0
 
-  const bool time_wait =
-      telemetry != nullptr &&
-      (telemetry->idle_ns != nullptr || telemetry->prof != nullptr);
-  const std::int64_t wait_start = time_wait ? now_ns() : 0;
+  const std::int64_t wait_start = telemetry != nullptr ? now_ns() : 0;
   {
     // All chunks have been handed out (or the job aborted), so any late
     // worker runs zero body calls; wait for in-flight participants only.
@@ -266,13 +259,9 @@ void WorkerPool::parallel_chunks(
     impl_->done.wait(lock, [&] { return job.active == 0; });
     impl_->job = nullptr;
   }
-  if (time_wait) {
-    // The caller's wait for helpers to drain is slot 0 idle time.
-    const auto wait_ns = static_cast<std::uint64_t>(now_ns() - wait_start);
-    if (telemetry->idle_ns) telemetry->idle_ns->add(0, wait_ns);
-    if (telemetry->prof != nullptr && telemetry->ph_idle >= 0)
-      telemetry->prof->add_ns(telemetry->ph_idle, 0, wait_ns);
-  }
+  // The caller's wait for helpers to drain is slot 0 idle time.
+  if (telemetry != nullptr)
+    record_gap(*telemetry, telemetry->ph_idle, 0, wait_start, now_ns());
   if (job.error) std::rethrow_exception(job.error);
 }
 
@@ -290,26 +279,18 @@ void WorkerPool::serial_chunks(
       // bodies is busy, everything else in the loop (the serial stand-in
       // for claims, including the trailing exit) is idle, so per-slot
       // busy/idle fractions compare 1:1 between the serial and pooled
-      // modes.
+      // modes. Serial mode has no claim counter, so the whole between-body
+      // stretch is the profiler's idle phase.
       const PoolTelemetry& tel = *telemetry;
       std::int64_t mark = now_ns();
-      const auto account_idle = [&](std::int64_t until) {
-        if (tel.idle_ns && until > mark)
-          tel.idle_ns->add(0, static_cast<std::uint64_t>(until - mark));
-        // Serial mode has no claim counter: the whole between-body stretch
-        // is the profiler's idle phase, like the untimed claim stand-in.
-        if (tel.prof != nullptr && tel.ph_idle >= 0 && until > mark)
-          tel.prof->add_ns(tel.ph_idle, 0,
-                           static_cast<std::uint64_t>(until - mark));
-      };
       for (int c = 0; c < chunk_count; ++c) {
         const std::int64_t t0 = now_ns();
-        account_idle(t0);
+        record_gap(tel, tel.ph_idle, 0, mark, t0);
         body(c, 0);
         mark = now_ns();
-        record_chunk(tel, 0, mark - t0);
+        record_chunk(tel, 0, t0, mark);
       }
-      account_idle(now_ns());
+      record_gap(tel, tel.ph_idle, 0, mark, now_ns());
     }
   } catch (...) {
     t_inside_body = was_inside;

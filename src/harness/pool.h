@@ -64,9 +64,9 @@ class WorkerPool {
   /// When `telemetry` is non-null the pool records, per participant slot:
   /// completed chunks, per-chunk wall latency, time inside bodies (busy)
   /// and time spent claiming/waiting (idle; the caller's wait for helpers
-  /// to drain counts into slot 0), and ticks the progress reporter once
-  /// per chunk. Null telemetry leaves the claim loop untimed — not even a
-  /// clock read.
+  /// to drain counts into slot 0), and charges the same stretches to the
+  /// profiler's claim/busy/idle phases. Null telemetry leaves the claim
+  /// loop untimed — not even a clock read.
   void parallel_chunks(int chunk_count, int max_workers,
                        const std::function<void(int chunk, int slot)>& body,
                        const PoolTelemetry* telemetry = nullptr,

@@ -30,10 +30,6 @@ void write_args(JsonWriter& w, const TraceEvent& ev) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
-  write_chrome_trace(os, tracer, nullptr);
-}
-
 void write_chrome_trace(std::ostream& os, const Tracer& tracer,
                         const Profiler* prof) {
   const std::vector<TraceEvent> events = tracer.events();
@@ -58,21 +54,18 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer,
   for (const TraceEvent& ev : events) {
     os << "\n";
     w.begin_object()
-        .key("name").value(ev.name).key("cat").value("paserta")
-        .key("ph").value(ev.dur_ns < 0 ? "i" : "X")
+        .key("name").value(ev.name).key("cat").value(ev.cat)
+        .key("ph").value("X")
         .key("pid").value(1).key("tid").value(ev.slot)
-        .key("ts").raw(us(ev.ts_ns));
-    if (ev.dur_ns >= 0)
-      w.key("dur").raw(us(ev.dur_ns));
-    else
-      w.key("s").value("t");  // instant scope: thread
+        .key("ts").raw(us(ev.ts_ns))
+        .key("dur").raw(us(ev.dur_ns));
     write_args(w, ev);
     w.end_object();
   }
   // Profiler counter tracks: cumulative per-slot cycle / instruction /
   // busy-ns samples as "C" events, rebased onto the tracer's timeline.
-  // Samples recorded before the tracer existed would land at negative
-  // timestamps (profiler outliving several tracers); they are dropped.
+  // Samples older than the tracer (a profiler paired with another tracer)
+  // would land at negative timestamps; they are dropped.
   if (prof != nullptr) {
     const std::int64_t epoch = tracer.epoch_ns();
     for (const ProfSample& s : prof->samples()) {

@@ -8,8 +8,8 @@
 // The write path is therefore single-writer per shard: a relaxed atomic
 // store of (relaxed load + n) compiles to a plain increment — no
 // read-modify-write instruction, no contention — while staying TSan-clean
-// when another thread snapshots the metric mid-loop (live progress
-// displays). Aggregation happens only at read time, by summing shards in
+// when another thread snapshots the metric mid-loop (live /metrics
+// scrapes). Aggregation happens only at read time, by summing shards in
 // slot order.
 //
 // Determinism. Metrics are write-only for the simulation: nothing feeds
@@ -201,8 +201,7 @@ struct SimCounters {
   void add(const SimCounters& o);
 };
 
-class ProgressReporter;  // obs/progress.h
-class Profiler;          // obs/prof.h
+class Profiler;  // obs/prof.h
 
 /// Telemetry sinks for WorkerPool::parallel_chunks / serial_chunks. Every
 /// pointer may be null (that sink is skipped); a null struct pointer
@@ -212,11 +211,10 @@ struct PoolTelemetry {
   Histogram* chunk_seconds = nullptr; // per-chunk wall latency
   Counter* busy_ns = nullptr;         // time inside bodies, per slot
   Counter* idle_ns = nullptr;         // claim/wait time outside bodies
-  ProgressReporter* progress = nullptr;  // one tick per completed chunk
-  /// Phase profiler (obs/prof.h): when set, the pool charges body time to
-  /// ph_busy, counter-claim time to ph_claim and the rest of the claim
-  /// loop to ph_idle via Profiler::add_ns — no extra clock reads beyond
-  /// the one the claim split needs, and none at all when null.
+  /// Phase profiler (obs/prof.h): when set, the pool charges each body
+  /// stretch to ph_busy, each counter-claim stretch to ph_claim and the
+  /// rest of the claim loop to ph_idle (all three ids set) — the stretches
+  /// the counters above get, plus one clock read per claim for the split.
   Profiler* prof = nullptr;
   int ph_claim = -1;
   int ph_busy = -1;

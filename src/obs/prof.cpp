@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "obs/trace.h"
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -139,28 +140,35 @@ bool perf_available() { return false; }
 
 }  // namespace
 
-Profiler::Profiler(Mode mode)
-    : cells_(static_cast<std::size_t>(kMaxPhases) * kSlots) {
+Profiler::Profiler(Mode mode, Tracer* tracer)
+    : tracer_(tracer), cells_(static_cast<std::size_t>(kMaxPhases) * kSlots) {
   hardware_ = mode == Mode::kAuto && perf_available();
   for (auto& c : cells_)
     for (auto& v : c.v) v.store(0, std::memory_order_relaxed);
   for (auto& s : next_sample_ns_) s.store(0, std::memory_order_relaxed);
-  names_.reserve(kMaxPhases);
-  samples_.reserve(64);
+  if (tracer_ != nullptr) samples_.reserve(64);
 }
 
 int Profiler::phase(const char* name, bool top_level) {
   std::lock_guard<std::mutex> lock(m_);
-  for (std::size_t i = 0; i < names_.size(); ++i)
-    if (names_[i] == name) return static_cast<int>(i);
-  PASERTA_REQUIRE(names_.size() < kMaxPhases,
-                  "profiler phase table full (kMaxPhases = " << kMaxPhases
-                                                             << ")");
-  names_.emplace_back(name);
-  top_level_.push_back(top_level ? 1 : 0);
-  phase_count_.store(static_cast<int>(names_.size()),
-                     std::memory_order_release);
-  return static_cast<int>(names_.size()) - 1;
+  const int n = phase_count_.load(std::memory_order_relaxed);
+  for (int i = 0; i < n; ++i)
+    if (std::strcmp(names_[i], name) == 0) return i;
+  PASERTA_REQUIRE(n < kMaxPhases, "profiler phase table full (kMaxPhases = "
+                                      << kMaxPhases << ")");
+  names_[n] = name;
+  top_level_[n] = top_level;
+  phase_count_.store(n + 1, std::memory_order_release);
+  return n;
+}
+
+void Profiler::charge(int phase, int slot, std::int64_t t0_ns,
+                      std::int64_t t1_ns) {
+  Cell& c = cell(phase, slot);
+  cell_add(c.v[kCount], 1);
+  cell_add(c.v[kNs], t1_ns > t0_ns ? static_cast<std::uint64_t>(t1_ns - t0_ns)
+                                   : 0);
+  trace(phase, slot, t0_ns, t1_ns);
 }
 
 void Profiler::add_ns(int phase, int slot, std::uint64_t ns,
@@ -170,15 +178,36 @@ void Profiler::add_ns(int phase, int slot, std::uint64_t ns,
   cell_add(c.v[kNs], ns);
 }
 
+void Profiler::expect(int phase, std::uint64_t n) {
+  progress_phase_.store(phase, std::memory_order_relaxed);
+  expected_.fetch_add(n, std::memory_order_relaxed);
+}
+
+ProfProgress Profiler::progress() const {
+  ProfProgress p;
+  p.total = expected_.load(std::memory_order_relaxed);
+  const int phase = progress_phase_.load(std::memory_order_relaxed);
+  if (phase < 0) return p;
+  for (int s = 0; s < kSlots; ++s)
+    p.done += cell(phase, s).v[kCount].load(std::memory_order_relaxed);
+  return p;
+}
+
+void Profiler::trace(int phase, int slot, std::int64_t t0, std::int64_t t1,
+                     const char* name, std::int64_t point, std::int64_t run) {
+  if (tracer_ == nullptr) return;
+  tracer_->record(slot, name != nullptr ? name : names_[phase],
+                  t0 - tracer_->epoch_ns(), t1 - t0, point, run,
+                  names_[phase]);
+  maybe_sample(slot, t1);
+}
+
 std::vector<ProfPhaseTotals> Profiler::snapshot() const {
   const int n = phase_count_.load(std::memory_order_acquire);
   std::vector<ProfPhaseTotals> out(static_cast<std::size_t>(n));
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    for (int p = 0; p < n; ++p) {
-      out[p].name = names_[p];
-      out[p].top_level = top_level_[p] != 0;
-    }
+  for (int p = 0; p < n; ++p) {
+    out[p].name = names_[p];
+    out[p].top_level = top_level_[p];
   }
   for (int p = 0; p < n; ++p) {
     std::uint64_t acc[kFields] = {};
@@ -295,7 +324,7 @@ void ProfScope::end() {
     }
   }
 #endif
-  prof_->maybe_sample(slot_, t1);
+  prof_->trace(phase_, slot_, t0_, t1, name_, point_, run_);
 }
 
 }  // namespace paserta

@@ -9,6 +9,13 @@
 // each cell is written by exactly one thread and read with relaxed loads,
 // so the profiler is TSan-clean against concurrent snapshot/export calls.
 //
+// One instrumentation point: instrumented code only charges phases. A
+// Tracer attached at construction records every charge a slot's own
+// thread makes (each ProfScope, each charge()) as one span on that slot's
+// track — same start and duration, category = phase — and counter samples
+// are taken only then. Progress is a view of the same cells: progress()
+// counts the entries of the phase registered with expect().
+//
 // Determinism contract: the profiler is write-only with respect to the
 // simulation. A null Profiler* turns every ProfScope into a no-op (one
 // pointer test, no clock read), and an active profiler only reads clocks
@@ -26,6 +33,7 @@
 // forces the fallback without touching the syscall.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -35,6 +43,8 @@
 #include "obs/metrics.h"
 
 namespace paserta {
+
+class Tracer;  // obs/trace.h
 
 /// One phase's merged totals (all slots summed in fixed slot order, so the
 /// merge is deterministic for any thread count).
@@ -52,6 +62,13 @@ struct ProfPhaseTotals {
   std::uint64_t cache_refs = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t branch_misses = 0;
+};
+
+/// The progress view (Profiler::progress): entries of the expected phase
+/// so far against the registered total, which grows per harness call.
+struct ProfProgress {
+  std::uint64_t done = 0;
+  std::uint64_t total = 0;
 };
 
 /// One rate-limited per-slot counter sample: cumulative totals across all
@@ -72,24 +89,40 @@ class Profiler {
     kFallback,  ///< monotonic clock only (tests, forced comparisons)
   };
 
-  explicit Profiler(Mode mode = Mode::kAuto);
+  /// `tracer` (optional; must outlive the profiler) receives one span per
+  /// charge a slot's own thread makes.
+  explicit Profiler(Mode mode = Mode::kAuto, Tracer* tracer = nullptr);
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
   /// Registers (or finds, by exact name) a phase and returns its id.
   /// Registration order is the snapshot/export order. At most kMaxPhases
-  /// distinct names; thread-safe.
+  /// distinct names; thread-safe. `name` is kept by pointer (it is the
+  /// category of the phase's spans), so pass a string literal.
   int phase(const char* name, bool top_level = false);
 
   /// True when scopes read live hardware counters (the process-wide probe
   /// succeeded and the profiler was constructed in kAuto mode).
   bool hardware() const { return hardware_; }
 
-  /// Charges pre-measured wall time to (phase, slot) without reading any
-  /// clock here — for callers that already timed the region (pool
-  /// busy/idle accounting). Counts `count` scope entries.
+  /// Charges [t0_ns, t1_ns) (absolute steady-clock ns) of `slot` to
+  /// `phase` as one entry, span included, like a ProfScope: for callers
+  /// that already read the clock (the pool). Slot's own thread only.
+  void charge(int phase, int slot, std::int64_t t0_ns, std::int64_t t1_ns);
+
+  /// Charges pre-measured wall time as `count` entries, without a span —
+  /// for regions timed off the slot's thread (serve.parse on connection
+  /// threads, serialized by the caller).
   void add_ns(int phase, int slot, std::uint64_t ns, std::uint64_t count = 1);
+
+  /// Registers `n` more expected entries of `phase` (one phase per
+  /// profiler) for progress().
+  void expect(int phase, std::uint64_t n);
+
+  /// The progress view. Relaxed loads only: callable from any thread
+  /// while charges land.
+  ProfProgress progress() const;
 
   /// Merged per-phase totals, in registration order, slots summed in slot
   /// order. Safe to call while scopes are active on other threads (their
@@ -103,7 +136,8 @@ class Profiler {
   void export_delta_to(MetricsRegistry& reg);
 
   /// Rate-limited per-slot counter samples recorded so far (for the
-  /// chrome-trace counter tracks). Bounded at kMaxSamples.
+  /// chrome-trace counter tracks; taken only with a tracer attached).
+  /// Bounded at kMaxSamples.
   std::vector<ProfSample> samples() const;
 
   static constexpr int kMaxPhases = 32;
@@ -142,14 +176,24 @@ class Profiler {
     return cells_[static_cast<std::size_t>(phase) * kSlots + slot];
   }
 
+  /// Records the span of a charge of [t0, t1) and takes a counter sample
+  /// when a tracer is attached. `name` null = the phase name.
+  void trace(int phase, int slot, std::int64_t t0, std::int64_t t1,
+             const char* name = nullptr, std::int64_t point = -1,
+             std::int64_t run = -1);
   void maybe_sample(int slot, std::int64_t now);
 
   bool hardware_ = false;
+  Tracer* const tracer_;
   std::vector<Cell> cells_;  // kMaxPhases * kSlots, preallocated
-  mutable std::mutex m_;     // phase table, samples, export bookkeeping
-  std::vector<std::string> names_;
-  std::vector<std::uint8_t> top_level_;
+  mutable std::mutex m_;     // phase registration, samples, export
+  // Phase table: entries below phase_count_ are written once, under m_,
+  // before their id is handed out.
+  std::array<const char*, kMaxPhases> names_{};
+  std::array<bool, kMaxPhases> top_level_{};
   std::atomic<int> phase_count_{0};
+  std::atomic<int> progress_phase_{-1};
+  std::atomic<std::uint64_t> expected_{0};
   std::vector<ProfSample> samples_;
   std::atomic<std::int64_t> next_sample_ns_[kSlots] = {};
   std::vector<std::uint64_t> exported_;  // last-export totals, phase-major
@@ -161,6 +205,14 @@ class Profiler {
 class ProfScope {
  public:
   ProfScope(Profiler* prof, int phase, int slot) : prof_(prof) {
+    if (prof_ != nullptr) begin(phase, slot);
+  }
+  /// Same region, but its span is named `name` (a literal) and carries the
+  /// point and run args; the category stays the phase. The per-engine-call
+  /// scope names its span by scheme this way.
+  ProfScope(Profiler* prof, int phase, int slot, const char* name,
+            std::int64_t point, std::int64_t run)
+      : prof_(prof), name_(name), point_(point), run_(run) {
     if (prof_ != nullptr) begin(phase, slot);
   }
   ~ProfScope() {
@@ -175,6 +227,9 @@ class ProfScope {
   void end();
 
   Profiler* prof_;
+  const char* name_ = nullptr;  // span name; null = the phase name
+  std::int64_t point_ = -1;
+  std::int64_t run_ = -1;
   int phase_ = 0;
   int slot_ = 0;
   std::int64_t t0_ = 0;

@@ -4,8 +4,7 @@
 
 namespace paserta {
 
-Tracer::Tracer(Detail detail)
-    : detail_(detail), epoch_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 
 std::int64_t Tracer::now_ns() const {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -15,24 +14,15 @@ std::int64_t Tracer::now_ns() const {
 
 void Tracer::record(int slot, const char* name, std::int64_t ts_ns,
                     std::int64_t dur_ns, std::int64_t point,
-                    std::int64_t run) {
+                    std::int64_t run, const char* cat) {
   TraceEvent ev;
   ev.name = name;
+  ev.cat = cat != nullptr ? cat : name;
   ev.slot = slot;
   ev.ts_ns = ts_ns;
   ev.dur_ns = dur_ns < 0 ? 0 : dur_ns;
   ev.point = point;
   ev.run = run;
-  shards_[static_cast<std::size_t>(slot)].events.push_back(ev);
-}
-
-void Tracer::instant(int slot, const char* name, std::int64_t point) {
-  TraceEvent ev;
-  ev.name = name;
-  ev.slot = slot;
-  ev.ts_ns = now_ns();
-  ev.dur_ns = -1;
-  ev.point = point;
   shards_[static_cast<std::size_t>(slot)].events.push_back(ev);
 }
 

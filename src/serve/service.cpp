@@ -71,7 +71,8 @@ std::shared_future<std::string> ready_future(std::string response) {
 
 }  // namespace
 
-SimService::SimService(ServeSettings settings) : settings_(settings) {
+SimService::SimService(ServeSettings settings)
+    : settings_(settings), prof_(Profiler::Mode::kAuto, settings_.tracer) {
   if (settings_.registry != nullptr) {
     registry_ = settings_.registry;
   } else {
@@ -116,9 +117,17 @@ std::string SimService::healthz_json() {
 }
 
 SimService::LiveProgress SimService::live_progress() {
+  ProfProgress base;
+  {
+    std::lock_guard<std::mutex> lk(m_);
+    base = batch_base_;
+  }
+  // Read after the base: the view only grows, so the difference is the
+  // batch's own chunks.
+  const ProfProgress now = prof_.progress();
   LiveProgress lp;
-  lp.done = static_cast<std::uint64_t>(progress_.done());
-  lp.total = static_cast<std::uint64_t>(progress_.total());
+  lp.done = now.done - base.done;
+  lp.total = now.total - base.total;
   lp.phase = phase_.load(std::memory_order_relaxed);
   for (const ProfPhaseTotals& t : prof_.snapshot()) {
     lp.cycles += t.cycles;
@@ -240,6 +249,7 @@ void SimService::dispatcher_main() {
         continue;
       }
       batch.swap(queue_);
+      batch_base_ = prof_.progress();
       depth_.store(0, std::memory_order_relaxed);
       registry_->gauge("serve.queue_depth").set(0, 0.0);
     }
@@ -265,8 +275,6 @@ void SimService::finish_job(Job& job, const std::string& response) {
 }
 
 void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
-  TraceSpan batch_span(settings_.tracer, 0, "serve.batch", /*point=*/-1,
-                       static_cast<std::int64_t>(batch.size()));
   registry_->counter("serve.batches").add(0, 1);
 
   // Group jobs by semantic key, preserving first-seen order. The
@@ -309,16 +317,13 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
                                                         last_interned_);
   last_interned_ = store_.misses();
 
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    Group& g = groups[gi];
+  for (Group& g : groups) {
     if (g.jobs.size() > 1) {
       registry_->counter("serve.coalesced")
           .add(0, static_cast<std::uint64_t>(g.jobs.size() - 1));
     }
-    TraceSpan group_span(settings_.tracer, 0, "serve.group",
-                         static_cast<std::int64_t>(gi),
-                         static_cast<std::int64_t>(g.jobs.size()));
     const SimRequest& req = g.jobs.front()->req;
+    std::string error_code;  // empty = the group simulated
     std::string response_error;
     std::string experiment_json;
     double elapsed_ms = 0.0;
@@ -335,9 +340,7 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
       if (!req.schemes.empty()) cfg.schemes = req.schemes;
       cfg.collect_metrics = true;
       cfg.registry = registry_;
-      cfg.tracer = settings_.tracer;
       cfg.prof = &prof_;
-      cfg.progress = &progress_;
 
       SweepPoint point;
       double x = 0.0;
@@ -384,15 +387,24 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
       jopt.caption = "paserta_cli sweep";
       jopt.x_name = x_name;
       experiment_json = sweep_to_json({point}, jopt);
+    } catch (const Error& e) {
+      // The library's user-misuse type: a request the model cannot run
+      // (e.g. a load whose deadline leaves SimTime's range).
+      error_code = "bad_request";
+      response_error = e.what();
     } catch (const std::exception& e) {
+      error_code = "internal";
       response_error = e.what();
     }
 
     ProfScope respond_scope(&prof_, ph_respond_, 0);
     for (Job* job : g.jobs) {
-      if (!response_error.empty()) {
-        registry_->counter("serve.errors").add(0, 1);
-        finish_job(*job, render_error(job->req.id_json, "internal",
+      if (!error_code.empty()) {
+        registry_
+            ->counter(error_code == "internal" ? "serve.errors"
+                                               : "serve.bad_requests")
+            .add(0, 1);
+        finish_job(*job, render_error(job->req.id_json, error_code,
                                       response_error));
       } else {
         registry_->counter("serve.responses").add(0, 1);

@@ -41,7 +41,6 @@
 #include "core/offline.h"
 #include "harness/experiment.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
 #include "serve/graph_store.h"
 #include "serve/protocol.h"
 
@@ -59,9 +58,10 @@ struct ServeSettings {
   ServeLimits limits;
   /// Metrics sink; null = a service-owned scoped registry.
   MetricsRegistry* registry = nullptr;
-  /// Optional span tracer: per-request "serve.request" spans (span id =
-  /// the request sequence number, in the run arg) plus batch/group spans,
-  /// all on slot 0 (the dispatcher's track).
+  /// Optional span tracer, attached to the service's profiler: one span
+  /// per phase charge (serve.* on slot 0, the dispatcher's track), plus a
+  /// "serve.request" span per request from submit to response (run arg =
+  /// the request sequence number).
   Tracer* tracer = nullptr;
 };
 
@@ -90,11 +90,11 @@ class SimService {
   };
   Submission submit_line(const std::string& line);
 
-  /// Live dispatcher state for streamed progress lines: cumulative pool
-  /// chunks done/total over the service lifetime, the phase the
-  /// dispatcher is in, and the profiler's cycle/instruction totals (0 on
-  /// the fallback clock). Lock-free w.r.t. the dispatcher (atomics plus a
-  /// profiler snapshot); callable from any thread.
+  /// Live dispatcher state for streamed progress lines: pool chunks
+  /// done/total of the batch the dispatcher started last (the profiler's
+  /// progress view minus its value at that start), the dispatcher's phase
+  /// and the profiler's cycle/instruction totals (0 on the fallback
+  /// clock). Never waits on the dispatcher's work; any thread.
   struct LiveProgress {
     std::uint64_t done = 0;
     std::uint64_t total = 0;
@@ -161,19 +161,20 @@ class SimService {
 
   // Lock-free observability mirrors (healthz / live progress): depth_
   // shadows queue_.size() (stored under m_, read without it), phase_ is
-  // the dispatcher's current stage, progress_ counts pool chunks (its
-  // callback is a no-op; the atomic done/total accessors are the point).
+  // the dispatcher's current stage.
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   std::atomic<std::size_t> depth_{0};
   std::atomic<const char*> phase_{"idle"};
-  ProgressReporter progress_{[](const ProgressSnapshot&) {}};
 
-  // Phase profiler (DESIGN.md §17). serve.parse is charged by connection
-  // threads but only inside submit_line's m_-held section (serialized
-  // writers, wall-clock only); the other serve.* phases and everything
-  // the harness charges run on the dispatcher / pool slots.
+  // Phase profiler (DESIGN.md §17), with settings_.tracer attached.
+  // serve.parse is charged by connection threads but only inside
+  // submit_line's m_-held section (serialized writers, wall-clock only,
+  // no span); the other serve.* phases and everything the harness charges
+  // run on the dispatcher / pool slots. batch_base_ is the progress view
+  // when the current batch started (guarded by m_).
   Profiler prof_;
+  ProfProgress batch_base_;
   int ph_parse_ = -1;
   int ph_intern_ = -1;
   int ph_group_ = -1;

@@ -250,9 +250,9 @@ TEST(BatchEngine, RunPointMatchesScalarAcrossBatchSizes) {
   }
 }
 
-// verify_traces and a kRuns tracer run on the batched engine like every
-// other configuration: the independent verifier and the per-call spans
-// observe the engine production runs, not a scalar stand-in.
+// verify_traces and an attached tracer run on the batched engine like
+// every other configuration: the independent verifier and the per-call
+// spans observe the engine production runs, not a scalar stand-in.
 TEST(BatchEngine, VerifyAndRunTracingRunOnBatchedEngine) {
   const Application app = random_app(5);
   ExperimentConfig cfg;
@@ -279,10 +279,9 @@ TEST(BatchEngine, VerifyAndRunTracingRunOnBatchedEngine) {
   for (const SchemeStats& st : verified.stats)
     EXPECT_EQ(st.verify_failures, 0u) << to_string(st.scheme);
 
-  Profiler trace_prof(Profiler::Mode::kFallback);
-  Tracer tracer(Tracer::Detail::kRuns);
+  Tracer tracer;
+  Profiler trace_prof(Profiler::Mode::kFallback, &tracer);
   ExperimentConfig tcfg = cfg;
-  tcfg.tracer = &tracer;
   tcfg.prof = &trace_prof;
   const SweepPoint traced = run_point(app, tcfg, deadline, 0.5);
   EXPECT_GT(drain_calls(trace_prof), 0u);

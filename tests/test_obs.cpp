@@ -1,7 +1,7 @@
 // Tests for the observability subsystem (src/obs/): sharded metrics,
-// span tracing with Chrome export, progress reporting, the pool telemetry
-// hooks — and the determinism contract: enabling any of it must not change
-// a single output bit of the experiment harness.
+// span tracing with Chrome export, the pool telemetry hooks and the
+// profiler's progress view — and the determinism contract: enabling any
+// of it must not change a single output bit of the experiment harness.
 //
 // The concurrency tests double as the TSan target (ctest -L pool_smoke
 // under -DPASERTA_SANITIZE=thread): single-writer shard increments racing
@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cmath>
@@ -30,7 +30,7 @@
 #include "harness/report.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
@@ -377,53 +377,81 @@ TEST(Tracer, SpansMergeSortedAcrossSlots) {
   tracer.record(1, "late", 200, 10);
   tracer.record(0, "outer", 100, 500, /*point=*/2);
   tracer.record(0, "inner", 150, 50, 2, 7);
-  tracer.instant(1, "mark", 3);
 
   const std::vector<TraceEvent> events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  ASSERT_EQ(tracer.event_count(), 4u);
+  ASSERT_EQ(events.size(), 3u);
+  ASSERT_EQ(tracer.event_count(), 3u);
   EXPECT_STREQ(events[0].name, "outer");   // earliest ts first
   EXPECT_STREQ(events[1].name, "inner");
   EXPECT_STREQ(events[2].name, "late");
   EXPECT_EQ(events[0].point, 2);
   EXPECT_EQ(events[1].run, 7);
-  // The instant records "now", which is far later than the fixed stamps.
-  EXPECT_STREQ(events[3].name, "mark");
-  EXPECT_LT(events[3].dur_ns, 0);
 }
 
 TEST(Tracer, NullTracerSpanIsNoOp) {
-  // Must not crash or record anything; call sites stay unconditional.
-  TraceSpan span(nullptr, 0, "nothing");
+  // Without a tracer a scope charges its cell and nothing else: no span,
+  // no counter sample.
+  Profiler prof(Profiler::Mode::kFallback);
+  const int p = prof.phase("region");
+  for (int i = 0; i < 3; ++i) ProfScope scope(&prof, p, 0);
+  prof.charge(p, 1, 100, 250);
+  EXPECT_EQ(prof.snapshot()[0].count, 4u);
+  EXPECT_TRUE(prof.samples().empty());
 }
 
 TEST(Tracer, RaiiSpanMeasuresNonNegativeDuration) {
+  // A ProfScope on a profiler with a tracer attached records one span
+  // per charge, on the charging slot's track, with exactly the charged
+  // duration: category = phase, name = the phase or the scope's own name.
   Tracer tracer;
+  Profiler prof(Profiler::Mode::kFallback, &tracer);
+  const int sim = prof.phase("harness.simulate");
+  const int parse = prof.phase("serve.parse", /*top_level=*/true);
   {
-    TraceSpan span(&tracer, 0, "scope", 1, 2);
+    ProfScope scope(&prof, sim, 3, "GSS", /*point=*/1, /*run=*/2);
   }
-  const auto events = tracer.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_STREQ(events[0].name, "scope");
-  EXPECT_GE(events[0].dur_ns, 0);
+  {
+    ProfScope scope(&prof, sim, 0);
+  }
+  prof.add_ns(parse, 0, 500);  // timed off-slot: charged, never spanned
+
+  std::vector<TraceEvent> events = tracer.events();
+  ASSERT_EQ(events.size(), 2u);
+  if (events[0].slot != 3) std::swap(events[0], events[1]);
+  EXPECT_STREQ(events[0].name, "GSS");
+  EXPECT_STREQ(events[0].cat, "harness.simulate");
+  EXPECT_EQ(events[0].slot, 3);
   EXPECT_EQ(events[0].point, 1);
   EXPECT_EQ(events[0].run, 2);
+  EXPECT_STREQ(events[1].name, "harness.simulate");
+  EXPECT_STREQ(events[1].cat, "harness.simulate");
+  EXPECT_EQ(events[1].slot, 0);
+  EXPECT_EQ(events[1].point, -1);
+  EXPECT_EQ(events[1].run, -1);
+  std::uint64_t span_ns = 0;
+  for (const TraceEvent& ev : events) {
+    EXPECT_GE(ev.dur_ns, 0);
+    EXPECT_GE(ev.ts_ns, 0);  // on the tracer's timeline
+    span_ns += static_cast<std::uint64_t>(ev.dur_ns);
+  }
+  EXPECT_EQ(prof.snapshot()[sim].ns, span_ns);
+  EXPECT_EQ(prof.snapshot()[parse].count, 1u);
+  EXPECT_FALSE(prof.samples().empty());  // sampled while traced
 }
 
 TEST(ChromeTrace, ExportParsesAndCarriesEvents) {
   Tracer tracer;
   tracer.record(0, "sweep", 1000, 2'000'000, 0);
   tracer.record(1, "chunk", 1500, 500'000, 0, 16);
-  tracer.instant(1, "note", 0);
 
   const JsonValue doc = json_parse(chrome_trace_to_json(tracer));
   ASSERT_TRUE(doc.is_object());
   const JsonValue& events = doc.at("traceEvents");
   ASSERT_TRUE(events.is_array());
-  // 2 thread_name metadata (slots 0 and 1) + 3 events.
-  ASSERT_EQ(events.array.size(), 5u);
+  // 2 thread_name metadata (slots 0 and 1) + 2 events.
+  ASSERT_EQ(events.array.size(), 4u);
 
-  int meta = 0, complete = 0, instant = 0;
+  int meta = 0, complete = 0;
   for (const JsonValue& ev : events.array) {
     const std::string ph = ev.at("ph").str;
     if (ph == "M") {
@@ -432,15 +460,11 @@ TEST(ChromeTrace, ExportParsesAndCarriesEvents) {
     } else if (ph == "X") {
       ++complete;
       EXPECT_TRUE(ev.find("dur") != nullptr);
-    } else if (ph == "i") {
-      ++instant;
-      EXPECT_EQ(ev.at("s").str, "t");
     }
     EXPECT_DOUBLE_EQ(ev.at("pid").number, 1.0);
   }
   EXPECT_EQ(meta, 2);
   EXPECT_EQ(complete, 2);
-  EXPECT_EQ(instant, 1);
 
   // ts/dur are microseconds: the 2 ms span must export as dur 2000.
   for (const JsonValue& ev : events.array) {
@@ -454,58 +478,6 @@ TEST(ChromeTrace, ExportParsesAndCarriesEvents) {
   }
 }
 
-// ------------------------------------------------------------- progress
-
-TEST(Progress, TicksAndFinishesOnce) {
-  std::vector<ProgressSnapshot> snaps;
-  ProgressReporter rep([&](const ProgressSnapshot& s) { snaps.push_back(s); },
-                       std::chrono::milliseconds(0));
-  rep.add_total(8);
-  for (int i = 0; i < 8; ++i) rep.add_done();
-  EXPECT_EQ(rep.done(), 8);
-  EXPECT_EQ(rep.total(), 8);
-  ASSERT_FALSE(snaps.empty());
-  EXPECT_FALSE(snaps.back().finished);
-
-  rep.finish();
-  rep.finish();  // idempotent
-  ASSERT_FALSE(snaps.empty());
-  EXPECT_TRUE(snaps.back().finished);
-  EXPECT_EQ(snaps.back().done, 8);
-  const auto finished =
-      std::count_if(snaps.begin(), snaps.end(),
-                    [](const ProgressSnapshot& s) { return s.finished; });
-  EXPECT_EQ(finished, 1);
-}
-
-TEST(Progress, RateLimitSuppressesIntermediateEmits) {
-  std::vector<ProgressSnapshot> snaps;
-  ProgressReporter rep([&](const ProgressSnapshot& s) { snaps.push_back(s); },
-                       std::chrono::hours(1));
-  rep.add_total(1000);
-  for (int i = 0; i < 1000; ++i) rep.add_done();
-  // A burst of ticks renders at most once per interval: the first tick
-  // claims the emission slot, everything after sits inside the (huge)
-  // interval.
-  ASSERT_EQ(snaps.size(), 1u);
-  EXPECT_FALSE(snaps[0].finished);
-
-  // finish() force-flushes exactly once, at 100%.
-  rep.finish();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_TRUE(snaps.back().finished);
-  EXPECT_EQ(snaps.back().done, 1000);
-  EXPECT_EQ(snaps.back().total, 1000);
-  rep.finish();  // idempotent: no second flush
-  EXPECT_EQ(snaps.size(), 2u);
-}
-
-TEST(Progress, RejectsNullCallbackAndNegativeTotals) {
-  EXPECT_THROW(ProgressReporter rep(nullptr), Error);
-  ProgressReporter rep([](const ProgressSnapshot&) {});
-  EXPECT_THROW(rep.add_total(-1), Error);
-}
-
 // ------------------------------------------------------- pool telemetry
 
 TEST(PoolTelemetry, CountsChunksBusyAndProgress) {
@@ -516,11 +488,12 @@ TEST(PoolTelemetry, CountsChunksBusyAndProgress) {
   tel.busy_ns = &reg.counter("pool.busy_ns");
   tel.idle_ns = &reg.counter("pool.idle_ns");
   tel.chunk_seconds = &reg.histogram("pool.chunk_seconds", bounds);
-  int ticks = 0;
-  ProgressReporter progress([&](const ProgressSnapshot&) { ++ticks; },
-                            std::chrono::milliseconds(0));
-  tel.progress = &progress;
-  progress.add_total(64);
+  Profiler prof(Profiler::Mode::kFallback);
+  tel.prof = &prof;
+  tel.ph_claim = prof.phase("pool.claim", /*top_level=*/true);
+  tel.ph_busy = prof.phase("pool.busy", /*top_level=*/true);
+  tel.ph_idle = prof.phase("pool.idle", /*top_level=*/true);
+  prof.expect(tel.ph_busy, 64);
 
   WorkerPool pool(3);
   std::atomic<int> executed{0};
@@ -531,8 +504,9 @@ TEST(PoolTelemetry, CountsChunksBusyAndProgress) {
   EXPECT_EQ(tel.chunks->value(), 64u);
   EXPECT_EQ(tel.chunk_seconds->count(), 64u);
   EXPECT_GT(tel.busy_ns->value(), 0u);
-  EXPECT_EQ(progress.done(), 64);
-  EXPECT_GT(ticks, 0);
+  // Progress is the busy phase's entry count against the expected total.
+  EXPECT_EQ(prof.progress().done, 64u);
+  EXPECT_EQ(prof.progress().total, 64u);
 }
 
 TEST(PoolTelemetry, SerialChunksReportsOnSlotZero) {
@@ -586,17 +560,15 @@ TEST(ObsDeterminism, SweepBitIdenticalWithObservabilityOnOrOff) {
       serialize_sweep(sweep_load(app, harness_config(30, 1), loads));
 
   for (int threads : {1, 4}) {
-    // Everything on: metrics into a scoped registry, run-detail tracing,
-    // progress with a counting callback.
+    // Everything on: metrics into a scoped registry, a profiler with a
+    // tracer attached (spans and the progress view come from it).
     MetricsRegistry reg;
-    Tracer tracer(Tracer::Detail::kRuns);
-    ProgressReporter progress([](const ProgressSnapshot&) {},
-                              std::chrono::milliseconds(0));
+    Tracer tracer;
+    Profiler prof(Profiler::Mode::kAuto, &tracer);
     ExperimentConfig cfg = harness_config(30, threads);
     cfg.collect_metrics = true;
     cfg.registry = &reg;
-    cfg.tracer = &tracer;
-    cfg.progress = &progress;
+    cfg.prof = &prof;
 
     const std::vector<SweepPoint> points = sweep_load(app, cfg, loads);
     EXPECT_EQ(serialize_sweep(points), baseline)
@@ -605,8 +577,8 @@ TEST(ObsDeterminism, SweepBitIdenticalWithObservabilityOnOrOff) {
     // The observability itself did fire.
     EXPECT_GT(reg.counter("pool.chunks_completed").value(), 0u);
     EXPECT_GT(tracer.event_count(), 0u);
-    EXPECT_GT(progress.done(), 0);
-    EXPECT_EQ(progress.done(), progress.total());
+    EXPECT_GT(prof.progress().done, 0u);
+    EXPECT_EQ(prof.progress().done, prof.progress().total);
     ASSERT_EQ(points.size(), loads.size());
     for (const SweepPoint& pt : points) EXPECT_TRUE(pt.metrics.enabled());
   }
@@ -690,41 +662,13 @@ TEST(ObsMetrics, ChunkAccountingCoversAllChunks) {
   MetricsRegistry reg;
   cfg.collect_metrics = true;
   cfg.registry = &reg;
-  ProgressReporter progress([](const ProgressSnapshot&) {},
-                            std::chrono::hours(1));
-  cfg.progress = &progress;
+  Profiler prof(Profiler::Mode::kFallback);
+  cfg.prof = &prof;
   (void)run_point(app, cfg, SimTime::from_ms(120), 0.0);
 
   EXPECT_EQ(reg.counter("pool.chunks_completed").value(), 5u);
-  EXPECT_EQ(progress.total(), 5);
-  EXPECT_EQ(progress.done(), 5);
-}
-
-TEST(ObsMetrics, ChunkDetailTracerOmitsPerRunSpans) {
-  const Application app = apps::build_synthetic();
-  ExperimentConfig cfg = harness_config(20, 1);
-  Tracer tracer(Tracer::Detail::kChunks);
-  cfg.tracer = &tracer;
-  (void)run_point(app, cfg, SimTime::from_ms(120), 0.0);
-
-  bool saw_chunk = false;
-  for (const TraceEvent& ev : tracer.events()) {
-    const std::string name = ev.name;
-    saw_chunk = saw_chunk || name == "chunk";
-    EXPECT_NE(name, "GSS");  // per-simulation spans need Detail::kRuns
-    EXPECT_NE(name, "NPM");
-  }
-  EXPECT_TRUE(saw_chunk);
-
-  // At kRuns detail the per-scheme spans appear.
-  Tracer deep(Tracer::Detail::kRuns);
-  ExperimentConfig cfg2 = harness_config(20, 1);
-  cfg2.tracer = &deep;
-  (void)run_point(app, cfg2, SimTime::from_ms(120), 0.0);
-  bool saw_scheme = false;
-  for (const TraceEvent& ev : deep.events())
-    saw_scheme = saw_scheme || std::string(ev.name) == "GSS";
-  EXPECT_TRUE(saw_scheme);
+  EXPECT_EQ(prof.progress().total, 5u);
+  EXPECT_EQ(prof.progress().done, 5u);
 }
 
 // ------------------------------------------------- energy attribution

@@ -3,15 +3,20 @@
 // output bit of a sweep at any thread count, the fallback
 // clock must produce the same phase structure as the hardware path (only
 // the hardware columns go to zero), and the per-(phase, slot) cells must
-// merge deterministically. Carries the prof_identity ctest label, which CI
-// also runs under ThreadSanitizer.
+// merge deterministically. With a tracer attached, the trace is exactly
+// the phase charges, and tracing changes neither the output nor the path
+// a point takes. Carries the prof_identity ctest label, which CI also runs
+// under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/atr.h"
 #include "apps/synthetic.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
@@ -19,6 +24,7 @@
 #include "harness/report.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
+#include "obs/trace.h"
 
 namespace paserta {
 namespace {
@@ -131,7 +137,8 @@ TEST(Profiler, MergeAcrossPoolSlotsIsExact) {
 }
 
 TEST(Profiler, SamplesStayBoundedWithValidSlots) {
-  Profiler prof(Profiler::Mode::kFallback);
+  Tracer tracer;  // samples are taken only while a tracer is attached
+  Profiler prof(Profiler::Mode::kFallback, &tracer);
   const int p = prof.phase("tick");
   for (int i = 0; i < 1000; ++i) ProfScope scope(&prof, p, 0);
   const std::vector<ProfSample> samples = prof.samples();
@@ -244,6 +251,71 @@ TEST(ProfIdentity, FallbackMatchesHardwarePhaseStructure) {
     for (const ProfPhaseTotals& p : hw) cycles += p.cycles;
     EXPECT_GT(cycles, 0u);
   }
+}
+
+TEST(ProfIdentity, SpansAreExactlyThePhaseCharges) {
+  // One instrumentation point: with a tracer attached to the profiler, the
+  // spans of each phase's category number exactly its entry count and
+  // their durations sum exactly to its ns — on one thread and on four —
+  // every span belongs to a phase, every engine call is named by its
+  // scheme, and the sweep output stays the untraced bytes.
+  const Application app = apps::build_synthetic();
+  const std::vector<double> loads = {0.4, 0.8};
+  const std::string baseline =
+      serialize_sweep(sweep_load(app, prof_config(24, 1), loads));
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    Tracer tracer;
+    Profiler prof(Profiler::Mode::kAuto, &tracer);
+    ExperimentConfig cfg = prof_config(24, threads);
+    cfg.prof = &prof;
+    EXPECT_EQ(serialize_sweep(sweep_load(app, cfg, loads)), baseline);
+
+    const std::vector<ProfPhaseTotals> phases = prof.snapshot();
+    std::set<std::string> phase_names;
+    for (const ProfPhaseTotals& p : phases) phase_names.insert(p.name);
+    const std::set<std::string> schemes = {"NPM", "SPM", "GSS",
+                                           "SS1", "SS2", "AS"};
+    std::map<std::string, std::uint64_t> count, ns;
+    for (const TraceEvent& ev : tracer.events()) {
+      const std::string cat = ev.cat;
+      EXPECT_EQ(phase_names.count(cat), 1u) << "span outside a phase: "
+                                            << ev.name;
+      ++count[cat];
+      ns[cat] += static_cast<std::uint64_t>(ev.dur_ns);
+      if (cat == "harness.simulate") {
+        EXPECT_EQ(schemes.count(ev.name), 1u) << ev.name;
+      } else {
+        EXPECT_EQ(std::string(ev.name), cat);
+      }
+    }
+    for (const ProfPhaseTotals& p : phases) {
+      SCOPED_TRACE(p.name);
+      EXPECT_EQ(count[p.name], p.count);
+      EXPECT_EQ(ns[p.name], p.ns);
+    }
+  }
+}
+
+TEST(ProfIdentity, TracedDiscretePointStillDedups) {
+  // Tracing does not select the engine path: an ATR point at alpha = 1
+  // (four distinct scenarios) takes the dedup path traced as untraced,
+  // with the same output.
+  const Application app = apps::build_atr();
+  ExperimentConfig cfg = prof_config(400, 2);
+  const std::vector<SweepPoint> plain = sweep_alpha(app, cfg, 0.5, {1.0});
+  Tracer tracer;
+  Profiler prof(Profiler::Mode::kFallback, &tracer);
+  cfg.prof = &prof;
+  const std::vector<SweepPoint> traced = sweep_alpha(app, cfg, 0.5, {1.0});
+
+  ASSERT_EQ(traced.size(), 1u);
+  EXPECT_TRUE(plain[0].dedup.enabled);
+  EXPECT_TRUE(traced[0].dedup.enabled);
+  EXPECT_GT(traced[0].dedup.hits, 0u);
+  EXPECT_EQ(serialize_sweep(traced), serialize_sweep(plain));
+  EXPECT_GT(tracer.event_count(), 0u);
 }
 
 TEST(ProfIdentity, RegistryExportCarriesPhaseTotals) {

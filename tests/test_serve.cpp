@@ -142,6 +142,20 @@ TEST(ServeProtocol, RejectsInvalidRequests) {
   EXPECT_THROW(
       parse_request("{\"graph\":{\"text\":\"task T 4 2\\n\"}}", small_graph),
       Error);
+  // Messages reach clients verbatim: they name the violated rule, never a
+  // source location of the build.
+  for (const char* line :
+       {"{\"graph\": nope}", "[1,2]", "{\"graph\":\"no-at-prefix\"}",
+        "{\"graph\":\"@atr\",\"seed\":1e30}",
+        "{\"graph\":\"@atr\",\"load\":1.5}"}) {
+    try {
+      parse_request(line, limits);
+      ADD_FAILURE() << "expected Error for " << line;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).find(".cpp:"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ServeProtocol, RendersSingleLineResponses) {
@@ -284,13 +298,20 @@ TEST(ServeService, AsyncGraphAndConfigErrorsAreStructured) {
   EXPECT_EQ(bad_builtin.at("code").str, "bad_request");
   EXPECT_EQ(counter(service, "serve.bad_requests"), 2u);
   // A load inside (0, 1] whose deadline W / load leaves SimTime's range
-  // fails by name instead of reaching the simulation as garbage.
+  // fails by name instead of reaching the simulation as garbage — and it
+  // is the request's fault, not the server's.
   const JsonValue tiny_load = json_parse(
       service.submit("{\"graph\":\"@atr\",\"load\":1e-300}").get());
   EXPECT_EQ(tiny_load.at("type").str, "error");
+  EXPECT_EQ(tiny_load.at("code").str, "bad_request");
   EXPECT_NE(tiny_load.at("message").str.find("load 1e-300"),
             std::string::npos)
       << tiny_load.at("message").str;
+  EXPECT_EQ(counter(service, "serve.bad_requests"), 3u);
+  EXPECT_EQ(counter(service, "serve.errors"), 0u);
+  for (const JsonValue* v : {&bad_text, &bad_builtin, &tiny_load})
+    EXPECT_EQ(v->at("message").str.find(".cpp:"), std::string::npos)
+        << v->at("message").str;
 }
 
 TEST(ServeService, InlineTextMatchesEquivalentRun) {
@@ -324,13 +345,45 @@ TEST(ServeService, TracerRecordsRequestSpans) {
     service.submit(atr_request()).get();
     service.shutdown();
   }
-  int request_spans = 0, batch_spans = 0;
+  int request_spans = 0, simulate_spans = 0;
   for (const TraceEvent& e : tracer.events()) {
     if (std::string(e.name) == "serve.request") ++request_spans;
-    if (std::string(e.name) == "serve.batch") ++batch_spans;
+    if (std::string(e.name) == "serve.simulate") ++simulate_spans;
   }
   EXPECT_EQ(request_spans, 2);
-  EXPECT_GE(batch_spans, 1);
+  EXPECT_GE(simulate_spans, 1);
+}
+
+TEST(ServeService, LiveProgressCountsOnlyTheLastBatch) {
+  // Streamed progress reports the in-flight batch: after two sequential
+  // requests, the view covers the second batch's pool chunks alone. At one
+  // thread, 1000 runs make 8 chunks of 125 and 50 runs 4 chunks of 16.
+  SimService service(ServeSettings{});
+  service.submit(atr_request(0.5, 1000)).get();
+  service.submit(atr_request(0.5, 50)).get();
+  const SimService::LiveProgress lp = service.live_progress();
+  EXPECT_EQ(lp.done, 4u);
+  EXPECT_EQ(lp.total, 4u);
+}
+
+TEST(ServeService, DeadlineRequestPointsCarryOneDeadlineKey) {
+  // A deadline request sweeps x = deadline_ms, so the point's x key is
+  // the deadline key: it must appear once, not twice.
+  SimService service(ServeSettings{});
+  const std::string response =
+      service.submit("{\"graph\":\"@atr\",\"runs\":5,\"deadline_ms\":1000}")
+          .get();
+  const JsonValue v = json_parse(response);
+  ASSERT_EQ(v.at("type").str, "result") << response;
+  const JsonValue& points = v.at("experiment").at("points");
+  ASSERT_EQ(points.array.size(), 1u);
+  EXPECT_DOUBLE_EQ(points.array[0].at("deadline_ms").number, 1000.0);
+  std::size_t keys = 0;
+  for (std::size_t at = response.find("\"deadline_ms\":");
+       at != std::string::npos;
+       at = response.find("\"deadline_ms\":", at + 1))
+    ++keys;
+  EXPECT_EQ(keys, points.array.size()) << response;
 }
 
 // ------------------------------------------------------------- server

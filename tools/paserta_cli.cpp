@@ -35,22 +35,25 @@
 //                      simulate each distinct scenario once, replay
 //                      duplicates (bit-identical, so output is the same)
 //   --trace-out FILE   write a Chrome/Perfetto trace of the sweep (open in
-//                      ui.perfetto.dev or chrome://tracing); it traces the
-//                      same batched engine an untraced sweep runs
+//                      ui.perfetto.dev or chrome://tracing): one span per
+//                      profiler phase charge, engine calls named by scheme
 //   --metrics-out DEST write engine + pool metrics to DEST ("-" = stdout)
 //   --metrics-format F json | prometheus (default json)
 //   --audit            self-audit every run: attribution counters must
 //                      rebuild the engine's energies exactly, and the
 //                      power-trace integral must match
-//   --progress         live progress line on stderr
+//   --progress         live progress line on stderr (the profiler's
+//                      chunk counts, polled every 200 ms)
 //
 // Flags accept both "--flag value" and "--flag=value". A numeric value
 // must parse as a whole token within the flag's range.
 #include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -73,7 +76,6 @@
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "sim/gantt.h"
 #include "sim/power_trace.h"
@@ -166,8 +168,8 @@ struct Options {
       "                      provably finite and <= runs. Replay is\n"
       "                      bit-identical, so output is the same either way\n"
       "  --trace-out FILE    Chrome/Perfetto trace of the sweep (open in\n"
-      "                      ui.perfetto.dev); traces the same batched\n"
-      "                      engine an untraced sweep runs\n"
+      "                      ui.perfetto.dev): one span per profiler phase,\n"
+      "                      engine calls named by scheme\n"
       "  --metrics-out DEST  engine + pool metrics; DEST is a file path or\n"
       "                      \"-\" for stdout\n"
       "  --metrics-format F  json | prometheus (default json)\n"
@@ -448,7 +450,20 @@ int cmd_simulate(const Options& o) {
   return r.deadline_met ? 0 : 1;
 }
 
+/// One rewritten stderr line of the sweep's progress view since `t0`,
+/// "sweep: 12/80 (15%) 41.3/s" (chunks, chunks per second), newline-ended
+/// when `final`.
+void print_progress(const ProfProgress& p,
+                    std::chrono::steady_clock::time_point t0, bool final) {
+  const std::chrono::duration<double> s = std::chrono::steady_clock::now() - t0;
+  std::cerr << "\rsweep: " << p.done << "/" << p.total << " ("
+            << (p.total > 0 ? 100 * p.done / p.total : 0) << "%) "
+            << Table::num(static_cast<double>(p.done) / s.count(), 1) << "/s"
+            << (final ? "\n" : "") << std::flush;
+}
+
 int cmd_sweep(const Options& o) {
+  if (o.x != "load" && o.x != "alpha") usage("--x must be load or alpha");
   const Application app = load(o);
   ExperimentConfig cfg;
   cfg.cpus = o.cpus;
@@ -463,15 +478,14 @@ int cmd_sweep(const Options& o) {
   cfg.audit = o.audit;
 
   // Observability sinks (all optional; none of them changes the sweep
-  // output — see the determinism contract in obs/metrics.h).
+  // output — see the determinism contract in obs/metrics.h). The profiler
+  // is the one instrumentation point: the trace is its charges as spans
+  // (plus its counter tracks), the progress line its chunk counts.
   std::unique_ptr<Tracer> tracer;
+  if (!o.trace_out.empty()) tracer = std::make_unique<Tracer>();
   std::unique_ptr<Profiler> prof;
-  if (!o.trace_out.empty()) {
-    tracer = std::make_unique<Tracer>(Tracer::Detail::kRuns);
-    cfg.tracer = tracer.get();
-    // Phase counter tracks ride along in the trace file; write-only for
-    // the sweep, like the tracer itself.
-    prof = std::make_unique<Profiler>();
+  if (tracer || o.progress) {
+    prof = std::make_unique<Profiler>(Profiler::Mode::kAuto, tracer.get());
     cfg.prof = prof.get();
   }
   MetricsRegistry registry;  // scoped: one sweep's metrics, nothing else
@@ -479,22 +493,24 @@ int cmd_sweep(const Options& o) {
     cfg.collect_metrics = true;
     cfg.registry = &registry;
   }
-  std::unique_ptr<ProgressReporter> progress;
-  if (o.progress) {
-    progress = std::make_unique<ProgressReporter>(
-        stderr_progress_renderer("sweep"));
-    cfg.progress = progress.get();
-  }
-
+  const std::vector<double> xs = sweep_range(o.from, o.to, o.step);
+  const auto run = [&] {
+    return o.x == "load" ? sweep_load(app, cfg, xs)
+                         : sweep_alpha(app, cfg, o.load, xs);
+  };
   std::vector<SweepPoint> points;
-  if (o.x == "load") {
-    points = sweep_load(app, cfg, sweep_range(o.from, o.to, o.step));
-  } else if (o.x == "alpha") {
-    points = sweep_alpha(app, cfg, o.load, sweep_range(o.from, o.to, o.step));
+  if (o.progress) {
+    // The sweep runs on a helper thread while this one polls the view.
+    const auto t0 = std::chrono::steady_clock::now();
+    auto sweep = std::async(std::launch::async, run);
+    while (sweep.wait_for(std::chrono::milliseconds(200)) !=
+           std::future_status::ready)
+      print_progress(prof->progress(), t0, false);
+    points = sweep.get();
+    print_progress(prof->progress(), t0, true);
   } else {
-    usage("--x must be load or alpha");
+    points = run();
   }
-  if (progress) progress->finish();
 
   if (!o.trace_out.empty()) {
     std::ofstream trace_file(o.trace_out);
