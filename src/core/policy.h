@@ -70,9 +70,9 @@ class SpeedPolicy {
 /// Options for the speculative schemes. The paper's print is ambiguous on
 /// whether a speculated speed between two levels rounds to the higher or
 /// lower one for SS1/AS; both are safe (the greedy component guarantees
-/// the deadline either way), so the choice is exposed and benchmarked
-/// (bench_ablation_rounding). Default: round up, which needs fewer
-/// corrective switches later.
+/// the deadline either way), so the choice is exposed and measured (the
+/// `rounding` study of `paserta_cli reproduce`). Default: round up, which
+/// needs fewer corrective switches later.
 struct PolicyOptions {
   enum class SpecRounding { Up, Down };
   SpecRounding spec_rounding = SpecRounding::Up;

@@ -86,7 +86,11 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer,
     }
   }
   os << "\n";
-  w.end_array().key("displayTimeUnit").value("ms").end_object();
+  w.end_array().key("displayTimeUnit").value("ms");
+  w.key("otherData").begin_object()
+      .key("dropped_events").value(tracer.dropped_count())
+      .end_object();
+  w.end_object();
   os << "\n";
 }
 

@@ -5,7 +5,9 @@
 // chrome://tracing and ui.perfetto.dev load directly: one process, one
 // track (tid) per worker-pool slot, each span's "cat" its profiler phase,
 // span args carrying the sweep-point and run indices. Timestamps are
-// microseconds relative to the tracer's epoch, as the spec requires.
+// microseconds relative to the tracer's epoch, as the spec requires. The
+// spec's "otherData" dictionary carries "dropped_events": spans the
+// tracer counted but did not store (Tracer::kMaxSlotEvents).
 #pragma once
 
 #include <iosfwd>

@@ -15,6 +15,11 @@ std::int64_t Tracer::now_ns() const {
 void Tracer::record(int slot, const char* name, std::int64_t ts_ns,
                     std::int64_t dur_ns, std::int64_t point,
                     std::int64_t run, const char* cat) {
+  Shard& shard = shards_[static_cast<std::size_t>(slot)];
+  if (shard.events.size() >= kMaxSlotEvents) {
+    ++shard.dropped;
+    return;
+  }
   TraceEvent ev;
   ev.name = name;
   ev.cat = cat != nullptr ? cat : name;
@@ -23,7 +28,7 @@ void Tracer::record(int slot, const char* name, std::int64_t ts_ns,
   ev.dur_ns = dur_ns < 0 ? 0 : dur_ns;
   ev.point = point;
   ev.run = run;
-  shards_[static_cast<std::size_t>(slot)].events.push_back(ev);
+  shard.events.push_back(ev);
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -43,6 +48,12 @@ std::vector<TraceEvent> Tracer::events() const {
 std::size_t Tracer::event_count() const {
   std::size_t n = 0;
   for (const Shard& s : shards_) n += s.events.size();
+  return n;
+}
+
+std::uint64_t Tracer::dropped_count() const {
+  std::uint64_t n = 0;
+  for (const Shard& s : shards_) n += s.dropped;
   return n;
 }
 

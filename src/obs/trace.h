@@ -62,8 +62,9 @@ class Tracer {
   }
 
   /// Appends a completed span to `slot`'s shard; a null `cat` files the
-  /// span under its own name. Only the thread owning the slot may call
-  /// this (single-writer sharding).
+  /// span under its own name. A slot already holding kMaxSlotEvents spans
+  /// counts the span as dropped instead. Only the thread owning the slot
+  /// may call this (single-writer sharding).
   void record(int slot, const char* name, std::int64_t ts_ns,
               std::int64_t dur_ns, std::int64_t point = -1,
               std::int64_t run = -1, const char* cat = nullptr);
@@ -75,9 +76,19 @@ class Tracer {
 
   std::size_t event_count() const;
 
+  /// Spans counted but not stored because their slot was full.
+  std::uint64_t dropped_count() const;
+
+  /// Spans one slot stores (14 MiB of TraceEvents), so a long-lived traced
+  /// daemon's memory is bounded, like the profiler's kMaxSamples. A traced
+  /// 20000-run ATR load sweep (19 points, 4 threads) records about 233k
+  /// spans in all: it keeps every one even if a single slot records all.
+  static constexpr std::size_t kMaxSlotEvents = std::size_t{1} << 18;
+
  private:
   struct alignas(64) Shard {
     std::vector<TraceEvent> events;
+    std::uint64_t dropped = 0;
   };
   std::chrono::steady_clock::time_point epoch_;
   std::array<Shard, kMaxShards> shards_;

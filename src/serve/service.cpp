@@ -5,12 +5,10 @@
 #include <sstream>
 #include <utility>
 
-#include "apps/atr.h"
-#include "apps/mpeg.h"
-#include "apps/synthetic.h"
 #include "common/error.h"
 #include "common/version.h"
 #include "graph/text_format.h"
+#include "harness/figures.h"
 #include "harness/json.h"
 #include "obs/trace.h"
 
@@ -25,12 +23,7 @@ constexpr double kLatencyBounds[] = {0.0005, 0.001, 0.0025, 0.005, 0.01,
 
 Application build_app(const SimRequest& req) {
   if (req.graph_is_text) return load_application_string(req.graph);
-  if (req.graph == "@atr") return apps::build_atr();
-  if (req.graph == "@synthetic") return apps::build_synthetic();
-  if (req.graph == "@mpeg") return apps::build_mpeg();
-  PASERTA_REQUIRE(false, "unknown built-in workload " << req.graph
-                         << " (use @atr, @synthetic or @mpeg)");
-  return {};  // unreachable
+  return builtin_workload(req.graph);
 }
 
 LevelTable table_of(const std::string& name) {

@@ -1,7 +1,12 @@
-// Tests for the figure registry: the exact experiment configurations the
-// paper's figures use, plus small-scale end-to-end smoke runs asserting
-// the qualitative shapes EXPERIMENTS.md reports.
+// Tests for the figure and study registry: the exact experiment
+// configurations the paper's figures use, small-scale end-to-end smoke
+// runs asserting the qualitative shapes EXPERIMENTS.md reports, and every
+// study of EXPERIMENTS.md running from the registry.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <sstream>
+#include <utility>
 
 #include "common/error.h"
 #include "harness/figures.h"
@@ -75,6 +80,75 @@ TEST(Figures, Fig5SavesLessThanFig4) {
   const double e2 = run_figure(f4)[0].of(Scheme::GSS).norm_energy.mean();
   const double e6 = run_figure(f5)[0].of(Scheme::GSS).norm_energy.mean();
   EXPECT_LT(e2, e6);
+}
+
+TEST(Studies, RegistryHoldsTheSixteenStudiesWithTheirRunCounts) {
+  // DESIGN.md §5's study ids, in EXPERIMENTS.md order, with the run count
+  // each uses when none is given (0: simulates nothing).
+  const std::vector<std::pair<std::string, int>> expected = {
+      {"tables", 0},        {"fig4", 1000},      {"fig5", 1000},
+      {"fig6", 1000},       {"procs", 500},      {"layered", 400},
+      {"overhead", 500},    {"minspeed", 500},   {"levels", 500},
+      {"oracle", 300},      {"independent", 500}, {"significance", 1000},
+      {"idle", 500},        {"heuristic", 500},  {"rounding", 500},
+      {"loopmode", 500}};
+  std::vector<std::pair<std::string, int>> got;
+  std::set<std::string> ids;
+  for (const StudyDef& s : paper_studies()) {
+    got.emplace_back(s.id, s.default_runs);
+    ids.insert(s.id);
+    EXPECT_FALSE(s.title.empty()) << s.id;
+    EXPECT_EQ(&study(s.id), &s);
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(ids.size(), got.size());  // unique
+  EXPECT_THROW(study("nope"), Error);
+  EXPECT_THROW(study("all"), Error);  // the CLI's word, not a study
+}
+
+TEST(Studies, EveryStudyWritesHeadedCsvAtEightRuns) {
+  for (const StudyDef& s : paper_studies()) {
+    SCOPED_TRACE(s.id);
+    std::ostringstream os;
+    s.write(os, 8);
+    const std::string out = os.str();
+    ASSERT_FALSE(out.empty());
+    EXPECT_EQ(out.rfind("# ", 0), 0u);
+  }
+}
+
+TEST(Studies, FigureStudiesPrintBothPanelsAtTheGivenRunCount) {
+  std::ostringstream os;
+  study("fig6").write(os, 8);
+  const std::string out = os.str();
+  EXPECT_EQ(out.rfind("# Fig.6a: ", 0), 0u);
+  EXPECT_NE(out.find("\n# Fig.6b: "), std::string::npos);
+  EXPECT_NE(out.find(", runs=8\n"), std::string::npos);
+}
+
+TEST(Studies, PaperConfigIsThePaperPlatform) {
+  const ExperimentConfig cfg =
+      paper_config(LevelTable::intel_xscale(), 6, 42);
+  EXPECT_EQ(cfg.cpus, 6);
+  EXPECT_EQ(cfg.runs, 42);
+  EXPECT_EQ(cfg.table.name(), "IntelXScale");
+  EXPECT_EQ(cfg.seed, 20020818u);
+  EXPECT_EQ(cfg.overheads.speed_compute_cycles, 300u);
+  EXPECT_EQ(cfg.overheads.speed_change_time, SimTime::from_us(5));
+}
+
+TEST(Studies, BuiltinWorkloadsByName) {
+  EXPECT_EQ(builtin_workload("@atr").name, "atr");
+  EXPECT_EQ(builtin_workload("@synthetic").name, "synthetic_fig3");
+  EXPECT_FALSE(builtin_workload("@mpeg").name.empty());
+  try {
+    builtin_workload("@nope");
+    FAIL() << "unknown built-in accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown built-in workload @nope (use @atr, @synthetic or "
+                 "@mpeg)");
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // with live cross-shard reads must stay clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <string>
@@ -386,6 +387,35 @@ TEST(Tracer, SpansMergeSortedAcrossSlots) {
   EXPECT_STREQ(events[2].name, "late");
   EXPECT_EQ(events[0].point, 2);
   EXPECT_EQ(events[1].run, 7);
+}
+
+TEST(Tracer, FullSlotCountsSpansInsteadOfStoringThem) {
+  // One slot records past the cap: it keeps exactly the first
+  // kMaxSlotEvents spans and counts the rest, and the other slots keep
+  // recording. The trace file reports the count.
+  Tracer tracer;
+  tracer.record(0, "before", 0, 1);
+  constexpr std::size_t kExtra = 5;
+  for (std::size_t i = 0; i < Tracer::kMaxSlotEvents + kExtra; ++i)
+    tracer.record(2, "flood", static_cast<std::int64_t>(i), 1);
+  tracer.record(3, "after", 1, 1);
+
+  EXPECT_EQ(tracer.event_count(), Tracer::kMaxSlotEvents + 2);
+  EXPECT_EQ(tracer.dropped_count(), kExtra);
+  std::map<int, std::size_t> per_slot;
+  std::int64_t last_flood_ts = -1;
+  for (const TraceEvent& ev : tracer.events()) {
+    ++per_slot[ev.slot];
+    if (ev.slot == 2) last_flood_ts = std::max(last_flood_ts, ev.ts_ns);
+  }
+  EXPECT_EQ(per_slot[0], 1u);
+  EXPECT_EQ(per_slot[2], Tracer::kMaxSlotEvents);
+  EXPECT_EQ(per_slot[3], 1u);
+  EXPECT_EQ(last_flood_ts,
+            static_cast<std::int64_t>(Tracer::kMaxSlotEvents) - 1);
+  EXPECT_NE(chrome_trace_to_json(tracer).find(
+                "\"otherData\":{\"dropped_events\":5}"),
+            std::string::npos);
 }
 
 TEST(Tracer, NullTracerSpanIsNoOp) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "common/error.h"
@@ -123,6 +124,62 @@ TEST(Welch, RequiresTwoObservations) {
   b.add(1.0);
   b.add(2.0);
   EXPECT_THROW(welch_t_test(a, b), Error);
+}
+
+// ------------------------------------------------------ one-sample t-test
+
+RunningStat sample_of(std::initializer_list<double> xs) {
+  RunningStat s;
+  for (double x : xs) s.add(x);
+  return s;
+}
+
+TEST(OneSampleT, OneDegreeOfFreedomIsCauchy) {
+  // {1, 3}: mean 2, s^2 = 2, se = 1, so t = 2 on 1 df, whose two-sided
+  // tail is the Cauchy one, 1 - (2/pi) atan 2.
+  const TTestResult r = one_sample_t_test(sample_of({1, 3}));
+  EXPECT_DOUBLE_EQ(r.mean_diff, 2.0);
+  EXPECT_NEAR(r.t, 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(r.df, 1.0);
+  EXPECT_NEAR(r.p_value, 1.0 - 2.0 / std::acos(-1.0) * std::atan(2.0),
+              1e-10);
+  EXPECT_NEAR(r.p_value, 0.2951672353, 1e-10);
+  EXPECT_NEAR(r.ci95_halfwidth, 1.96, 1e-12);  // 1.96 standard errors
+  EXPECT_FALSE(r.significant());
+}
+
+TEST(OneSampleT, TwoDegreesOfFreedomClosedForm) {
+  // {1, 2, 3}: mean 2, s^2 = 1, se = 1/sqrt 3, so t = 2 sqrt 3 on 2 df,
+  // where P(|T| >= t) = 1 - t / sqrt(2 + t^2) = 1 - sqrt(6/7).
+  const TTestResult r = one_sample_t_test(sample_of({1, 2, 3}));
+  EXPECT_NEAR(r.t, 2.0 * std::sqrt(3.0), 1e-12);
+  EXPECT_DOUBLE_EQ(r.df, 2.0);
+  EXPECT_NEAR(r.p_value, 1.0 - std::sqrt(6.0 / 7.0), 1e-10);
+  EXPECT_NEAR(r.p_value, 0.0741799002, 1e-10);
+  EXPECT_NEAR(r.ci95_halfwidth, 1.96 / std::sqrt(3.0), 1e-12);
+  EXPECT_NEAR(r.ci95_halfwidth, 1.1316065276, 1e-10);
+}
+
+TEST(OneSampleT, MeanAtMu0GivesTZeroAndPOne) {
+  const TTestResult r = one_sample_t_test(sample_of({1, 2, 3}), 2.0);
+  EXPECT_DOUBLE_EQ(r.mean_diff, 0.0);
+  EXPECT_DOUBLE_EQ(r.t, 0.0);
+  EXPECT_DOUBLE_EQ(r.p_value, 1.0);
+}
+
+TEST(OneSampleT, ZeroVarianceIsExactlyDecided) {
+  const RunningStat constant = sample_of({2, 2, 2});
+  const TTestResult at = one_sample_t_test(constant, 2.0);
+  EXPECT_DOUBLE_EQ(at.t, 0.0);
+  EXPECT_DOUBLE_EQ(at.p_value, 1.0);
+  const TTestResult off = one_sample_t_test(constant, 1.0);
+  EXPECT_EQ(off.t, std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(off.p_value, 0.0);
+  EXPECT_TRUE(off.significant());
+}
+
+TEST(OneSampleT, RequiresTwoObservations) {
+  EXPECT_THROW(one_sample_t_test(sample_of({1})), Error);
 }
 
 }  // namespace

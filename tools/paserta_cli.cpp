@@ -6,44 +6,15 @@
 //   paserta_cli profile  <workload> [options]   per-phase cycle profile
 //   paserta_cli metrics  <workload>             structural metrics
 //   paserta_cli dot      <workload>             Graphviz dump
-//   paserta_cli tables                          DVS level tables
+//   paserta_cli reproduce <study>|all           a paper study's CSV blocks
 //   paserta_cli serve                           resident simulation daemon
 //   paserta_cli --version                       build provenance stamp
 //
 // <workload> is a text file (docs/WORKLOAD_FORMAT.md) or a built-in:
 // @atr, @synthetic, @mpeg.
 //
-// Common options:
-//   --cpus N           processors (default 2)
-//   --table NAME       transmeta | xscale (default transmeta)
-//   --load L           deadline = W / L (default 0.5)
-//   --deadline-ms D    absolute deadline (overrides --load)
-//   --heuristic H      ltf | stf | fifo (default ltf)
-// simulate:
-//   --scheme S         npm | spm | gss | ss1 | ss2 | as (default gss)
-//   --seed N           scenario seed (default 1)
-//   --power-csv        dump the power-vs-time curve as CSV
-//   --svg FILE         write an SVG gantt + power chart to FILE
-// sweep:
-//   --x load|alpha     swept parameter (default load)
-//   --runs N           Monte-Carlo runs per point (default 200)
-//   --from F --to T --step S   sweep range (defaults 0.1..1.0 step 0.1)
-//   --json             emit JSON instead of CSV
-//   --threads N        worker threads for the Monte-Carlo loop (default 1;
-//                      results are bit-identical for any value)
-//   --dedup MODE       auto | on | off: scenario-dedup memoization —
-//                      simulate each distinct scenario once, replay
-//                      duplicates (bit-identical, so output is the same)
-//   --trace-out FILE   write a Chrome/Perfetto trace of the sweep (open in
-//                      ui.perfetto.dev or chrome://tracing): one span per
-//                      profiler phase charge, engine calls named by scheme
-//   --metrics-out DEST write engine + pool metrics to DEST ("-" = stdout)
-//   --metrics-format F json | prometheus (default json)
-//   --audit            self-audit every run: attribution counters must
-//                      rebuild the engine's energies exactly, and the
-//                      power-trace integral must match
-//   --progress         live progress line on stderr (the profiler's
-//                      chunk counts, polled every 200 ms)
+// The options of every command are listed once, in usage() below (printed
+// when the CLI runs without arguments or with a bad one).
 //
 // Flags accept both "--flag value" and "--flag=value". A numeric value
 // must parse as a whole token within the flag's range.
@@ -61,9 +32,7 @@
 #include <optional>
 #include <string>
 
-#include "apps/atr.h"
-#include "apps/mpeg.h"
-#include "apps/synthetic.h"
+#include "common/error.h"
 #include "common/version.h"
 #include "core/offline.h"
 #include "core/oracle.h"
@@ -71,6 +40,7 @@
 #include "graph/metrics.h"
 #include "graph/text_format.h"
 #include "harness/experiment.h"
+#include "harness/figures.h"
 #include "harness/json.h"
 #include "harness/report.h"
 #include "obs/chrome_trace.h"
@@ -91,6 +61,7 @@ namespace {
 struct Options {
   std::string command;
   std::string workload;
+  std::string study;  // reproduce
   int cpus = 2;
   std::string table = "transmeta";
   double load = 0.5;
@@ -101,11 +72,11 @@ struct Options {
   bool power_csv = false;
   std::string svg_path;
   std::string x = "load";
-  int runs = 200;
+  std::optional<int> runs;  // unset: the command's default
   double from = 0.1, to = 1.0, step = 0.1;
   bool json = false;
   int threads = 1;
-  std::string dedup = "auto";
+  DedupMode dedup = DedupMode::kAuto;
   std::string trace_out;
   std::string metrics_out;
   std::string metrics_format = "json";
@@ -135,7 +106,8 @@ struct Options {
       "                        profiler and print the per-phase table\n"
       "  metrics  <workload>   structural graph metrics\n"
       "  dot      <workload>   Graphviz dump\n"
-      "  tables                DVS level tables\n"
+      "  reproduce <study>|all regenerate a paper table, figure or study\n"
+      "                        (CSV); all prints every study in order\n"
       "  serve                 resident simulation daemon (NDJSON + HTTP\n"
       "                        /metrics; see docs/DESIGN.md §16)\n"
       "\n"
@@ -157,7 +129,8 @@ struct Options {
       "  --svg FILE          write an SVG gantt + power chart to FILE\n"
       "sweep:\n"
       "  --x load|alpha      swept parameter (default load)\n"
-      "  --runs N            Monte-Carlo runs per point (default 200)\n"
+      "  --runs N            Monte-Carlo runs per point (default 200; for\n"
+      "                      reproduce, each study's own default)\n"
       "  --from F --to T --step S   sweep range (default 0.1..1.0 step 0.1)\n"
       "  --json              emit JSON instead of CSV\n"
       "  --threads N         worker threads (default 1; output identical\n"
@@ -221,12 +194,22 @@ T numeric_value(const char* flag, const std::string& v,
   return x;
 }
 
+/// Usage error for a missing or unknown study: `msg`, then the ids.
+[[noreturn]] void study_usage(const std::string& msg) {
+  std::string ids;
+  for (const StudyDef& s : paper_studies()) ids += s.id + ", ";
+  usage((msg + " (use " + ids + "or all)").c_str());
+}
+
 Options parse_args(int argc, char** argv) {
   Options o;
   if (argc < 2) usage();
   o.command = argv[1];
   int i = 2;
-  if (o.command != "tables" && o.command != "serve") {
+  if (o.command == "reproduce") {
+    if (i >= argc || argv[i][0] == '-') study_usage("missing study");
+    o.study = argv[i++];
+  } else if (o.command != "serve") {
     if (i >= argc || argv[i][0] == '-') usage("missing workload file");
     o.workload = argv[i++];
   }
@@ -280,10 +263,12 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--json") o.json = true;
     else if (flag == "--threads") o.threads = int_value("--threads", 1);
     else if (flag == "--dedup") {
-      o.dedup = need_value("--dedup");
-      if (o.dedup != "auto" && o.dedup != "on" && o.dedup != "off")
-        usage(("--dedup must be auto, on or off, got \"" + o.dedup + "\"")
-                  .c_str());
+      const std::string v = need_value("--dedup");
+      if (v == "auto") o.dedup = DedupMode::kAuto;
+      else if (v == "on") o.dedup = DedupMode::kOn;
+      else if (v == "off") o.dedup = DedupMode::kOff;
+      else
+        usage(("--dedup must be auto, on or off, got \"" + v + "\"").c_str());
     }
     else if (flag == "--trace-out") o.trace_out = need_value("--trace-out");
     else if (flag == "--metrics-out")
@@ -335,11 +320,11 @@ Scheme scheme_of(const Options& o) {
 
 Application load(const Options& o) {
   if (!o.workload.empty() && o.workload[0] == '@') {
-    if (o.workload == "@atr") return apps::build_atr();
-    if (o.workload == "@synthetic") return apps::build_synthetic();
-    if (o.workload == "@mpeg") return apps::build_mpeg();
-    usage(("unknown built-in workload " + o.workload +
-           " (use @atr, @synthetic or @mpeg)").c_str());
+    try {
+      return builtin_workload(o.workload);
+    } catch (const Error& e) {
+      usage(e.what());
+    }
   }
   std::ifstream in(o.workload);
   if (!in) {
@@ -462,19 +447,57 @@ void print_progress(const ProfProgress& p,
             << (final ? "\n" : "") << std::flush;
 }
 
-int cmd_sweep(const Options& o) {
-  if (o.x != "load" && o.x != "alpha") usage("--x must be load or alpha");
-  const Application app = load(o);
+/// The Monte-Carlo config sweep and profile share, from the common flags.
+ExperimentConfig experiment_config(const Options& o) {
   ExperimentConfig cfg;
   cfg.cpus = o.cpus;
   cfg.table = table_of(o);
-  cfg.runs = o.runs;
+  cfg.runs = o.runs.value_or(200);
   cfg.seed = o.seed;
   cfg.threads = o.threads;
-  cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
-              : o.dedup == "off" ? DedupMode::kOff
-                                 : DedupMode::kAuto;
+  cfg.dedup = o.dedup;
   cfg.heuristic = heuristic_of(o);
+  return cfg;
+}
+
+/// Writes the Chrome trace of `tracer`, with `prof`'s counter tracks, to
+/// `path` and reports its span counts on stderr; false, after a message,
+/// when the file cannot be opened.
+bool write_trace(const std::string& path, const Tracer& tracer,
+                 const Profiler* prof) {
+  std::ofstream file(path);
+  if (!file) {
+    std::cerr << "cannot write '" << path << "'\n";
+    return false;
+  }
+  write_chrome_trace(file, tracer, prof);
+  std::cerr << "wrote " << path << " (" << tracer.event_count() << " events, "
+            << tracer.dropped_count()
+            << " dropped; open in ui.perfetto.dev)\n";
+  return true;
+}
+
+/// Writes rendered metrics to `dest`, a file or "-" for stdout; false,
+/// after a message, when the file cannot be opened.
+bool write_metrics(const std::string& dest, const std::string& rendered) {
+  if (dest == "-") {
+    std::cout << rendered;
+    return true;
+  }
+  std::ofstream file(dest);
+  if (!file) {
+    std::cerr << "cannot write '" << dest << "'\n";
+    return false;
+  }
+  file << rendered;
+  std::cerr << "wrote " << dest << "\n";
+  return true;
+}
+
+int cmd_sweep(const Options& o) {
+  if (o.x != "load" && o.x != "alpha") usage("--x must be load or alpha");
+  const Application app = load(o);
+  ExperimentConfig cfg = experiment_config(o);
   cfg.audit = o.audit;
 
   // Observability sinks (all optional; none of them changes the sweep
@@ -512,33 +535,14 @@ int cmd_sweep(const Options& o) {
     points = run();
   }
 
-  if (!o.trace_out.empty()) {
-    std::ofstream trace_file(o.trace_out);
-    if (!trace_file) {
-      std::cerr << "cannot write '" << o.trace_out << "'\n";
-      return 1;
-    }
-    write_chrome_trace(trace_file, *tracer, prof.get());
-    std::cerr << "wrote " << o.trace_out << " (" << tracer->event_count()
-              << " events; open in ui.perfetto.dev)\n";
-  }
+  if (tracer && !write_trace(o.trace_out, *tracer, prof.get())) return 1;
   if (!o.metrics_out.empty()) {
     if (prof) prof->export_delta_to(registry);
     const MetricsSnapshot snap = registry.snapshot();
-    const std::string rendered = o.metrics_format == "prometheus"
-                                     ? metrics_to_prometheus(snap)
-                                     : metrics_to_json(snap);
-    if (o.metrics_out == "-") {
-      std::cout << rendered;
-    } else {
-      std::ofstream metrics_file(o.metrics_out);
-      if (!metrics_file) {
-        std::cerr << "cannot write '" << o.metrics_out << "'\n";
-        return 1;
-      }
-      metrics_file << rendered;
-      std::cerr << "wrote " << o.metrics_out << "\n";
-    }
+    if (!write_metrics(o.metrics_out, o.metrics_format == "prometheus"
+                                          ? metrics_to_prometheus(snap)
+                                          : metrics_to_json(snap)))
+      return 1;
   }
 
   if (o.json) {
@@ -556,16 +560,7 @@ int cmd_sweep(const Options& o) {
 
 int cmd_profile(const Options& o) {
   const Application app = load(o);
-  ExperimentConfig cfg;
-  cfg.cpus = o.cpus;
-  cfg.table = table_of(o);
-  cfg.runs = o.runs;
-  cfg.seed = o.seed;
-  cfg.threads = o.threads;
-  cfg.dedup = o.dedup == "on"    ? DedupMode::kOn
-              : o.dedup == "off" ? DedupMode::kOff
-                                 : DedupMode::kAuto;
-  cfg.heuristic = heuristic_of(o);
+  ExperimentConfig cfg = experiment_config(o);
 
   Profiler prof(o.fallback ? Profiler::Mode::kFallback
                            : Profiler::Mode::kAuto);
@@ -655,18 +650,17 @@ int cmd_dot(const Options& o) {
   return 0;
 }
 
-int cmd_tables() {
-  for (const LevelTable& t :
-       {LevelTable::transmeta_tm5400(), LevelTable::intel_xscale()}) {
-    const PowerModel pm(t);
-    std::cout << t.name() << " (" << t.size() << " levels)\n";
-    Table tab({"f_MHz", "V", "P_W"});
-    for (const Level& l : t.levels())
-      tab.add_row({Table::num(static_cast<double>(l.freq) / 1e6, 0),
-                   Table::num(l.volts, 3), Table::num(pm.power(t.index_of(l.freq)), 3)});
-    tab.write_pretty(std::cout);
-    std::cout << "\n";
+int cmd_reproduce(const Options& o) {
+  std::vector<StudyDef> chosen = paper_studies();
+  if (o.study != "all") {
+    try {
+      chosen = {study(o.study)};
+    } catch (const Error&) {
+      study_usage("unknown study \"" + o.study + "\"");
+    }
   }
+  for (const StudyDef& s : chosen)
+    s.write(std::cout, o.runs.value_or(s.default_runs));
   return 0;
 }
 
@@ -682,9 +676,7 @@ int cmd_serve(const Options& o) {
 
   ServeSettings settings;
   settings.threads = o.threads;
-  settings.dedup = o.dedup == "on"    ? DedupMode::kOn
-                   : o.dedup == "off" ? DedupMode::kOff
-                                      : DedupMode::kAuto;
+  settings.dedup = o.dedup;
   settings.queue_limit = o.queue_limit;
   settings.tracer = tracer.get();
   SimService service(settings);
@@ -713,33 +705,14 @@ int cmd_serve(const Options& o) {
   std::cerr << "draining...\n";
   server.stop();  // drains the service, then joins the connections
 
-  if (!o.trace_out.empty()) {
-    std::ofstream trace_file(o.trace_out);
-    if (!trace_file) {
-      std::cerr << "cannot write '" << o.trace_out << "'\n";
-      return 1;
-    }
-    write_chrome_trace(trace_file, *tracer, &service.profiler());
-    std::cerr << "wrote " << o.trace_out << " (" << tracer->event_count()
-              << " events)\n";
-  }
-  if (!o.metrics_out.empty()) {
-    const std::string rendered =
-        o.metrics_format == "prometheus"
-            ? service.metrics_text()
-            : metrics_to_json(service.registry().snapshot());
-    if (o.metrics_out == "-") {
-      std::cout << rendered;
-    } else {
-      std::ofstream metrics_file(o.metrics_out);
-      if (!metrics_file) {
-        std::cerr << "cannot write '" << o.metrics_out << "'\n";
-        return 1;
-      }
-      metrics_file << rendered;
-      std::cerr << "wrote " << o.metrics_out << "\n";
-    }
-  }
+  if (tracer && !write_trace(o.trace_out, *tracer, &service.profiler()))
+    return 1;
+  if (!o.metrics_out.empty() &&
+      !write_metrics(o.metrics_out,
+                     o.metrics_format == "prometheus"
+                         ? service.metrics_text()
+                         : metrics_to_json(service.registry().snapshot())))
+    return 1;
   std::cerr << "bye\n";
   return 0;
 }
@@ -760,7 +733,7 @@ int main(int argc, char** argv) {
     if (o.command == "profile") return cmd_profile(o);
     if (o.command == "metrics") return cmd_metrics(o);
     if (o.command == "dot") return cmd_dot(o);
-    if (o.command == "tables") return cmd_tables();
+    if (o.command == "reproduce") return cmd_reproduce(o);
     if (o.command == "serve") return cmd_serve(o);
     usage(("unknown command " + o.command).c_str());
   } catch (const std::exception& e) {
