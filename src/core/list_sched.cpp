@@ -16,6 +16,15 @@ const char* to_string(ListHeuristic h) {
   return "?";
 }
 
+ListHeuristic heuristic_from_name(std::string_view name) {
+  if (name == "ltf") return ListHeuristic::LongestTaskFirst;
+  if (name == "stf") return ListHeuristic::ShortestTaskFirst;
+  if (name == "fifo") return ListHeuristic::InsertionOrder;
+  PASERTA_REQUIRE(false,
+                  "unknown heuristic '" << name << "' (use ltf, stf or fifo)");
+  return ListHeuristic::LongestTaskFirst;  // unreachable
+}
+
 namespace {
 
 std::int64_t priority_of(SimTime duration, ListHeuristic h) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -47,6 +48,10 @@ enum class ListHeuristic {
 };
 
 const char* to_string(ListHeuristic h);
+
+/// The heuristic a front end names in lower case (ltf, stf, fifo). Throws
+/// paserta::Error naming the valid names otherwise.
+ListHeuristic heuristic_from_name(std::string_view name);
 
 class ListSchedScratch;
 

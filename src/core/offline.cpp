@@ -339,6 +339,24 @@ const Application& CanonicalAnalysis::application() const {
   return *data_->app;
 }
 
+std::size_t CanonicalAnalysis::bytes() const {
+  if (!data_) return 0;
+  const auto cap = [](const auto& v) {
+    return v.capacity() * sizeof(v[0]);
+  };
+  const CanonicalTables& t = data_->tables;
+  std::size_t n = sizeof(CanonicalData) + cap(t.eo) + cap(t.nup_init) +
+                  cap(t.sources) + cap(t.node_flags) + cap(t.wcet) +
+                  cap(t.succ_off) + cap(t.succ_flat) + cap(t.inflated_wcet) +
+                  cap(t.rem_a) + cap(t.rem_w) + cap(data_->segs) +
+                  cap(data_->alts) + cap(data_->sched_node) +
+                  cap(data_->sched_start);
+  for (const auto& [fork, p] : t.fork_profiles)
+    n += sizeof(fork) + sizeof(p) + 2 * sizeof(void*) + cap(p.rem_w_alt) +
+         cap(p.rem_a_alt);
+  return n;
+}
+
 CanonicalAnalysis analyze_canonical(const Application& app,
                                     const CanonicalOptions& options) {
   return OfflineAnalyzer::analyze(app, options);

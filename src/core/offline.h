@@ -118,6 +118,9 @@ class CanonicalAnalysis {
   ListHeuristic heuristic() const;
   /// The application this analysis was computed for.
   const Application& application() const;
+  /// Approximate heap footprint of the shared payload (its containers'
+  /// capacities), for callers that budget resident analyses.
+  std::size_t bytes() const;
 
  private:
   friend class OfflineAnalyzer;

@@ -19,6 +19,19 @@ const char* to_string(Scheme s) {
   return "?";
 }
 
+Scheme scheme_from_name(std::string_view name) {
+  if (name == "npm") return Scheme::NPM;
+  if (name == "spm") return Scheme::SPM;
+  if (name == "gss") return Scheme::GSS;
+  if (name == "ss1") return Scheme::SS1;
+  if (name == "ss2") return Scheme::SS2;
+  if (name == "as") return Scheme::AS;
+  PASERTA_REQUIRE(false, "unknown scheme '" << name
+                                             << "' (use npm, spm, gss, ss1, "
+                                                "ss2 or as)");
+  return Scheme::NPM;  // unreachable
+}
+
 namespace {
 
 /// Speculative speed f_max * work / horizon, rounded to a table level per

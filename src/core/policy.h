@@ -20,6 +20,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/offline.h"
 #include "power/power_model.h"
@@ -29,6 +30,10 @@ namespace paserta {
 enum class Scheme { NPM, SPM, GSS, SS1, SS2, AS };
 
 const char* to_string(Scheme s);
+
+/// The scheme a front end names in lower case (npm, spm, gss, ss1, ss2,
+/// as). Throws paserta::Error naming the valid names otherwise.
+Scheme scheme_from_name(std::string_view name);
 
 class SpeedPolicy {
  public:

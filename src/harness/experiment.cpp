@@ -609,38 +609,49 @@ constexpr double kChunkSecondsBounds[] = {1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
                                           3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
                                           1.0,  3.0,  10.0};
 
-/// Adds one SimCounters total into "<prefix>.<field>" registry counters.
-/// Shard 0 is correct: the flush runs on the driving thread after the
-/// parallel section has joined.
-void flush_sim_counters(MetricsRegistry& reg, const std::string& prefix,
-                        const SimCounters& c) {
-  reg.counter(prefix + ".dispatches").add(0, c.dispatches);
-  reg.counter(prefix + ".tasks").add(0, c.tasks);
-  reg.counter(prefix + ".or_fires").add(0, c.or_fires);
-  reg.counter(prefix + ".speed_changes").add(0, c.speed_changes);
-  reg.counter(prefix + ".spec_picks").add(0, c.spec_picks);
-  reg.counter(prefix + ".greedy_picks").add(0, c.greedy_picks);
-  reg.counter(prefix + ".reclaimed_slack_ps").add(0, c.reclaimed_slack_ps);
-  // Energy-attribution ledger: per-level time counters, transition counts
-  // per (from, to) level pair (only the pairs that fired — an L x L matrix
-  // of mostly-zero names would drown the export), and total idle time.
-  // With the power table and overheads these rebuild the paper's busy /
-  // overhead / idle energy split (attribution_energy).
-  for (std::uint32_t l = 0; l < c.levels; ++l) {
-    const std::string suffix = ".L" + std::to_string(l);
-    reg.counter(prefix + ".busy_ps" + suffix).add(0, c.busy_ps[l]);
-    if (c.compute_ps[l] != 0)
-      reg.counter(prefix + ".compute_ps" + suffix).add(0, c.compute_ps[l]);
-  }
-  for (std::uint32_t from = 0; from < c.levels; ++from)
-    for (std::uint32_t to = 0; to < c.levels; ++to) {
-      const std::uint64_t n = c.transitions[from * c.levels + to];
-      if (n != 0)
-        reg.counter(prefix + ".transitions.L" + std::to_string(from) + "_L" +
-                    std::to_string(to))
-            .add(0, n);
-    }
-  reg.counter(prefix + ".idle_ps").add(0, c.idle_ps);
+/// The registry `cfg` collects into; null with collect_metrics off.
+MetricsRegistry* metrics_registry(const ExperimentConfig& cfg) {
+  if (!cfg.collect_metrics) return nullptr;
+  return cfg.registry != nullptr ? cfg.registry : &MetricsRegistry::global();
+}
+
+/// The registry handles of the pool telemetry, the dedup totals and the
+/// offline-cache lookups: each set is resolved once per registry
+/// (MetricsRegistry::handles) when a call first writes it, so every name
+/// appears exactly when it did with per-call lookups.
+struct PoolHandles final : MetricHandles {
+  explicit PoolHandles(MetricsRegistry& reg)
+      : chunks(reg.counter("pool.chunks_completed")),
+        chunk_seconds(reg.histogram("pool.chunk_seconds", kChunkSecondsBounds)),
+        busy_ns(reg.counter("pool.busy_ns")),
+        idle_ns(reg.counter("pool.idle_ns")) {}
+  Counter& chunks;
+  Histogram& chunk_seconds;
+  Counter& busy_ns;
+  Counter& idle_ns;
+};
+
+struct DedupHandles final : MetricHandles {
+  explicit DedupHandles(MetricsRegistry& reg)
+      : hits(reg.counter("engine.dedup.hits")),
+        misses(reg.counter("engine.dedup.misses")),
+        bytes(reg.counter("engine.dedup.bytes")) {}
+  Counter& hits;
+  Counter& misses;
+  Counter& bytes;
+};
+
+struct CacheHandles final : MetricHandles {
+  explicit CacheHandles(MetricsRegistry& reg)
+      : hits(reg.counter("offline.cache.hits")),
+        misses(reg.counter("offline.cache.misses")) {}
+  Counter& hits;
+  Counter& misses;
+};
+
+template <class T>
+T& handles_of(MetricsRegistry& reg, const char* key) {
+  return reg.handles<T>(key, [&] { return std::make_unique<T>(reg); });
 }
 
 /// A point's header fields and empty accumulators, one SchemeStats per
@@ -696,28 +707,28 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // --- Observability. Everything in this block is write-only for the
   // simulation (see the determinism contract in obs/metrics.h): the
   // workers below behave identically whether it is active or not.
-  MetricsRegistry* const reg =
-      cfg.collect_metrics
-          ? (cfg.registry != nullptr ? cfg.registry
-                                     : &MetricsRegistry::global())
-          : nullptr;
+  // The calling thread's participant slot: the registry shard, profiler
+  // cell and tracer track of everything this call charges outside the
+  // pool loop (slot 0 unless the call runs inside a pool task or body).
+  const int gslot = WorkerPool::participant_slot();
+  MetricsRegistry* const reg = metrics_registry(cfg);
   ChunkObs obs_proto;
   PoolTelemetry tel;
   const PoolTelemetry* telp = nullptr;
   if (reg != nullptr) {
-    tel.chunks = &reg->counter("pool.chunks_completed");
-    tel.chunk_seconds =
-        &reg->histogram("pool.chunk_seconds", kChunkSecondsBounds);
-    tel.busy_ns = &reg->counter("pool.busy_ns");
-    tel.idle_ns = &reg->counter("pool.idle_ns");
+    PoolHandles& h = handles_of<PoolHandles>(*reg, "harness.pool");
+    tel.chunks = &h.chunks;
+    tel.chunk_seconds = &h.chunk_seconds;
+    tel.busy_ns = &h.busy_ns;
+    tel.idle_ns = &h.idle_ns;
   }
   // Phase profiler: resolve every phase id once, before the workers start
-  // (Profiler::phase takes a mutex; the hot paths then index by id). The
-  // pool.* phases are top-level — together with harness.setup/compile/
-  // finalize they tile this call's wall time; the harness.* run and fold
-  // phases and batch.* are nested inside pool.busy. This call's chunks
-  // register against pool.busy, which the pool charges once per chunk:
-  // that is the profiler's progress view.
+  // (the hot paths then index by id). The pool.* phases are top-level —
+  // together with harness.setup/compile/finalize they tile this call's
+  // wall time; the harness.* run and fold phases and batch.* are nested
+  // inside pool.busy. This call's chunks register against pool.busy,
+  // which the pool charges once per chunk: that is the profiler's
+  // progress view.
   Profiler* const prof = cfg.prof;
   int ph_setup = -1, ph_compile = -1, ph_fold = -1, ph_finalize = -1;
   if (prof != nullptr) {
@@ -734,7 +745,8 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     obs_proto.ph_batch_drain = prof->phase("batch.drain");
     ph_compile = prof->phase("harness.compile", /*top_level=*/true);
     ph_finalize = prof->phase("harness.finalize", /*top_level=*/true);
-    prof->expect(tel.ph_busy, static_cast<std::uint64_t>(total_chunks));
+    prof->expect(tel.ph_busy, static_cast<std::uint64_t>(total_chunks),
+                 gslot);
   }
   if (reg != nullptr || prof != nullptr) telp = &tel;
 
@@ -742,7 +754,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // compilation is accumulator, counter-cell and dedup plumbing; charge it
   // as harness.setup (two scope entries, split around the compile) so the
   // top-level phases keep tiling the call.
-  auto setup_scope = std::make_optional<ProfScope>(prof, ph_setup, 0);
+  auto setup_scope = std::make_optional<ProfScope>(prof, ph_setup, gslot);
 
   // Engine-counter cells, one SimCounters row (schemes + NPM) per
   // (point, slot): each worker accumulates into its own slot's row without
@@ -772,7 +784,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   std::vector<std::size_t> spec_sampler_idx(specs.size());
   {
     setup_scope.reset();  // close the setup stretch around the compile
-    ProfScope ps(prof, ph_compile, 0);
+    ProfScope ps(prof, ph_compile, gslot);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       std::size_t j = 0;
       while (j < sampler_apps.size() && sampler_apps[j] != specs[i].app) ++j;
@@ -784,7 +796,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
       spec_sampler_idx[i] = j;
     }
   }
-  setup_scope.emplace(prof, ph_setup, 0);  // dedup plumbing + worker slots
+  setup_scope.emplace(prof, ph_setup, gslot);  // dedup plumbing + slots
 
   // Dedup resolution (DESIGN.md §15): the scenario space is a sampler
   // property, so resolve once per distinct application and fan out per
@@ -822,7 +834,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     const int count = std::min(runs, first + chunk) - first;
     const PointSpec& spec = specs[static_cast<std::size_t>(p)];
     ChunkObs obs = obs_proto;
-    obs.slot = slot;
+    obs.slot = WorkerPool::participant_slot();
     obs.point = p;
     if (!cells.empty())
       obs.cells = cells.data() +
@@ -857,7 +869,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     // Folds this chunk (and any parked successors) when it extends the
     // point's folded prefix, else parks it; a parked stage leaves
     // ctx->stage null and the next chunk acquires another.
-    ProfScope ps(prof, ph_fold, slot);
+    ProfScope ps(prof, ph_fold, obs.slot);
     fold.complete(static_cast<std::size_t>(p), c % chunks_per_point,
                   ctx->stage);
   };
@@ -876,14 +888,19 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // counter cells and dedup shards.
   std::vector<SweepPoint> points = fold.release();
   {
-    ProfScope ps(prof, ph_finalize, 0);
+    ProfScope ps(prof, ph_finalize, gslot);
     for (std::size_t p = 0; p < specs.size(); ++p) {
       if (cfg.collect_metrics) {
         // Sum the slot cells in fixed slot order (integer adds: the order
-        // would not matter anyway, but keep it canonical).
+        // would not matter anyway, but keep it canonical). The first
+        // slot's row is moved in: adding it to empty totals would copy
+        // its ledgers.
         PointMetrics& m = points[p].metrics;
-        m.schemes.resize(nschemes);
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
+        SimCounters* const row0 = cells.data() + p * nslots * ncells;
+        m.schemes.assign(std::make_move_iterator(row0),
+                         std::make_move_iterator(row0 + nschemes));
+        m.npm = std::move(row0[nschemes]);
+        for (std::size_t slot = 1; slot < nslots; ++slot) {
           const SimCounters* cell =
               cells.data() + (p * nslots + slot) * ncells;
           for (std::size_t s = 0; s < nschemes; ++s)
@@ -909,13 +926,16 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   if (reg != nullptr) {
     // Counter flushing is part of wrapping the run up — second entry into
     // the finalize phase, so profile attribution covers the whole tail.
-    ProfScope ps(prof, ph_finalize, 0);
+    ProfScope ps(prof, ph_finalize, gslot);
     for (const SweepPoint& pt : points) {
-      for (std::size_t s = 0; s < nschemes; ++s)
-        flush_sim_counters(
-            *reg, std::string("engine.") + to_string(cfg.schemes[s]),
-            pt.metrics.schemes[s]);
-      flush_sim_counters(*reg, "engine.NPM", pt.metrics.npm);
+      for (std::size_t s = 0; s < nschemes; ++s) {
+        const SimCounters& c = pt.metrics.schemes[s];
+        SimCounterHandles::of(
+            *reg, std::string("engine.") + to_string(cfg.schemes[s]), c.levels)
+            .add(gslot, c);
+      }
+      SimCounterHandles::of(*reg, "engine.NPM", pt.metrics.npm.levels)
+          .add(gslot, pt.metrics.npm);
     }
     if (any_dedup) {
       std::uint64_t hits = 0, misses = 0, bytes = 0;
@@ -924,9 +944,10 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         misses += pt.dedup.misses;
         bytes += pt.dedup.bytes;
       }
-      reg->counter("engine.dedup.hits").add(0, hits);
-      reg->counter("engine.dedup.misses").add(0, misses);
-      reg->counter("engine.dedup.bytes").add(0, bytes);
+      DedupHandles& h = handles_of<DedupHandles>(*reg, "harness.dedup");
+      h.hits.add(gslot, hits);
+      h.misses.add(gslot, misses);
+      h.bytes.add(gslot, bytes);
     }
   }
   return points;
@@ -945,11 +966,12 @@ int top_phase(Profiler* prof, const char* name) {
 void export_offline_cache_delta(const ExperimentConfig& cfg,
                                 const OfflineCache& cache,
                                 std::uint64_t hits0, std::uint64_t misses0) {
-  if (!cfg.collect_metrics) return;
-  MetricsRegistry& reg =
-      cfg.registry != nullptr ? *cfg.registry : MetricsRegistry::global();
-  reg.counter("offline.cache.hits").add(0, cache.hits() - hits0);
-  reg.counter("offline.cache.misses").add(0, cache.misses() - misses0);
+  MetricsRegistry* const reg = metrics_registry(cfg);
+  if (reg == nullptr) return;
+  CacheHandles& h = handles_of<CacheHandles>(*reg, "offline.cache");
+  const int slot = WorkerPool::participant_slot();
+  h.hits.add(slot, cache.hits() - hits0);
+  h.misses.add(slot, cache.misses() - misses0);
 }
 
 }  // namespace
@@ -972,34 +994,33 @@ bool resolved_dedup(const ExperimentConfig& config,
 }
 
 SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
-                     SimTime deadline, double x_value, OfflineCache* cache) {
+                     SimTime deadline, double x_value,
+                     const CanonicalAnalysis* canon) {
   validate_config(cfg);
   PASERTA_REQUIRE(deadline > SimTime::zero(), "deadline must be positive");
 
   Profiler* const prof = cfg.prof;
   const int ph_analyze = top_phase(prof, "offline.analyze");
   const int ph_apply = top_phase(prof, "offline.apply");
+  const int slot = WorkerPool::participant_slot();
   OfflineResult off;
-  if (cache != nullptr) {
-    const std::uint64_t h0 = cache->hits();
-    const std::uint64_t m0 = cache->misses();
-    const CanonicalAnalysis* canon = nullptr;
-    {
-      ProfScope ps(prof, ph_analyze, 0);
-      canon = &cache->get(app, canonical_options(cfg));
-    }
-    {
-      ProfScope ps(prof, ph_apply, 0);
-      off = apply_deadline(*canon, deadline);
-    }
-    export_offline_cache_delta(cfg, *cache, h0, m0);
+  if (canon != nullptr) {
+    const CanonicalOptions want = canonical_options(cfg);
+    PASERTA_REQUIRE(canon->valid() && &canon->application() == &app &&
+                        canon->cpus() == want.cpus &&
+                        canon->overhead_budget() == want.overhead_budget &&
+                        canon->heuristic() == want.heuristic,
+                    "run_point: the canonical analysis is not this point's "
+                    "(application, cpus, overhead budget, heuristic)");
+    ProfScope ps(prof, ph_apply, slot);
+    off = apply_deadline(*canon, deadline);
   } else {
     OfflineOptions opt;
     opt.cpus = cfg.cpus;
     opt.deadline = deadline;
     opt.overhead_budget = cfg.overheads.worst_case_budget(cfg.table);
     opt.heuristic = cfg.heuristic;
-    ProfScope ps(prof, ph_analyze, 0);
+    ProfScope ps(prof, ph_analyze, slot);
     off = analyze_offline(app, opt);
   }
 
@@ -1082,10 +1103,11 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   // deadline varies across points, and the deadline enters the offline
   // data solely through the cheap round-2 shift.
   Profiler* const prof = cfg.prof;
+  const int slot = WorkerPool::participant_slot();
   OfflineCache cache;
   const CanonicalAnalysis* canon_ptr = nullptr;
   {
-    ProfScope ps(prof, top_phase(prof, "offline.analyze"), 0);
+    ProfScope ps(prof, top_phase(prof, "offline.analyze"), slot);
     const std::uint64_t h0 = cache.hits();
     const std::uint64_t m0 = cache.misses();
     canon_ptr = &cache.get(app, canonical_options(cfg));
@@ -1101,7 +1123,7 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   for (double load : loads) {
     const SimTime deadline = deadline_at_load(canon.worst_makespan(), load);
     {
-      ProfScope ps(prof, ph_apply, 0);
+      ProfScope ps(prof, ph_apply, slot);
       offs.push_back(apply_deadline(canon, deadline));
     }
     PointSpec spec;

@@ -201,12 +201,18 @@ bool resolved_dedup(const ExperimentConfig& config,
 
 /// Evaluates one point. `deadline` must be >= the canonical worst-case
 /// makespan for the guarantee to hold (the harness does not enforce it, so
-/// infeasible what-if points can be explored; misses are counted). With a
-/// `cache`, the deadline-independent canonical analysis is looked up there
-/// instead of recomputed (sweeps pass one cache for all their points).
+/// infeasible what-if points can be explored; misses are counted). With
+/// `canon`, the point shifts that deadline-independent analysis of `app`
+/// (it must match canonical_options(config)) instead of running both
+/// offline rounds: the serve daemon resolves it once per graph.
+///
+/// Called inside a WorkerPool task or body, the call runs its loop inline
+/// and charges the registry, profiler and tracer on the participant's slot
+/// (WorkerPool::participant_slot), so concurrent calls on different
+/// workers never share a shard.
 SweepPoint run_point(const Application& app, const ExperimentConfig& config,
                      SimTime deadline, double x_value,
-                     OfflineCache* cache = nullptr);
+                     const CanonicalAnalysis* canon = nullptr);
 
 /// The pre-pool implementation: spawns and joins a fresh strided
 /// std::thread set, runs its own offline analysis, draws scenarios

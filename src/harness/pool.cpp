@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -22,10 +23,14 @@ static_assert(WorkerPool::kMaxThreads + 1 <= kMaxShards,
 
 namespace {
 
-/// Set while a thread executes a parallel_chunks body; a nested call from
-/// inside a body would deadlock on the run mutex, so it degrades to inline
-/// serial execution instead.
+/// Set while a thread executes a parallel_chunks body or a task; a nested
+/// call from inside one would deadlock on the run mutex (or wait on the
+/// worker running it), so it degrades to inline serial execution instead.
 thread_local bool t_inside_body = false;
+
+/// The calling thread's participant slot (WorkerPool::participant_slot):
+/// set once by each background worker, 0 on every other thread.
+thread_local int t_slot = 0;
 
 std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -88,7 +93,10 @@ struct WorkerPool::Impl {
   std::mutex spawn_m;
   std::atomic<int> thread_count{0};
   std::mutex run_m;  // serializes parallel loops
+  std::deque<std::function<void(int)>> tasks;  // guarded by m
 
+  /// The claim loop of one participant: `slot` is its local slot, the
+  /// one bodies see; telemetry goes to its participant slot.
   void run_chunks(Job& job_ref, int slot) {
     if (job_ref.telemetry != nullptr) {
       run_chunks_instrumented(job_ref, slot);
@@ -126,9 +134,10 @@ struct WorkerPool::Impl {
   /// genuine waiting), paid for by one extra clock read per claim.
   void run_chunks_instrumented(Job& job_ref, int slot) {
     const PoolTelemetry& tel = *job_ref.telemetry;
+    const int shard = t_slot;
     std::int64_t mark = now_ns();  // end of the last charged stretch
     const auto gap = [&](int phase, std::int64_t until) {
-      record_gap(tel, phase, slot, mark, until);
+      record_gap(tel, phase, shard, mark, until);
       mark = until;
     };
     for (;;) {
@@ -151,38 +160,60 @@ struct WorkerPool::Impl {
           t_inside_body = false;
         } catch (...) {
           t_inside_body = false;
-          record_chunk(tel, slot, t0, now_ns());
+          record_chunk(tel, shard, t0, now_ns());
           std::lock_guard<std::mutex> lock(m);
           if (!job_ref.error) job_ref.error = std::current_exception();
           job_ref.abort.store(true, std::memory_order_relaxed);
           return;
         }
         mark = now_ns();
-        record_chunk(tel, slot, t0, mark);
+        record_chunk(tel, shard, t0, mark);
       }
     }
     gap(tel.ph_idle, now_ns());
   }
 
-  void worker_main() {
+  void worker_main(int slot) {
+    t_slot = slot;
     std::uint64_t seen = 0;
     std::unique_lock<std::mutex> lock(m);
     for (;;) {
-      wake.wait(lock, [&] { return stop || generation != seen; });
-      if (stop) return;
-      seen = generation;
-      Job* j = job;
-      // Job pointer reads, slot claims and the active count all happen
-      // under `m`, so a job cleared by the caller can never be entered
-      // late and the caller can never observe active == 0 while a
-      // participant is between claiming a slot and exiting.
-      if (j == nullptr || j->next_slot >= j->max_workers) continue;
-      const int slot = j->next_slot++;
-      ++j->active;
-      lock.unlock();
-      run_chunks(*j, slot);
-      lock.lock();
-      if (--j->active == 0) done.notify_all();
+      wake.wait(lock, [&] {
+        return stop || generation != seen || !tasks.empty();
+      });
+      if (generation != seen) {
+        seen = generation;
+        Job* j = job;
+        // Job pointer reads, slot claims and the active count all happen
+        // under `m`, so a job cleared by the caller can never be entered
+        // late and the caller can never observe active == 0 while a
+        // participant is between claiming a slot and exiting.
+        if (j != nullptr && j->next_slot < j->max_workers) {
+          const int local = j->next_slot++;
+          ++j->active;
+          lock.unlock();
+          run_chunks(*j, local);
+          lock.lock();
+          if (--j->active == 0) done.notify_all();
+          continue;
+        }
+      }
+      if (!tasks.empty()) {
+        std::function<void(int)> task = std::move(tasks.front());
+        tasks.pop_front();
+        lock.unlock();
+        t_inside_body = true;
+        try {
+          task(slot);
+        } catch (...) {
+          std::terminate();  // tasks must not throw (pool.h)
+        }
+        t_inside_body = false;
+        task = nullptr;  // release the task's captures off the lock
+        lock.lock();
+        continue;
+      }
+      if (stop) return;  // only once the task queue is drained
     }
   }
 
@@ -190,7 +221,8 @@ struct WorkerPool::Impl {
     std::lock_guard<std::mutex> lock(spawn_m);
     target = std::min(target, WorkerPool::kMaxThreads);
     while (static_cast<int>(threads.size()) < target) {
-      threads.emplace_back([this] { worker_main(); });
+      const int slot = static_cast<int>(threads.size()) + 1;
+      threads.emplace_back([this, slot] { worker_main(slot); });
       thread_count.store(static_cast<int>(threads.size()),
                          std::memory_order_relaxed);
     }
@@ -249,7 +281,7 @@ void WorkerPool::parallel_chunks(
   }
   impl_->wake.notify_all();
 
-  impl_->run_chunks(job, 0);  // the caller is participant slot 0
+  impl_->run_chunks(job, 0);  // the caller is local slot 0
 
   const std::int64_t wait_start = telemetry != nullptr ? now_ns() : 0;
   {
@@ -259,9 +291,9 @@ void WorkerPool::parallel_chunks(
     impl_->done.wait(lock, [&] { return job.active == 0; });
     impl_->job = nullptr;
   }
-  // The caller's wait for helpers to drain is slot 0 idle time.
+  // The caller's wait for helpers to drain is its own idle time.
   if (telemetry != nullptr)
-    record_gap(*telemetry, telemetry->ph_idle, 0, wait_start, now_ns());
+    record_gap(*telemetry, telemetry->ph_idle, t_slot, wait_start, now_ns());
   if (job.error) std::rethrow_exception(job.error);
 }
 
@@ -282,15 +314,16 @@ void WorkerPool::serial_chunks(
       // modes. Serial mode has no claim counter, so the whole between-body
       // stretch is the profiler's idle phase.
       const PoolTelemetry& tel = *telemetry;
+      const int shard = t_slot;
       std::int64_t mark = now_ns();
       for (int c = 0; c < chunk_count; ++c) {
         const std::int64_t t0 = now_ns();
-        record_gap(tel, tel.ph_idle, 0, mark, t0);
+        record_gap(tel, tel.ph_idle, shard, mark, t0);
         body(c, 0);
         mark = now_ns();
-        record_chunk(tel, 0, t0, mark);
+        record_chunk(tel, shard, t0, mark);
       }
-      record_gap(tel, tel.ph_idle, 0, mark, now_ns());
+      record_gap(tel, tel.ph_idle, shard, mark, now_ns());
     }
   } catch (...) {
     t_inside_body = was_inside;
@@ -298,6 +331,17 @@ void WorkerPool::serial_chunks(
   }
   t_inside_body = was_inside;
 }
+
+void WorkerPool::submit(std::function<void(int slot)> task) {
+  PASERTA_REQUIRE(thread_count() > 0, "a task needs a background worker");
+  {
+    std::lock_guard<std::mutex> lock(impl_->m);
+    impl_->tasks.push_back(std::move(task));
+  }
+  impl_->wake.notify_one();
+}
+
+int WorkerPool::participant_slot() { return t_slot; }
 
 WorkerPool& WorkerPool::process_pool() {
   static WorkerPool pool(std::max(

@@ -151,6 +151,112 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot;
 }
 
+MetricHandles* MetricsRegistry::find_handles(const std::string& key) const {
+  const int n = handle_count_.load(std::memory_order_acquire);
+  for (int i = 0; i < n; ++i) {
+    const HandleEntry* e =
+        handle_index_[static_cast<std::size_t>(i)].load(
+            std::memory_order_relaxed);
+    if (e->key == key) return e->handles.get();
+  }
+  if (n < kMaxHandleSets) return nullptr;
+  std::lock_guard<std::mutex> lock(m_);  // past the index
+  for (std::size_t i = kMaxHandleSets; i < handle_sets_.size(); ++i)
+    if (handle_sets_[i]->key == key) return handle_sets_[i]->handles.get();
+  return nullptr;
+}
+
+MetricHandles& MetricsRegistry::publish_handles(
+    const std::string& key, std::unique_ptr<MetricHandles> handles) {
+  std::lock_guard<std::mutex> lock(m_);
+  // Another thread may have built the same set meanwhile: keep the first.
+  for (const auto& e : handle_sets_)
+    if (e->key == key) return *e->handles;
+  handle_sets_.push_back(
+      std::make_unique<HandleEntry>(HandleEntry{key, std::move(handles)}));
+  const int n = handle_count_.load(std::memory_order_relaxed);
+  if (n < kMaxHandleSets) {
+    handle_index_[static_cast<std::size_t>(n)].store(
+        handle_sets_.back().get(), std::memory_order_relaxed);
+    handle_count_.store(n + 1, std::memory_order_release);
+  }
+  return *handle_sets_.back()->handles;
+}
+
+SimCounterHandles& SimCounterHandles::of(MetricsRegistry& reg,
+                                         const std::string& prefix,
+                                         std::uint32_t levels) {
+  return reg.handles<SimCounterHandles>(
+      prefix + "#" + std::to_string(levels), [&] {
+        return std::make_unique<SimCounterHandles>(reg, prefix, levels);
+      });
+}
+
+SimCounterHandles::SimCounterHandles(MetricsRegistry& reg, std::string prefix,
+                                     std::uint32_t levels)
+    : reg_(reg),
+      prefix_(std::move(prefix)),
+      levels_(levels),
+      compute_(new std::atomic<Counter*>[levels]),
+      transitions_(new std::atomic<Counter*>[std::size_t{levels} * levels]) {
+  static constexpr const char* kFixed[8] = {
+      ".dispatches",   ".tasks",        ".or_fires",
+      ".speed_changes", ".spec_picks",  ".greedy_picks",
+      ".reclaimed_slack_ps", ".idle_ps"};
+  for (std::size_t f = 0; f < fixed_.size(); ++f)
+    fixed_[f] = &reg_.counter(prefix_ + kFixed[f]);
+  for (std::uint32_t l = 0; l < levels_; ++l) {
+    busy_.push_back(&reg_.counter(prefix_ + ".busy_ps.L" + std::to_string(l)));
+    compute_[l].store(nullptr, std::memory_order_relaxed);
+  }
+  for (std::size_t i = 0; i < std::size_t{levels_} * levels_; ++i)
+    transitions_[i].store(nullptr, std::memory_order_relaxed);
+}
+
+Counter& SimCounterHandles::sparse(std::atomic<Counter*>& h,
+                                   const char* field, std::uint32_t from,
+                                   std::int64_t to) {
+  Counter* c = h.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // Racing registrations resolve to the same counter.
+    std::string name = prefix_ + field + ".L" + std::to_string(from);
+    if (to >= 0) name += "_L" + std::to_string(to);
+    c = &reg_.counter(name);
+    h.store(c, std::memory_order_release);
+  }
+  return *c;
+}
+
+void SimCounterHandles::add(int shard, const SimCounters& c) {
+  PASERTA_REQUIRE(c.levels == levels_,
+                  "SimCounters ledger of " << c.levels
+                                           << " levels exported through "
+                                           << levels_ << "-level handles");
+  const std::uint64_t fixed[8] = {
+      c.dispatches,  c.tasks,        c.or_fires,
+      c.speed_changes, c.spec_picks, c.greedy_picks,
+      c.reclaimed_slack_ps, c.idle_ps};
+  for (std::size_t f = 0; f < fixed_.size(); ++f)
+    if (fixed[f] != 0) fixed_[f]->add(shard, fixed[f]);
+  // Energy-attribution ledger: per-level time counters, transition counts
+  // per (from, to) level pair (only the pairs that fired — an L x L matrix
+  // of mostly-zero names would drown the export), and total idle time.
+  // With the power table and overheads these rebuild the paper's busy /
+  // overhead / idle energy split (attribution_energy).
+  for (std::uint32_t l = 0; l < levels_; ++l) {
+    if (c.busy_ps[l] != 0) busy_[l]->add(shard, c.busy_ps[l]);
+    if (c.compute_ps[l] != 0)
+      sparse(compute_[l], ".compute_ps", l, -1).add(shard, c.compute_ps[l]);
+  }
+  for (std::uint32_t from = 0; from < levels_; ++from)
+    for (std::uint32_t to = 0; to < levels_; ++to) {
+      const std::size_t i = std::size_t{from} * levels_ + to;
+      if (c.transitions[i] != 0)
+        sparse(transitions_[i], ".transitions", from, to)
+            .add(shard, c.transitions[i]);
+    }
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(m_);
   MetricsSnapshot snap;

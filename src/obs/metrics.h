@@ -2,10 +2,11 @@
 // histograms behind a name-keyed registry.
 //
 // Sharding. Every metric keeps kMaxShards cache-line-separated cells, one
-// per worker-pool participant slot (slot 0 is the calling thread of a
-// parallel loop, 1..kMaxThreads the background workers — harness/pool.h
-// guarantees a slot is owned by exactly one thread for the whole loop).
-// The write path is therefore single-writer per shard: a relaxed atomic
+// per worker-pool participant slot (slot 0 is any thread outside the
+// pool, 1..kMaxThreads the background workers — harness/pool.h gives each
+// worker one fixed slot for its lifetime, and threads sharing slot 0
+// serialize their writes). The write path is therefore single-writer per
+// shard: a relaxed atomic
 // store of (relaxed load + n) compiles to a plain increment — no
 // read-modify-write instruction, no contention — while staying TSan-clean
 // when another thread snapshots the metric mid-loop (live /metrics
@@ -25,6 +26,12 @@
 // Registries. MetricsRegistry::global() is the process-wide instance the
 // harness defaults to; tests and tools construct scoped local registries
 // so concurrent measurements cannot bleed into each other.
+//
+// Handles. Looking a metric up by name builds a string and takes the
+// registry mutex, so code that exports many metrics per call resolves its
+// handles once per registry: MetricsRegistry::handles caches a handle set
+// under a key and finds it again without a lock (SimCounterHandles is the
+// engine counters' set).
 #pragma once
 
 #include <array>
@@ -35,12 +42,13 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace paserta {
 
-/// One shard per worker-pool participant: the caller of a parallel loop is
-/// slot 0, background workers claim 1..WorkerPool::kMaxThreads (pool.cpp
+/// One shard per worker-pool participant slot: threads outside the pool
+/// are slot 0, background workers own 1..WorkerPool::kMaxThreads (pool.cpp
 /// static_asserts the bound so the two constants cannot drift apart).
 constexpr int kMaxShards = 65;
 
@@ -246,10 +254,17 @@ struct MetricsSnapshot {
   std::vector<HistogramRow> histograms;
 };
 
-/// Name-keyed metric registry. Registration (the first counter()/gauge()/
-/// histogram() call per name) takes a mutex; the returned reference is
-/// stable for the registry's lifetime, so hot paths resolve their handles
-/// once and then write lock-free.
+/// A set of resolved metric handles, owned and cached by a registry
+/// (MetricsRegistry::handles).
+class MetricHandles {
+ public:
+  virtual ~MetricHandles() = default;
+};
+
+/// Name-keyed metric registry. Every counter()/gauge()/histogram() call
+/// takes a mutex; the returned reference is stable for the registry's
+/// lifetime, so hot paths resolve their handles once and then write
+/// lock-free.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -262,6 +277,18 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name,
                        std::span<const double> upper_bounds);
 
+  /// The handle set cached under `key`: on the key's first use `make()`
+  /// (returning std::unique_ptr<T>, T derived from MetricHandles) builds
+  /// it outside the lock, so it may register metrics; later calls find it
+  /// without a lock (the first kMaxHandleSets keys; later keys are found
+  /// under the mutex). Sets live as long as the registry. Thread-safe.
+  template <class T, class Make>
+  T& handles(const std::string& key, Make&& make) {
+    MetricHandles* h = find_handles(key);
+    if (h == nullptr) h = &publish_handles(key, std::forward<Make>(make)());
+    return static_cast<T&>(*h);
+  }
+
   MetricsSnapshot snapshot() const;
   /// Zeroes every metric, keeping registrations (and handles) alive.
   void reset();
@@ -269,11 +296,61 @@ class MetricsRegistry {
   /// The process-wide registry the experiment harness defaults to.
   static MetricsRegistry& global();
 
+  static constexpr int kMaxHandleSets = 64;
+
  private:
+  struct HandleEntry {
+    std::string key;
+    std::unique_ptr<MetricHandles> handles;
+  };
+  MetricHandles* find_handles(const std::string& key) const;
+  MetricHandles& publish_handles(const std::string& key,
+                                 std::unique_ptr<MetricHandles> handles);
+
   mutable std::mutex m_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::vector<std::unique_ptr<HandleEntry>> handle_sets_;  // guarded by m_
+  // Lock-free index of the first kMaxHandleSets entries: slots below
+  // handle_count_ are written once, before the count is published.
+  std::array<std::atomic<const HandleEntry*>, kMaxHandleSets> handle_index_{};
+  std::atomic<int> handle_count_{0};
+};
+
+/// The "<prefix>.<field>" counters one SimCounters total exports to: the
+/// seven event counts, idle_ps, busy_ps.L<l> per level, and — only once
+/// non-zero, so the export stays as sparse as the ledger —
+/// compute_ps.L<l> and transitions.L<from>_L<to>. Resolved once per
+/// (registry, prefix, ledger level count); add() then writes without the
+/// registry lock, except to register a sparse name on its first non-zero
+/// value.
+class SimCounterHandles final : public MetricHandles {
+ public:
+  /// The handles of `reg` for `prefix` and ledgers of `levels` levels,
+  /// cached in the registry.
+  static SimCounterHandles& of(MetricsRegistry& reg, const std::string& prefix,
+                               std::uint32_t levels);
+
+  SimCounterHandles(MetricsRegistry& reg, std::string prefix,
+                    std::uint32_t levels);
+
+  /// Adds `c`, whose ledger must have this set's level count, on `shard`.
+  void add(int shard, const SimCounters& c);
+
+ private:
+  /// The counter behind sparse handle `h`, registered on first use as
+  /// "<prefix><field>.L<from>" (plus "_L<to>" when `to` >= 0).
+  Counter& sparse(std::atomic<Counter*>& h, const char* field,
+                  std::uint32_t from, std::int64_t to);
+
+  MetricsRegistry& reg_;
+  std::string prefix_;
+  std::uint32_t levels_;
+  std::array<Counter*, 8> fixed_{};  // the event counts, then idle_ps
+  std::vector<Counter*> busy_;
+  std::unique_ptr<std::atomic<Counter*>[]> compute_;      // levels
+  std::unique_ptr<std::atomic<Counter*>[]> transitions_;  // levels^2
 };
 
 /// Renders a snapshot as a pretty-printed JSON object (counters / gauges /

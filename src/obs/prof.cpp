@@ -146,13 +146,19 @@ Profiler::Profiler(Mode mode, Tracer* tracer)
   for (auto& c : cells_)
     for (auto& v : c.v) v.store(0, std::memory_order_relaxed);
   for (auto& s : next_sample_ns_) s.store(0, std::memory_order_relaxed);
+  for (auto& e : expected_) e.store(0, std::memory_order_relaxed);
   if (tracer_ != nullptr) samples_.reserve(64);
 }
 
 int Profiler::phase(const char* name, bool top_level) {
+  // Entries below phase_count_ are immutable once published (release
+  // store below), so a registered name is found without the lock.
+  const int published = phase_count_.load(std::memory_order_acquire);
+  for (int i = 0; i < published; ++i)
+    if (names_[i] == name || std::strcmp(names_[i], name) == 0) return i;
   std::lock_guard<std::mutex> lock(m_);
   const int n = phase_count_.load(std::memory_order_relaxed);
-  for (int i = 0; i < n; ++i)
+  for (int i = published; i < n; ++i)
     if (std::strcmp(names_[i], name) == 0) return i;
   PASERTA_REQUIRE(n < kMaxPhases, "profiler phase table full (kMaxPhases = "
                                       << kMaxPhases << ")");
@@ -178,18 +184,27 @@ void Profiler::add_ns(int phase, int slot, std::uint64_t ns,
   cell_add(c.v[kNs], ns);
 }
 
-void Profiler::expect(int phase, std::uint64_t n) {
+void Profiler::expect(int phase, std::uint64_t n, int slot) {
   progress_phase_.store(phase, std::memory_order_relaxed);
-  expected_.fetch_add(n, std::memory_order_relaxed);
+  cell_add(expected_[slot], n);
 }
 
 ProfProgress Profiler::progress() const {
   ProfProgress p;
-  p.total = expected_.load(std::memory_order_relaxed);
+  for (int s = 0; s < kSlots; ++s) {
+    const ProfProgress one = progress(s);
+    p.done += one.done;
+    p.total += one.total;
+  }
+  return p;
+}
+
+ProfProgress Profiler::progress(int slot) const {
+  ProfProgress p;
+  p.total = expected_[slot].load(std::memory_order_relaxed);
   const int phase = progress_phase_.load(std::memory_order_relaxed);
-  if (phase < 0) return p;
-  for (int s = 0; s < kSlots; ++s)
-    p.done += cell(phase, s).v[kCount].load(std::memory_order_relaxed);
+  if (phase >= 0)
+    p.done = cell(phase, slot).v[kCount].load(std::memory_order_relaxed);
   return p;
 }
 

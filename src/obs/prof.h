@@ -5,9 +5,11 @@
 // perf_event_open, its hardware-counter deltas (cycles, instructions,
 // cache references/misses, branch misses) — to one (phase, slot) cell.
 // Slots follow the observability shard convention (obs/metrics.h): slot 0
-// is the caller / dispatcher, slots 1..kMaxShards-1 are pool worker slots,
-// each cell is written by exactly one thread and read with relaxed loads,
-// so the profiler is TSan-clean against concurrent snapshot/export calls.
+// is any thread outside the pool (a loop's caller, the serve dispatcher),
+// slots 1..kMaxShards-1 are the pool workers' fixed participant slots
+// (harness/pool.h); each cell is written by one thread at a time and read
+// with relaxed loads, so the profiler is TSan-clean against concurrent
+// snapshot/export calls.
 //
 // One instrumentation point: instrumented code only charges phases. A
 // Tracer attached at construction records every charge a slot's own
@@ -65,7 +67,8 @@ struct ProfPhaseTotals {
 };
 
 /// The progress view (Profiler::progress): entries of the expected phase
-/// so far against the registered total, which grows per harness call.
+/// so far against the registered total, which grows per harness call —
+/// over all slots, or over one.
 struct ProfProgress {
   std::uint64_t done = 0;
   std::uint64_t total = 0;
@@ -98,8 +101,10 @@ class Profiler {
 
   /// Registers (or finds, by exact name) a phase and returns its id.
   /// Registration order is the snapshot/export order. At most kMaxPhases
-  /// distinct names; thread-safe. `name` is kept by pointer (it is the
-  /// category of the phase's spans), so pass a string literal.
+  /// distinct names; thread-safe. Finding a registered phase takes no
+  /// lock, so hot callers may look ids up per call. `name` is kept by
+  /// pointer (it is the category of the phase's spans), so pass a string
+  /// literal.
   int phase(const char* name, bool top_level = false);
 
   /// True when scopes read live hardware counters (the process-wide probe
@@ -117,12 +122,16 @@ class Profiler {
   void add_ns(int phase, int slot, std::uint64_t ns, std::uint64_t count = 1);
 
   /// Registers `n` more expected entries of `phase` (one phase per
-  /// profiler) for progress().
-  void expect(int phase, std::uint64_t n);
+  /// profiler) on `slot` for progress(). Slot's own thread only.
+  void expect(int phase, std::uint64_t n, int slot = 0);
 
-  /// The progress view. Relaxed loads only: callable from any thread
-  /// while charges land.
+  /// The progress view over all slots. Relaxed loads only: callable from
+  /// any thread while charges land.
   ProfProgress progress() const;
+  /// The progress view of one slot: the entries charged on it against the
+  /// entries expected on it. Exact for calls that run serially on the
+  /// slot, where both land.
+  ProfProgress progress(int slot) const;
 
   /// Merged per-phase totals, in registration order, slots summed in slot
   /// order. Safe to call while scopes are active on other threads (their
@@ -193,7 +202,7 @@ class Profiler {
   std::array<bool, kMaxPhases> top_level_{};
   std::atomic<int> phase_count_{0};
   std::atomic<int> progress_phase_{-1};
-  std::atomic<std::uint64_t> expected_{0};
+  std::atomic<std::uint64_t> expected_[kSlots] = {};  // single writer each
   std::vector<ProfSample> samples_;
   std::atomic<std::int64_t> next_sample_ns_[kSlots] = {};
   std::vector<std::uint64_t> exported_;  // last-export totals, phase-major

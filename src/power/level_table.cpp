@@ -55,6 +55,14 @@ LevelTable LevelTable::intel_xscale() {
                      Level{1000 * kMHz, 1.8}});
 }
 
+LevelTable LevelTable::from_name(std::string_view name) {
+  if (name == "transmeta") return transmeta_tm5400();
+  if (name == "xscale") return intel_xscale();
+  PASERTA_REQUIRE(false,
+                  "unknown table '" << name << "' (use transmeta or xscale)");
+  return transmeta_tm5400();  // unreachable
+}
+
 LevelTable LevelTable::synthetic(std::string name, std::size_t n, Freq f_min,
                                  Freq f_max, double v_min, double v_max) {
   PASERTA_REQUIRE(n >= 1, "synthetic table needs at least one level");

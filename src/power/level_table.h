@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.h"
@@ -76,6 +77,10 @@ class LevelTable {
   /// Intel XScale 80200 (paper Table 2): 150/400/600/800/1000 MHz at
   /// 0.75/1.0/1.3/1.6/1.8 V — few levels, wide gaps.
   static LevelTable intel_xscale();
+
+  /// The paper's table a front end names: "transmeta" (TM5400) or
+  /// "xscale". Throws paserta::Error naming the valid names otherwise.
+  static LevelTable from_name(std::string_view name);
 
   /// A synthetic table with `n` levels spaced uniformly in frequency
   /// between f_min and f_max, with voltage linear in frequency between

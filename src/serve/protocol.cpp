@@ -9,6 +9,7 @@
 #include "common/time.h"
 #include "common/version.h"
 #include "harness/json.h"
+#include "power/level_table.h"
 
 namespace paserta {
 namespace {
@@ -41,18 +42,6 @@ int int_field(const JsonValue& v, const char* name, int lo, int hi,
                   "request field '" << name << "' must be an integer in ["
                                     << lo << ", " << hi << "]");
   return static_cast<int>(d);
-}
-
-Scheme scheme_of(const std::string& s) {
-  if (s == "npm") return Scheme::NPM;
-  if (s == "spm") return Scheme::SPM;
-  if (s == "gss") return Scheme::GSS;
-  if (s == "ss1") return Scheme::SS1;
-  if (s == "ss2") return Scheme::SS2;
-  if (s == "as") return Scheme::AS;
-  PASERTA_REQUIRE(false, "unknown scheme '" << s
-                         << "' (use npm, spm, gss, ss1, ss2 or as)");
-  return Scheme::NPM;  // unreachable
 }
 
 }  // namespace
@@ -107,10 +96,9 @@ SimRequest parse_request(const std::string& line, const ServeLimits& limits) {
   }
 
   if (const JsonValue* t = doc.find("table")) {
-    PASERTA_REQUIRE(t->type == JsonValue::Type::String &&
-                        (t->str == "transmeta" || t->str == "xscale"),
-                    "request field 'table' must be \"transmeta\" or "
-                    "\"xscale\"");
+    PASERTA_REQUIRE(t->type == JsonValue::Type::String,
+                    "request field 'table' must be a string");
+    (void)LevelTable::from_name(t->str);  // validates the name
     req.table = t->str;
   }
   req.cpus = int_field(doc, "cpus", 1, limits.max_cpus, req.cpus);
@@ -119,12 +107,7 @@ SimRequest parse_request(const std::string& line, const ServeLimits& limits) {
   if (const JsonValue* h = doc.find("heuristic")) {
     PASERTA_REQUIRE(h->type == JsonValue::Type::String,
                     "request field 'heuristic' must be a string");
-    if (h->str == "ltf") req.heuristic = ListHeuristic::LongestTaskFirst;
-    else if (h->str == "stf") req.heuristic = ListHeuristic::ShortestTaskFirst;
-    else if (h->str == "fifo") req.heuristic = ListHeuristic::InsertionOrder;
-    else
-      PASERTA_REQUIRE(false, "unknown heuristic '" << h->str
-                             << "' (use ltf, stf or fifo)");
+    req.heuristic = heuristic_from_name(h->str);
   }
   if (const JsonValue* s = doc.find("schemes")) {
     PASERTA_REQUIRE(s->is_array() && !s->array.empty(),
@@ -132,7 +115,7 @@ SimRequest parse_request(const std::string& line, const ServeLimits& limits) {
     for (const JsonValue& e : s->array) {
       PASERTA_REQUIRE(e.type == JsonValue::Type::String,
                       "scheme names must be strings");
-      req.schemes.push_back(scheme_of(e.str));
+      req.schemes.push_back(scheme_from_name(e.str));
     }
   }
   if (const JsonValue* s = doc.find("seed")) {

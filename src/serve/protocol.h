@@ -94,7 +94,7 @@ std::string render_result(const std::string& id_json,
 /// One streamed progress line ("stream": true requests only):
 /// {"id":...,"event":"progress","done":N,"total":M,"phase":"...",
 ///  "elapsed_ms":...,"cycles":C,"instructions":I}
-/// done/total count pool chunks of the in-flight batch; cycles and
+/// done/total count pool chunks of the request's own group; cycles and
 /// instructions are the live profiler snapshot (0 on the fallback clock).
 std::string render_progress(const std::string& id_json, std::uint64_t done,
                             std::uint64_t total, const std::string& phase,

@@ -189,7 +189,7 @@ std::string SimServer::response_for(const std::string& line) {
     const auto status =
         f.wait_for(std::chrono::milliseconds(settings_.request_timeout_ms));
     if (status != std::future_status::ready) {
-      // The dispatcher still finishes the job; only this wait gives up.
+      // The service still finishes the job; only this wait gives up.
       service_.registry().counter("serve.timeouts").add(0, 1);
       return render_error("", "timeout",
                           "no response within " +
@@ -247,7 +247,7 @@ void SimServer::respond_ndjson(int fd, const std::string& line) {
         std::future_status::ready) {
       break;
     }
-    const SimService::LiveProgress lp = service_.live_progress();
+    const SimService::LiveProgress lp = service_.live_progress(sub);
     const double elapsed =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)

@@ -16,7 +16,7 @@
 // Each connection thread submits to the shared SimService and blocks on
 // the response future — optionally bounded by request_timeout_ms, after
 // which the client gets a structured "timeout" error (the simulation
-// still completes on the dispatcher; only the wait is abandoned).
+// still completes; only the wait is abandoned).
 //
 // NDJSON requests carrying "stream": true additionally get rate-limited
 // {"event":"progress",...} lines (every stream_interval_ms while the

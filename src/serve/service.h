@@ -2,29 +2,33 @@
 // core behind the socket server.
 //
 // Connection handlers (or tests, directly) submit() request lines and get
-// a future for the full response line. A single dispatcher thread drains
-// the bounded queue in batches, groups jobs whose semantic key is
-// identical — same interned graph, platform, heuristic, schemes, runs,
-// seed and deadline — runs each distinct group once through the existing
-// harness (run_point on the WorkerPool / batched engine), and fulfills
-// every job of a group from the one shared result. Grouping is pure
-// coalescing: results are bit-identical whether a request ran alone or
-// shared a simulation, because the key pins every output-relevant input.
+// a future for the full response line. A dispatcher thread drains the
+// bounded queue in batches and does the serial work: it builds and
+// interns each job's graph, groups jobs whose semantic key is identical —
+// same interned graph, platform, heuristic, schemes, runs, seed and
+// deadline — and resolves each group's canonical analysis and deadline.
+// It then hands every group to the process WorkerPool as one task, up to
+// ServeSettings::threads groups at a time: the worker runs the group's
+// point serially through the existing harness (run_point on the batched
+// engine), renders it once and fulfills every job of the group from that
+// one result. Grouping is pure coalescing and concurrency is invisible in
+// the output: results are bit-identical whether a request ran alone,
+// shared a simulation or ran beside others, because the key pins every
+// output-relevant input and each point is computed serially.
 //
-// Cross-request caching happens at two levels, both confined to the
-// dispatcher thread (OfflineCache and GraphStore are single-threaded by
-// contract): the GraphStore interns Applications by content so repeated
-// workloads resolve to one object, and the OfflineCache then memoizes
-// the canonical offline analysis across requests keyed by that object's
-// address. serve.* and offline.cache.* registry counters make both
-// observable.
+// Cross-request caching is confined to the dispatcher: the GraphStore
+// interns Applications by content, each entry keeps its canonical
+// analyses, and least recently used entries are evicted past a byte
+// budget (a group in flight keeps its entry alive). serve.*,
+// offline.cache.* and serve.graph_store.* metrics make both observable.
 //
-// Threading / metrics discipline: submit-side counters (serve.requests,
-// serve.rejected, ...) are only written under the queue mutex; dispatch-
-// side counters and the latency histogram are only written by the
-// dispatcher thread. Either way each (metric, shard-0) cell has
-// serialized writers, keeping the registry's single-writer-per-shard
-// contract TSan-clean.
+// Threading / metrics discipline: every writer uses its own shard. Submit-
+// side counters (serve.requests, serve.rejected, ...) are written under
+// the queue mutex on shard 0, and so are the dispatcher's writes to the
+// counters they share; the dispatcher's own counters use shard 0; a worker
+// writes the response counters, the latency histograms and its spans on
+// its participant slot (WorkerPool::participant_slot), where the harness
+// also charges the group's run_point.
 #pragma once
 
 #include <atomic>
@@ -38,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/offline.h"
 #include "harness/experiment.h"
 #include "obs/prof.h"
 #include "serve/graph_store.h"
@@ -49,8 +52,9 @@ namespace paserta {
 class Tracer;
 
 struct ServeSettings {
-  /// Worker threads per dispatched simulation (ExperimentConfig::threads).
-  int threads = 1;
+  /// Request groups simulated at once, each serially on one worker of the
+  /// process pool; 0 = one per hardware thread.
+  int threads = 0;
   DedupMode dedup = DedupMode::kAuto;
   /// Pending requests beyond which submit() rejects with "overloaded"
   /// (the 429-style backpressure bound).
@@ -59,9 +63,10 @@ struct ServeSettings {
   /// Metrics sink; null = a service-owned scoped registry.
   MetricsRegistry* registry = nullptr;
   /// Optional span tracer, attached to the service's profiler: one span
-  /// per phase charge (serve.* on slot 0, the dispatcher's track), plus a
-  /// "serve.request" span per request from submit to response (run arg =
-  /// the request sequence number).
+  /// per phase charge (the dispatcher's on slot 0, each group's on its
+  /// worker's slot), plus a "serve.request" span per request from submit
+  /// to response on the slot that answered it (run arg = the request
+  /// sequence number).
   Tracer* tracer = nullptr;
 };
 
@@ -80,38 +85,44 @@ class SimService {
   /// surface asynchronously (the graph is built on the dispatcher).
   std::shared_future<std::string> submit(const std::string& line);
 
+  struct JobProgress;  // service.cpp: one queued job's progress record
+
   /// submit() plus the transport hints a streaming front-end needs: the
-  /// request's parsed "stream" flag and its echoed id (for the
-  /// {"event":"progress"} lines the server interleaves while waiting).
+  /// request's parsed "stream" flag, its echoed id and its progress record
+  /// (for the {"event":"progress"} lines the server interleaves while
+  /// waiting; null when the response resolved at submit).
   struct Submission {
     std::shared_future<std::string> response;
     bool stream = false;
     std::string id_json;
+    std::shared_ptr<JobProgress> progress;
   };
   Submission submit_line(const std::string& line);
 
-  /// Live dispatcher state for streamed progress lines: pool chunks
-  /// done/total of the batch the dispatcher started last (the profiler's
-  /// progress view minus its value at that start), the dispatcher's phase
-  /// and the profiler's cycle/instruction totals (0 on the fallback
-  /// clock). Never waits on the dispatcher's work; any thread.
+  /// Live state of one submitted job for its streamed progress lines: the
+  /// pool chunks done/total of its own group (the profiler's progress view
+  /// of the group's worker slot, minus its value when the group started;
+  /// 0/0 while queued, frozen at the group's count once simulated), the
+  /// job's phase (queued, simulate, respond) and the profiler's
+  /// cycle/instruction totals (0 on the fallback clock). Never waits on
+  /// the simulation; any thread.
   struct LiveProgress {
     std::uint64_t done = 0;
     std::uint64_t total = 0;
-    const char* phase = "idle";
+    const char* phase = "queued";
     std::uint64_t cycles = 0;
     std::uint64_t instructions = 0;
   };
-  LiveProgress live_progress();
+  LiveProgress live_progress(const Submission& submission);
 
   /// The GET /healthz body: {"status":"ok","queue_depth":N,
   /// "uptime_s":...} built from atomics only — never touches the
   /// dispatcher lock, so a wedged dispatcher still answers liveness.
   std::string healthz_json();
 
-  /// Drains every pending request (even while paused), stops the
-  /// dispatcher and rejects later submits with "shutting_down".
-  /// Idempotent; called by the destructor.
+  /// Drains every pending request (even while paused) and waits for every
+  /// group in flight, stops the dispatcher and rejects later submits with
+  /// "shutting_down". Idempotent; called by the destructor.
   void shutdown();
 
   /// Test hooks: while paused the dispatcher leaves the queue alone, so
@@ -141,50 +152,78 @@ class SimService {
     std::uint64_t seq = 0;                          // request span id
     std::chrono::steady_clock::time_point t0{};     // latency epoch
     std::int64_t ts_ns = 0;                         // tracer epoch
+    std::shared_ptr<JobProgress> progress;
   };
+  struct Group;  // service.cpp: one coalesced group, owned by its task
 
   void dispatcher_main();
   void process_batch(std::vector<std::unique_ptr<Job>>& batch);
-  void finish_job(Job& job, const std::string& response);
+  /// Simulates and answers `g` on the calling pool worker (`slot`).
+  void run_group(Group& g, int slot);
+  /// Answers `job` on `slot` (its thread's participant slot); `start` is
+  /// when its group started (the end of its queue wait).
+  void finish_job(Job& job, const std::string& response, int slot,
+                  std::chrono::steady_clock::time_point start);
+  /// Answers every job of `g` with the same error, on the dispatcher.
+  void fail_group(Group& g, const std::string& code,
+                  const std::string& message);
 
   ServeSettings settings_;
+  int threads_ = 1;
   std::unique_ptr<MetricsRegistry> owned_registry_;
   MetricsRegistry* registry_ = nullptr;
-  Histogram* latency_ = nullptr;
+  // Handles resolved once at construction; see the shard rules above.
+  Histogram* latency_ = nullptr;  // serve.request_seconds
+  Histogram* queue_seconds_ = nullptr;
+  Histogram* service_seconds_ = nullptr;
+  Counter* requests_ = nullptr;
+  Counter* rejected_ = nullptr;
+  Counter* bad_requests_ = nullptr;
+  Counter* hellos_ = nullptr;
+  Counter* batches_ = nullptr;
+  Counter* coalesced_ = nullptr;
+  Counter* graph_interned_ = nullptr;
+  Counter* responses_ = nullptr;
+  Counter* errors_ = nullptr;
+  Counter* cache_hits_ = nullptr;    // offline.cache.hits
+  Counter* cache_misses_ = nullptr;  // offline.cache.misses
+  Counter* evictions_ = nullptr;     // serve.graph_store.evictions
+  Gauge* queue_depth_ = nullptr;
+  Gauge* store_bytes_ = nullptr;     // serve.graph_store.bytes
 
   std::mutex m_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;       // dispatcher: queue, pause, stop
+  std::condition_variable idle_cv_;  // dispatcher: a group finished
   std::vector<std::unique_ptr<Job>> queue_;
   bool paused_ = false;
   bool stopping_ = false;
   std::uint64_t next_seq_ = 0;
+  int in_flight_ = 0;  // groups handed to the pool, not yet answered
 
-  // Lock-free observability mirrors (healthz / live progress): depth_
-  // shadows queue_.size() (stored under m_, read without it), phase_ is
-  // the dispatcher's current stage.
+  // Lock-free observability mirror (healthz): depth_ shadows
+  // queue_.size() (stored under m_, read without it).
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
   std::atomic<std::size_t> depth_{0};
-  std::atomic<const char*> phase_{"idle"};
 
   // Phase profiler (DESIGN.md §17), with settings_.tracer attached.
   // serve.parse is charged by connection threads but only inside
   // submit_line's m_-held section (serialized writers, wall-clock only,
-  // no span); the other serve.* phases and everything the harness charges
-  // run on the dispatcher / pool slots. batch_base_ is the progress view
-  // when the current batch started (guarded by m_).
+  // no span); serve.intern/group and offline.analyze run on the
+  // dispatcher (slot 0), serve.simulate/respond and everything the
+  // harness charges on each group's worker slot.
   Profiler prof_;
-  ProfProgress batch_base_;
   int ph_parse_ = -1;
   int ph_intern_ = -1;
   int ph_group_ = -1;
+  int ph_analyze_ = -1;
   int ph_simulate_ = -1;
   int ph_respond_ = -1;
 
   // Dispatcher-confined state (no locking: single thread).
   GraphStore store_;
-  OfflineCache cache_;
   std::uint64_t last_interned_ = 0;  // store_.misses() already exported
+  std::uint64_t last_evicted_ = 0;   // store_.evictions() already exported
 
   std::thread dispatcher_;
 };

@@ -153,13 +153,13 @@ TEST(GraphStore, InternsByContentButKeepsOrdersApart) {
   AndOrGraph g2 = diamond(false);  // same construction -> same entry
   AndOrGraph g3 = diamond(true);   // isomorphic, different order
 
-  const auto& e1 = store.intern(Application{"a", std::move(g1), {}});
-  const auto& e2 = store.intern(Application{"b", std::move(g2), {}});
-  const auto& e3 = store.intern(Application{"c", std::move(g3), {}});
+  const auto e1 = store.intern(Application{"a", std::move(g1), {}});
+  const auto e2 = store.intern(Application{"b", std::move(g2), {}});
+  const auto e3 = store.intern(Application{"c", std::move(g3), {}});
 
-  EXPECT_EQ(&e1, &e2);  // content-equal: one resident Application
-  EXPECT_NE(&e1, &e3);  // reordered: distinct entry...
-  EXPECT_EQ(e1.content_hash, e3.content_hash);  // ...sharing the hash
+  EXPECT_EQ(e1, e2);  // content-equal: one resident Application
+  EXPECT_NE(e1, e3);  // reordered: distinct entry...
+  EXPECT_EQ(e1->content_hash, e3->content_hash);  // ...sharing the hash
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.hits(), 1u);
   EXPECT_EQ(store.misses(), 2u);

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 
 #include "apps/synthetic.h"
 #include "common/error.h"
@@ -215,6 +216,127 @@ TEST(MetricsRegistry, SnapshotIsSortedAndTrimmed) {
   EXPECT_EQ(snap.counters[1].shards[2], 9u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 2.5);
+}
+
+TEST(MetricsRegistry, HandleSetsAreBuiltOncePerKey) {
+  struct Pair final : MetricHandles {
+    explicit Pair(MetricsRegistry& reg)
+        : a(reg.counter("pair.a")), b(reg.counter("pair.b")) {}
+    Counter& a;
+    Counter& b;
+  };
+  MetricsRegistry reg;
+  int built = 0;
+  const auto make = [&] {
+    ++built;
+    return std::make_unique<Pair>(reg);
+  };
+  Pair& first = reg.handles<Pair>("pair", make);
+  Pair& again = reg.handles<Pair>("pair", make);
+  EXPECT_EQ(&first, &again);
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(&first.a, &reg.counter("pair.a"));
+  EXPECT_NE(&reg.handles<Pair>("other", make), &first);
+  EXPECT_EQ(built, 2);
+  // Past the lock-free index a set is still built once and found.
+  for (int k = 0; k < MetricsRegistry::kMaxHandleSets; ++k)
+    (void)reg.handles<Pair>(std::to_string(k), make);
+  EXPECT_EQ(built, 2 + MetricsRegistry::kMaxHandleSets);
+  Pair& late = reg.handles<Pair>("63", make);
+  EXPECT_EQ(&reg.handles<Pair>("63", make), &late);
+  EXPECT_EQ(built, 2 + MetricsRegistry::kMaxHandleSets);
+}
+
+/// The per-name export SimCounterHandles replaced: one registry lookup
+/// per counter, sparse names only when non-zero.
+void flush_by_name(MetricsRegistry& reg, const std::string& prefix,
+                   const SimCounters& c) {
+  reg.counter(prefix + ".dispatches").add(0, c.dispatches);
+  reg.counter(prefix + ".tasks").add(0, c.tasks);
+  reg.counter(prefix + ".or_fires").add(0, c.or_fires);
+  reg.counter(prefix + ".speed_changes").add(0, c.speed_changes);
+  reg.counter(prefix + ".spec_picks").add(0, c.spec_picks);
+  reg.counter(prefix + ".greedy_picks").add(0, c.greedy_picks);
+  reg.counter(prefix + ".reclaimed_slack_ps").add(0, c.reclaimed_slack_ps);
+  for (std::uint32_t l = 0; l < c.levels; ++l) {
+    const std::string suffix = ".L" + std::to_string(l);
+    reg.counter(prefix + ".busy_ps" + suffix).add(0, c.busy_ps[l]);
+    if (c.compute_ps[l] != 0)
+      reg.counter(prefix + ".compute_ps" + suffix).add(0, c.compute_ps[l]);
+  }
+  for (std::uint32_t from = 0; from < c.levels; ++from)
+    for (std::uint32_t to = 0; to < c.levels; ++to)
+      if (const std::uint64_t n = c.transitions[from * c.levels + to])
+        reg.counter(prefix + ".transitions.L" + std::to_string(from) + "_L" +
+                    std::to_string(to))
+            .add(0, n);
+  reg.counter(prefix + ".idle_ps").add(0, c.idle_ps);
+}
+
+TEST(SimCounterHandles, ExportEqualsPerNameLookups) {
+  // Resolved handles write exactly the names and values per-name lookups
+  // did, including the sparse ledger names that appear once non-zero.
+  SimCounters c;
+  c.dispatches = 9;
+  c.tasks = 5;
+  c.speed_changes = 2;
+  c.greedy_picks = 3;
+  c.levels = 3;
+  c.busy_ps = {0, 70, 12};
+  c.compute_ps = {0, 4, 0};
+  c.transitions = {0, 1, 0, 0, 0, 2, 0, 0, 0};
+  c.idle_ps = 40;
+  SimCounters later = c;
+  later.compute_ps = {6, 0, 0};
+  later.transitions = {0, 0, 0, 3, 0, 0, 0, 0, 0};
+
+  MetricsRegistry by_name, by_handle;
+  for (const SimCounters* x : {&c, &later}) {
+    flush_by_name(by_name, "engine.GSS", *x);
+    SimCounterHandles::of(by_handle, "engine.GSS", x->levels).add(0, *x);
+  }
+  EXPECT_EQ(metrics_to_json(by_handle.snapshot()),
+            metrics_to_json(by_name.snapshot()));
+  EXPECT_EQ(&SimCounterHandles::of(by_handle, "engine.GSS", 3),
+            &SimCounterHandles::of(by_handle, "engine.GSS", 3));
+  SimCounters other = c;
+  other.levels = 2;
+  EXPECT_THROW(SimCounterHandles::of(by_handle, "engine.GSS", 3).add(0, other),
+               Error);
+}
+
+TEST(SimCounterHandles, ConcurrentExportsAndLookupsAgree) {
+  // Pool participants resolve, publish and write handle sets at once —
+  // the serve daemon's concurrent groups on one registry. Lookups agree,
+  // sparse names register once, and the totals are exact (TSan runs this
+  // under the pool_smoke label). Profiler phase lookups race the same way.
+  MetricsRegistry reg;
+  Profiler prof(Profiler::Mode::kFallback);
+  SimCounters c;
+  c.tasks = 1;
+  c.levels = 2;
+  c.busy_ps = {1, 2};
+  c.compute_ps = {0, 3};
+  c.transitions = {0, 1, 1, 0};
+  constexpr int kChunks = 256;
+  WorkerPool pool(3);
+  pool.parallel_chunks(kChunks, 4, [&](int chunk, int) {
+    const int slot = WorkerPool::participant_slot();
+    const std::string prefix = chunk % 2 == 0 ? "engine.GSS" : "engine.AS";
+    SimCounterHandles::of(reg, prefix, 2).add(slot, c);
+    ProfScope scope(&prof, prof.phase(chunk % 3 == 0 ? "a" : "b"), slot);
+  });
+  for (const char* prefix : {"engine.GSS", "engine.AS"}) {
+    const std::string p = prefix;
+    EXPECT_EQ(reg.counter(p + ".tasks").value(), kChunks / 2u);
+    EXPECT_EQ(reg.counter(p + ".compute_ps.L1").value(), 3u * kChunks / 2);
+    EXPECT_EQ(reg.counter(p + ".transitions.L1_L0").value(), kChunks / 2u);
+  }
+  EXPECT_EQ(reg.snapshot().counters.size(), 2u * (8 + 2 + 1 + 2));
+  std::uint64_t charges = 0;
+  for (const ProfPhaseTotals& t : prof.snapshot()) charges += t.count;
+  EXPECT_EQ(charges, static_cast<std::uint64_t>(kChunks));
+  EXPECT_EQ(prof.snapshot().size(), 2u);
 }
 
 TEST(MetricsRegistry, JsonRoundTripsThroughParser) {

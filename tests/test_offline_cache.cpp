@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
+#include "harness/json.h"
 #include "obs/metrics.h"
 
 namespace paserta {
@@ -133,40 +134,55 @@ TEST(OfflineCache, HitsAndMissesFollowTheKey) {
   EXPECT_EQ(cache.misses(), 4u);
 }
 
-// run_point with a shared cache exports its get() deltas as
-// offline.cache.{hits,misses} registry counters (collect_metrics only):
-// the first call misses (fresh round-1 analysis), the second hits.
-TEST(OfflineCache, RunPointExportsCacheCounters) {
+// sweep_load looks its canonical analysis up in its own cache and exports
+// the lookup as offline.cache.{hits,misses} registry counters
+// (collect_metrics only): every sweep misses once.
+TEST(OfflineCache, SweepLoadExportsCacheCounters) {
   const Application app = nested_fork_app();
-  OfflineCache cache;
   ExperimentConfig cfg;
   cfg.runs = 4;
   cfg.collect_metrics = true;
   MetricsRegistry reg;
   cfg.registry = &reg;
 
-  const SimTime w = canonical_worst_makespan(
-      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
-      cfg.heuristic);
-  const SimTime deadline{w.ps * 2};
-  (void)run_point(app, cfg, deadline, 0.5, &cache);
+  (void)sweep_load(app, cfg, {0.5, 0.7});
   EXPECT_EQ(reg.counter("offline.cache.hits").value(), 0u);
   EXPECT_EQ(reg.counter("offline.cache.misses").value(), 1u);
-
-  (void)run_point(app, cfg, deadline, 0.5, &cache);
-  EXPECT_EQ(reg.counter("offline.cache.hits").value(), 1u);
-  EXPECT_EQ(reg.counter("offline.cache.misses").value(), 1u);
+  (void)sweep_load(app, cfg, {0.5});
+  EXPECT_EQ(reg.counter("offline.cache.misses").value(), 2u);
 
   // Without a registry (collect_metrics off) the export is a no-op — the
   // global registry must stay untouched.
-  const std::uint64_t g_hits =
-      MetricsRegistry::global().counter("offline.cache.hits").value();
+  const std::uint64_t g_misses =
+      MetricsRegistry::global().counter("offline.cache.misses").value();
   ExperimentConfig plain = cfg;
   plain.collect_metrics = false;
   plain.registry = nullptr;
-  (void)run_point(app, plain, deadline, 0.5, &cache);
-  EXPECT_EQ(MetricsRegistry::global().counter("offline.cache.hits").value(),
-            g_hits);
+  (void)sweep_load(app, plain, {0.5});
+  EXPECT_EQ(MetricsRegistry::global().counter("offline.cache.misses").value(),
+            g_misses);
+}
+
+// run_point given the point's canonical analysis only shifts it: no round
+// 1 runs, and the point equals one that analyzed from scratch. An analysis
+// of other options is refused.
+TEST(OfflineCache, RunPointShiftsAResolvedAnalysis) {
+  const Application app = nested_fork_app();
+  ExperimentConfig cfg;
+  cfg.runs = 16;
+  const CanonicalAnalysis canon =
+      analyze_canonical(app, canonical_options(cfg));
+  const SimTime deadline{canon.worst_makespan().ps * 2};
+
+  const std::uint64_t before = canonical_analysis_count();
+  const SweepPoint shifted = run_point(app, cfg, deadline, 0.5, &canon);
+  EXPECT_EQ(canonical_analysis_count() - before, 0u);
+  const SweepPoint fresh = run_point(app, cfg, deadline, 0.5);
+  EXPECT_EQ(sweep_to_json({shifted}, {}), sweep_to_json({fresh}, {}));
+
+  ExperimentConfig other = cfg;
+  other.cpus = 3;
+  EXPECT_THROW((void)run_point(app, other, deadline, 0.5, &canon), Error);
 }
 
 TEST(OfflineCache, CanonicalAccessorsMatchOfflineResult) {

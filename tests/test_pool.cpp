@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/synthetic.h"
@@ -18,6 +21,7 @@
 #include "harness/experiment.h"
 #include "harness/pool.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 
 namespace paserta {
 namespace {
@@ -114,6 +118,61 @@ TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
   std::atomic<int> after{0};
   pool.parallel_chunks(10, 4, [&](int, int) { ++after; });
   EXPECT_EQ(after.load(), 10);
+}
+
+TEST(WorkerPool, TaskRunsOnItsWorkersSlot) {
+  // A task runs on a background worker and sees that worker's fixed slot,
+  // which is also its participant slot; each slot belongs to one thread.
+  WorkerPool pool(3);
+  constexpr int kTasks = 24;
+  std::vector<std::promise<std::pair<int, std::thread::id>>> got(kTasks);
+  for (int t = 0; t < kTasks; ++t) {
+    pool.submit([&got, t](int slot) {
+      EXPECT_EQ(WorkerPool::participant_slot(), slot);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      got[static_cast<std::size_t>(t)].set_value(
+          {slot, std::this_thread::get_id()});
+    });
+  }
+  std::map<int, std::thread::id> owner;
+  for (auto& p : got) {
+    const auto [slot, id] = p.get_future().get();
+    EXPECT_GE(slot, 1);
+    EXPECT_LE(slot, 3);
+    EXPECT_NE(id, std::this_thread::get_id());
+    const auto [it, inserted] = owner.emplace(slot, id);
+    EXPECT_EQ(it->second, id) << "slot " << slot << " on two threads";
+  }
+  EXPECT_EQ(WorkerPool::participant_slot(), 0);  // not a pool thread
+}
+
+TEST(WorkerPool, LoopsInsideTasksRunInlineAndTasksDrain) {
+  std::atomic<int> finished{0};
+  {
+    WorkerPool pool(2);
+    std::vector<std::promise<void>> looped(6);
+    for (std::size_t t = 0; t < looped.size(); ++t) {
+      pool.submit([&, t](int) {
+        // A loop started inside a task runs inline on local slot 0, in
+        // chunk order.
+        std::vector<int> order;
+        pool.parallel_chunks(5, 4, [&](int chunk, int local) {
+          EXPECT_EQ(local, 0);
+          order.push_back(chunk);
+        });
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+        looped[t].set_value();
+      });
+    }
+    for (auto& p : looped) p.get_future().get();
+    // Tasks still queued when the pool is destroyed run before it returns.
+    for (int t = 0; t < 8; ++t)
+      pool.submit([&](int) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ++finished;
+      });
+  }
+  EXPECT_EQ(finished.load(), 8);
 }
 
 TEST(WorkerPool, NestedCallDegradesToInline) {
@@ -278,6 +337,71 @@ TEST(PoolDeterminism, LoadSweepRunsExactlyOneCanonicalAnalysis) {
   EXPECT_EQ(sweep.size(), 10u);
   EXPECT_EQ(canonical_analysis_count() - before, 1u)
       << "a load sweep must run round 1 once";
+}
+
+TEST(PoolDeterminism, RunPointInsideATaskChargesTheTaskSlot) {
+  // A harness call made inside a task runs its loop inline (threads = 3
+  // degrades to serial) and writes every registry shard, profiler cell
+  // and progress count on the task's slot — the same totals a serial call
+  // on the main thread leaves on slot 0. Fixed chunks make both calls
+  // split the runs alike.
+  const Application app = apps::build_synthetic();
+  const SimTime d = SimTime::from_ms(120);
+  const auto observed = [&](int threads, MetricsRegistry& reg,
+                            Profiler& prof) {
+    ExperimentConfig cfg = config(96, threads);
+    cfg.chunk_runs = 16;
+    cfg.collect_metrics = true;
+    cfg.registry = &reg;
+    cfg.prof = &prof;
+    return cfg;
+  };
+  MetricsRegistry serial_reg, task_reg;
+  Profiler serial_prof(Profiler::Mode::kFallback);
+  Profiler task_prof(Profiler::Mode::kFallback);
+  const SweepPoint serial =
+      run_point(app, observed(1, serial_reg, serial_prof), d, 0.0);
+
+  WorkerPool pool(2);
+  std::promise<std::pair<int, SweepPoint>> got;
+  pool.submit([&](int slot) {
+    got.set_value(
+        {slot, run_point(app, observed(3, task_reg, task_prof), d, 0.0)});
+  });
+  const auto [slot, in_task] = got.get_future().get();
+  expect_point_identical(serial, in_task);
+
+  const MetricsSnapshot a = serial_reg.snapshot();
+  const MetricsSnapshot b = task_reg.snapshot();
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (std::size_t i = 0; i < a.counters.size(); ++i) {
+    const auto& sa = a.counters[i];
+    const auto& sb = b.counters[i];
+    EXPECT_EQ(sa.name, sb.name);
+    if (sa.name.find("_ns") == std::string::npos) {  // not a duration
+      EXPECT_EQ(sa.value, sb.value) << sa.name;
+    }
+    // Everything on the caller's slot: 0 on the main thread, the task's
+    // slot on the worker.
+    EXPECT_LE(sa.shards.size(), 1u) << sa.name;
+    for (std::size_t s = 0; s < sb.shards.size(); ++s) {
+      if (static_cast<int>(s) != slot) {
+        EXPECT_EQ(sb.shards[s], 0u) << sb.name;
+      }
+    }
+  }
+  const std::vector<ProfPhaseTotals> pa = serial_prof.snapshot();
+  const std::vector<ProfPhaseTotals> pb = task_prof.snapshot();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].name, pb[i].name);
+    EXPECT_EQ(pa[i].count, pb[i].count) << pa[i].name;
+  }
+  // The progress view: 96 runs in 6 chunks, all on the task's slot.
+  EXPECT_EQ(task_prof.progress(slot).done, 6u);
+  EXPECT_EQ(task_prof.progress(slot).total, 6u);
+  EXPECT_EQ(task_prof.progress(0).total, 0u);
+  EXPECT_EQ(serial_prof.progress(0).done, 6u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "harness/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/graph_store.h"
 #include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -354,16 +355,153 @@ TEST(ServeService, TracerRecordsRequestSpans) {
   EXPECT_GE(simulate_spans, 1);
 }
 
-TEST(ServeService, LiveProgressCountsOnlyTheLastBatch) {
-  // Streamed progress reports the in-flight batch: after two sequential
-  // requests, the view covers the second batch's pool chunks alone. At one
-  // thread, 1000 runs make 8 chunks of 125 and 50 runs 4 chunks of 16.
+TEST(ServeService, LiveProgressCountsTheJobsOwnGroup) {
+  // Streamed progress reports the job's own group: 0/0 while queued, then
+  // the pool chunks of that group alone, even with another group in
+  // flight beside it. One group runs serially on one worker, where 1000
+  // runs make 8 chunks of 125 and 50 runs 4 chunks of 16.
+  ServeSettings settings;
+  settings.threads = 2;
+  SimService service(settings);
+  service.pause_dispatch();
+  const SimService::Submission big =
+      service.submit_line(atr_request(0.5, 1000));
+  const SimService::Submission small =
+      service.submit_line(atr_request(0.5, 50));
+  const SimService::LiveProgress queued = service.live_progress(big);
+  EXPECT_EQ(queued.done, 0u);
+  EXPECT_EQ(queued.total, 0u);
+  EXPECT_STREQ(queued.phase, "queued");
+  service.resume_dispatch();
+  big.response.get();
+  small.response.get();
+  const SimService::LiveProgress lb = service.live_progress(big);
+  const SimService::LiveProgress ls = service.live_progress(small);
+  EXPECT_EQ(lb.done, 8u);
+  EXPECT_EQ(lb.total, 8u);
+  EXPECT_EQ(ls.done, 4u);
+  EXPECT_EQ(ls.total, 4u);
+  EXPECT_STREQ(ls.phase, "respond");
+}
+
+/// The "experiment" document of a result response.
+std::string experiment_of(const std::string& response) {
+  const std::string marker = "\"experiment\":";
+  const std::size_t at = response.find(marker);
+  return at == std::string::npos ? response : response.substr(at);
+}
+
+TEST(ServeService, ConcurrentGroupsMatchOneAtATime) {
+  // 24 distinct requests over the three built-ins and an inline graph,
+  // both tables, cpus 2 and 4, and 50 to 1000 runs: simulated up to four
+  // groups at a time they answer exactly what one group at a time does.
+  std::vector<std::string> lines;
+  const char* const graphs[] = {"\"@atr\"", "\"@mpeg\"", "\"@synthetic\"",
+                                "{\"text\":\"app inl\\nsection\\ntask a 4 2"
+                                "\\ntask b 3 1\\nedge a b\\nend\\ntask c 2 1"
+                                "\\n\"}"};
+  const int runs[] = {50, 200, 1000};
+  for (int i = 0; i < 24; ++i) {
+    lines.push_back(std::string("{\"graph\":") + graphs[i % 4] +
+                    ",\"table\":\"" + (i % 2 == 0 ? "transmeta" : "xscale") +
+                    "\",\"cpus\":" + (i % 3 == 0 ? "4" : "2") +
+                    ",\"runs\":" + std::to_string(runs[i % 3]) +
+                    ",\"seed\":" + std::to_string(1 + i / 8) + "}");
+  }
+  const auto answer = [&](int threads) {
+    ServeSettings settings;
+    settings.threads = threads;
+    SimService service(settings);
+    service.pause_dispatch();
+    std::vector<std::shared_future<std::string>> futures;
+    for (const std::string& line : lines)
+      futures.push_back(service.submit(line));
+    service.resume_dispatch();
+    std::vector<std::string> docs;
+    for (auto& f : futures) docs.push_back(experiment_of(f.get()));
+    return docs;
+  };
+  const std::vector<std::string> serial = answer(1);
+  const std::vector<std::string> concurrent = answer(4);
+  ASSERT_EQ(serial.size(), lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    SCOPED_TRACE(lines[i]);
+    EXPECT_NE(serial[i].find("\"points\""), std::string::npos) << serial[i];
+    EXPECT_EQ(concurrent[i], serial[i]);  // byte for byte
+  }
+}
+
+TEST(ServeService, LatencySplitsIntoQueueAndServiceTime) {
+  // Every answered job records its queue wait (submit to group start) and
+  // its service time (group start to response) beside its latency, from
+  // the same clock reads: the counts equal the responses, and per job
+  // queue + service = request.
   SimService service(ServeSettings{});
-  service.submit(atr_request(0.5, 1000)).get();
-  service.submit(atr_request(0.5, 50)).get();
-  const SimService::LiveProgress lp = service.live_progress();
-  EXPECT_EQ(lp.done, 4u);
-  EXPECT_EQ(lp.total, 4u);
+  const auto histogram = [&](const std::string& name) {
+    for (const auto& row : service.registry().snapshot().histograms)
+      if (row.name == name) return row;
+    ADD_FAILURE() << "no histogram " << name;
+    return MetricsSnapshot::HistogramRow{};
+  };
+  double request0 = 0.0, queue0 = 0.0, service0 = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    const std::string response =
+        service.submit(i == 3 ? "{\"graph\":\"@nope\"}"
+                              : atr_request(0.3 + 0.2 * i, 20))
+            .get();
+    const double request = histogram("serve.request_seconds").sum;
+    const double queue = histogram("serve.queue_seconds").sum;
+    const double service_s = histogram("serve.service_seconds").sum;
+    EXPECT_NEAR((queue - queue0) + (service_s - service0), request - request0,
+                1e-9)
+        << response;
+    request0 = request;
+    queue0 = queue;
+    service0 = service_s;
+  }
+  // Three results and one bad graph, all answered through the dispatcher.
+  EXPECT_EQ(counter(service, "serve.responses"), 3u);
+  for (const char* name : {"serve.request_seconds", "serve.queue_seconds",
+                           "serve.service_seconds"})
+    EXPECT_EQ(histogram(name).count, 4u) << name;
+}
+
+/// Inline workload text of `tasks` one-task sections: a large graph (about
+/// 15 bytes per task of text) whose first WCET makes it distinct.
+std::string chain_request(int id, int tasks, int runs) {
+  std::string text = "app chain" + std::to_string(id) + "\\n";
+  for (int t = 0; t < tasks; ++t)
+    text += "task t" + std::to_string(t) + " " +
+            std::to_string(t == 0 ? 3 + id : 3) + " 2\\n";
+  return "{\"graph\":{\"text\":\"" + text + "\"},\"runs\":" +
+         std::to_string(runs) + "}";
+}
+
+TEST(ServeService, EvictedGraphAnswersIdenticallyAndReinternsOnce) {
+  // Distinct large graphs push the store past its byte budget: the first
+  // one is evicted, and sending it again re-interns it once and answers
+  // byte for byte what it answered before.
+  SimService service(ServeSettings{});
+  const std::string first = service.submit(chain_request(0, 10000, 5)).get();
+  ASSERT_EQ(json_parse(first).at("type").str, "result") << first;
+  for (int id = 1; counter(service, "serve.graph_store.evictions") == 0;
+       ++id) {
+    ASSERT_LT(id, 64) << "the store never evicted";
+    const std::string r = service.submit(chain_request(id, 10000, 1)).get();
+    ASSERT_EQ(json_parse(r).at("type").str, "result");
+  }
+  double resident = 0.0;
+  for (const auto& g : service.registry().snapshot().gauges)
+    if (g.name == "serve.graph_store.bytes") resident = g.value;
+  EXPECT_GT(resident, 0.0);
+  EXPECT_LE(resident, static_cast<double>(GraphStore::kMaxResidentBytes));
+
+  const std::uint64_t interned = counter(service, "serve.graph_interned");
+  const std::string again = service.submit(chain_request(0, 10000, 5)).get();
+  EXPECT_EQ(experiment_of(again), experiment_of(first));
+  EXPECT_EQ(counter(service, "serve.graph_interned"), interned + 1);
+  (void)service.submit(chain_request(0, 10000, 5)).get();
+  EXPECT_EQ(counter(service, "serve.graph_interned"), interned + 1);
 }
 
 TEST(ServeService, DeadlineRequestPointsCarryOneDeadlineKey) {
@@ -384,6 +522,67 @@ TEST(ServeService, DeadlineRequestPointsCarryOneDeadlineKey) {
        at = response.find("\"deadline_ms\":", at + 1))
     ++keys;
   EXPECT_EQ(keys, points.array.size()) << response;
+}
+
+// -------------------------------------------------------- graph store
+
+/// A chain of `tasks` tasks, distinct per `id`, with no hierarchy (the
+/// store interns and hashes the flat graph only).
+Application chain_app(int id, int tasks) {
+  AndOrGraph g;
+  NodeId prev;
+  for (int t = 0; t < tasks; ++t) {
+    const NodeId n = g.add_task("t" + std::to_string(t),
+                                SimTime::from_ms(t == 0 ? 3 + id : 3),
+                                SimTime::from_ms(2));
+    if (prev.valid()) g.add_edge(prev, n);
+    prev = n;
+  }
+  return Application{"chain" + std::to_string(id), std::move(g), {}};
+}
+
+TEST(GraphStore, EvictsLeastRecentlyUsedPastTheBudget) {
+  GraphStore store;
+  const auto held = store.intern(chain_app(1, 20000));  // an in-flight group
+  const auto hot = store.intern(chain_app(0, 20000));
+  for (int id = 2; store.evictions() == 0; ++id) {
+    ASSERT_LT(id, 200) << "the store never evicted";
+    (void)store.intern(chain_app(id, 20000));
+    (void)store.intern(chain_app(0, 20000));  // keeps the hot graph recent
+  }
+  EXPECT_LE(store.resident_bytes(), GraphStore::kMaxResidentBytes);
+  // The recently used graph still hits; the least recently used one was
+  // the first evicted, yet its holder still reads the whole graph.
+  const std::uint64_t misses = store.misses();
+  EXPECT_EQ(store.intern(chain_app(0, 20000)), hot);
+  EXPECT_EQ(store.misses(), misses);
+  EXPECT_EQ(held->app.graph.size(), 20000u);
+  EXPECT_EQ(held->app.name, "chain1");
+  // Interning the evicted graph again makes one new entry, then hits it.
+  const auto back = store.intern(chain_app(1, 20000));
+  EXPECT_NE(back, held);
+  EXPECT_EQ(store.misses(), misses + 1);
+  EXPECT_EQ(store.intern(chain_app(1, 20000)), back);
+  EXPECT_EQ(store.misses(), misses + 1);
+}
+
+TEST(GraphStore, EntryKeepsOneAnalysisPerOptions) {
+  GraphStore store;
+  const auto entry = store.intern(apps::build_atr());
+  CanonicalOptions two;
+  two.cpus = 2;
+  CanonicalOptions four = two;
+  four.cpus = 4;
+  bool hit = true;
+  const CanonicalAnalysis a2 = store.analysis(entry, two, hit);
+  EXPECT_FALSE(hit);
+  (void)store.analysis(entry, four, hit);
+  EXPECT_FALSE(hit);
+  const CanonicalAnalysis again = store.analysis(entry, two, hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(again.worst_makespan(), a2.worst_makespan());
+  EXPECT_EQ(&again.application(), &entry->app);
+  EXPECT_EQ(again.cpus(), 2);
 }
 
 // ------------------------------------------------------------- server

@@ -14,7 +14,8 @@
 // @atr, @synthetic, @mpeg.
 //
 // The options of every command are listed once, in usage() below (printed
-// when the CLI runs without arguments or with a bad one).
+// when the CLI runs without arguments or with a bad one); a command accepts
+// only the flags listed for it (kFlagCommands).
 //
 // Flags accept both "--flag value" and "--flag=value". A numeric value
 // must parse as a whole token within the flag's range.
@@ -30,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "common/error.h"
@@ -75,7 +77,7 @@ struct Options {
   std::optional<int> runs;  // unset: the command's default
   double from = 0.1, to = 1.0, step = 0.1;
   bool json = false;
-  int threads = 1;
+  std::optional<int> threads;  // unset: 1, or one group per core for serve
   DedupMode dedup = DedupMode::kAuto;
   std::string trace_out;
   std::string metrics_out;
@@ -116,49 +118,62 @@ struct Options {
       "<workload> is a text file (docs/WORKLOAD_FORMAT.md) or a built-in:\n"
       "@atr, @synthetic, @mpeg.\n"
       "\n"
-      "common options (--flag value or --flag=value):\n"
+      "options (--flag value or --flag=value); each command accepts only\n"
+      "the flags listed under it:\n"
+      "analyze, simulate, sweep, profile:\n"
       "  --cpus N            processors (default 2)\n"
       "  --table NAME        transmeta | xscale (default transmeta)\n"
-      "  --load L            deadline = W / L (default 0.5)\n"
-      "  --deadline-ms D     absolute deadline (overrides --load)\n"
       "  --heuristic H       ltf | stf | fifo (default ltf)\n"
+      "  --load L            deadline = W / L (default 0.5; sweep: the\n"
+      "                      fixed load of --x alpha)\n"
+      "analyze, simulate:\n"
+      "  --deadline-ms D     absolute deadline (overrides --load)\n"
+      "simulate, sweep, profile:\n"
       "  --seed N            RNG seed (default 1)\n"
       "simulate:\n"
       "  --scheme S          npm | spm | gss | ss1 | ss2 | as (default gss)\n"
       "  --power-csv         dump the power-vs-time curve as CSV\n"
       "  --svg FILE          write an SVG gantt + power chart to FILE\n"
-      "sweep:\n"
-      "  --x load|alpha      swept parameter (default load)\n"
+      "sweep, profile, reproduce:\n"
       "  --runs N            Monte-Carlo runs per point (default 200; for\n"
       "                      reproduce, each study's own default)\n"
-      "  --from F --to T --step S   sweep range (default 0.1..1.0 step 0.1)\n"
-      "  --json              emit JSON instead of CSV\n"
-      "  --threads N         worker threads (default 1; output identical\n"
-      "                      for any value)\n"
+      "sweep, profile:\n"
+      "  --from F --to T --step S   sweep range (default 0.1..1.0 step 0.1;\n"
+      "                      profile: with --sweep)\n"
+      "sweep, profile, serve:\n"
+      "  --threads N         sweep, profile: worker threads per sweep\n"
+      "                      (default 1; output identical for any value);\n"
+      "                      serve: request groups simulated at once, each\n"
+      "                      on one thread (default: one per hardware\n"
+      "                      thread)\n"
       "  --dedup MODE        auto | on | off (default auto): simulate each\n"
       "                      distinct scenario once and replay duplicates;\n"
       "                      auto enables it when the scenario space is\n"
       "                      provably finite and <= runs. Replay is\n"
       "                      bit-identical, so output is the same either way\n"
-      "  --trace-out FILE    Chrome/Perfetto trace of the sweep (open in\n"
-      "                      ui.perfetto.dev): one span per profiler phase,\n"
-      "                      engine calls named by scheme\n"
-      "  --metrics-out DEST  engine + pool metrics; DEST is a file path or\n"
-      "                      \"-\" for stdout\n"
-      "  --metrics-format F  json | prometheus (default json)\n"
+      "sweep:\n"
+      "  --x load|alpha      swept parameter (default load)\n"
+      "  --json              emit JSON instead of CSV\n"
       "  --audit             self-audit every run: attribution counters\n"
       "                      must rebuild the engine's energies exactly and\n"
       "                      the power-trace integral must match (slower;\n"
       "                      output identical to a non-audited sweep)\n"
       "  --progress          live progress line on stderr\n"
+      "sweep, serve:\n"
+      "  --trace-out FILE    Chrome/Perfetto trace (open in\n"
+      "                      ui.perfetto.dev): one span per profiler phase,\n"
+      "                      engine calls named by scheme\n"
+      "  --metrics-out DEST  engine + pool metrics; DEST is a file path or\n"
+      "                      \"-\" for stdout\n"
+      "  --metrics-format F  json | prometheus (default json)\n"
       "profile:\n"
       "  --sweep             profile the full --from/--to/--step load sweep\n"
       "                      instead of the single --load point\n"
       "  --fallback          force the monotonic-clock fallback even when\n"
       "                      perf_event_open is available (PASERTA_NO_PERF=1\n"
       "                      does the same from the environment)\n"
-      "  --runs/--threads/--dedup apply as in sweep\n"
-      "serve:\n"
+      "serve (SIGINT or SIGTERM drains in-flight requests and flushes the\n"
+      "sinks):\n"
       "  --port N            listen port on 127.0.0.1 (default 0 =\n"
       "                      ephemeral; the bound port is printed)\n"
       "  --queue-limit N     pending requests before submissions are\n"
@@ -168,10 +183,7 @@ struct Options {
       "  --max-conn N        concurrent connections (default 32)\n"
       "  --stream-interval-ms N   spacing of {\"event\":\"progress\"} lines\n"
       "                      for NDJSON requests with \"stream\":true\n"
-      "                      (default 250)\n"
-      "  --threads/--dedup, --trace-out, --metrics-out and\n"
-      "  --metrics-format apply to the daemon's simulations; SIGINT or\n"
-      "  SIGTERM drains in-flight requests and flushes the sinks\n";
+      "                      (default 250)\n";
   std::exit(2);
 }
 
@@ -192,6 +204,61 @@ T numeric_value(const char* flag, const std::string& v,
   if (ec != std::errc{} || stop != end || !(x >= lo) || !(x <= hi))
     usage(("bad " + std::string(flag) + " value \"" + v + "\"").c_str());
   return x;
+}
+
+/// The commands that read each flag, as usage() lists them; any other
+/// command rejects the flag.
+const std::map<std::string, std::string> kFlagCommands = {
+    {"--cpus", "analyze simulate sweep profile"},
+    {"--table", "analyze simulate sweep profile"},
+    {"--heuristic", "analyze simulate sweep profile"},
+    {"--load", "analyze simulate sweep profile"},
+    {"--deadline-ms", "analyze simulate"},
+    {"--seed", "simulate sweep profile"},
+    {"--scheme", "simulate"},
+    {"--power-csv", "simulate"},
+    {"--svg", "simulate"},
+    {"--runs", "sweep profile reproduce"},
+    {"--from", "sweep profile"},
+    {"--to", "sweep profile"},
+    {"--step", "sweep profile"},
+    {"--threads", "sweep profile serve"},
+    {"--dedup", "sweep profile serve"},
+    {"--x", "sweep"},
+    {"--json", "sweep"},
+    {"--audit", "sweep"},
+    {"--progress", "sweep"},
+    {"--trace-out", "sweep serve"},
+    {"--metrics-out", "sweep serve"},
+    {"--metrics-format", "sweep serve"},
+    {"--sweep", "profile"},
+    {"--fallback", "profile"},
+    {"--port", "serve"},
+    {"--queue-limit", "serve"},
+    {"--timeout-ms", "serve"},
+    {"--max-conn", "serve"},
+    {"--stream-interval-ms", "serve"},
+};
+
+/// Usage error unless `command` reads `flag` (kFlagCommands).
+void require_flag_of(const std::string& command, const std::string& flag) {
+  const auto it = kFlagCommands.find(flag);
+  if (it == kFlagCommands.end()) usage(("unknown flag " + flag).c_str());
+  std::istringstream commands(it->second);
+  for (std::string c; commands >> c;)
+    if (c == command) return;
+  usage(("flag " + flag + " is not an option of " + command).c_str());
+}
+
+/// The value of a name flag through the library's parse, whose message
+/// lists the valid names; a bad name is a usage error.
+template <typename T, typename Parse>
+T named(const std::string& name, Parse parse) {
+  try {
+    return parse(name);
+  } catch (const Error& e) {
+    usage(e.what());
+  }
 }
 
 /// Usage error for a missing or unknown study: `msg`, then the ids.
@@ -239,6 +306,7 @@ Options parse_args(int argc, char** argv) {
       inline_value = flag.substr(eq + 1);
       flag.erase(eq);
     }
+    require_flag_of(o.command, flag);
     if (flag == "--cpus") o.cpus = int_value("--cpus", 1);
     else if (flag == "--table") o.table = need_value("--table");
     else if (flag == "--load") o.load = double_value("--load");
@@ -290,32 +358,21 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--max-conn") o.max_conn = int_value("--max-conn", 1);
     else if (flag == "--stream-interval-ms")
       o.stream_interval_ms = int_value("--stream-interval-ms", 0);
-    else usage(("unknown flag " + flag).c_str());
     if (inline_value) usage(("flag " + flag + " takes no value").c_str());
   }
   return o;
 }
 
 LevelTable table_of(const Options& o) {
-  if (o.table == "transmeta") return LevelTable::transmeta_tm5400();
-  if (o.table == "xscale") return LevelTable::intel_xscale();
-  usage("unknown --table (use transmeta or xscale)");
+  return named<LevelTable>(o.table, LevelTable::from_name);
 }
 
 ListHeuristic heuristic_of(const Options& o) {
-  if (o.heuristic == "ltf") return ListHeuristic::LongestTaskFirst;
-  if (o.heuristic == "stf") return ListHeuristic::ShortestTaskFirst;
-  if (o.heuristic == "fifo") return ListHeuristic::InsertionOrder;
-  usage("unknown --heuristic (use ltf, stf or fifo)");
+  return named<ListHeuristic>(o.heuristic, heuristic_from_name);
 }
 
 Scheme scheme_of(const Options& o) {
-  static const std::map<std::string, Scheme> m{
-      {"npm", Scheme::NPM}, {"spm", Scheme::SPM}, {"gss", Scheme::GSS},
-      {"ss1", Scheme::SS1}, {"ss2", Scheme::SS2}, {"as", Scheme::AS}};
-  const auto it = m.find(o.scheme);
-  if (it == m.end()) usage("unknown --scheme");
-  return it->second;
+  return named<Scheme>(o.scheme, scheme_from_name);
 }
 
 Application load(const Options& o) {
@@ -454,7 +511,7 @@ ExperimentConfig experiment_config(const Options& o) {
   cfg.table = table_of(o);
   cfg.runs = o.runs.value_or(200);
   cfg.seed = o.seed;
-  cfg.threads = o.threads;
+  cfg.threads = o.threads.value_or(1);
   cfg.dedup = o.dedup;
   cfg.heuristic = heuristic_of(o);
   return cfg;
@@ -589,8 +646,8 @@ int cmd_profile(const Options& o) {
 
   std::cout << "workload    : " << app.name << "  (" << points.size()
             << (points.size() == 1 ? " point, " : " points, ") << cfg.runs
-            << " runs/point, " << o.threads << " thread"
-            << (o.threads == 1 ? "" : "s") << ")\n"
+            << " runs/point, " << cfg.threads << " thread"
+            << (cfg.threads == 1 ? "" : "s") << ")\n"
             << "clock       : "
             << (hw ? "hardware counters" : "monotonic fallback") << "\n"
             << "wall        : " << Table::num(wall_ns / 1e6, 2) << " ms\n"
@@ -675,7 +732,7 @@ int cmd_serve(const Options& o) {
   if (!o.trace_out.empty()) tracer = std::make_unique<Tracer>();
 
   ServeSettings settings;
-  settings.threads = o.threads;
+  settings.threads = o.threads.value_or(0);  // 0: one group per core
   settings.dedup = o.dedup;
   settings.queue_limit = o.queue_limit;
   settings.tracer = tracer.get();
