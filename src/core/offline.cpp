@@ -401,33 +401,4 @@ std::uint64_t canonical_analysis_count() {
   return g_canonical_count.load(std::memory_order_relaxed);
 }
 
-std::size_t OfflineCache::KeyHash::operator()(const Key& k) const {
-  // splitmix64-style mix of the key fields.
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    return h;
-  };
-  std::uint64_t h = mix(0, reinterpret_cast<std::uintptr_t>(k.graph));
-  h = mix(h, static_cast<std::uint64_t>(k.cpus));
-  h = mix(h, static_cast<std::uint64_t>(k.overhead_budget_ps));
-  h = mix(h, static_cast<std::uint64_t>(k.heuristic));
-  return static_cast<std::size_t>(h);
-}
-
-const CanonicalAnalysis& OfflineCache::get(const Application& app,
-                                           const CanonicalOptions& options) {
-  Key key;
-  key.graph = &app.graph;
-  key.cpus = options.cpus;
-  key.overhead_budget_ps = options.overhead_budget.ps;
-  key.heuristic = options.heuristic;
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return entries_.emplace(key, analyze_canonical(app, options)).first->second;
-}
-
 }  // namespace paserta

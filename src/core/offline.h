@@ -10,7 +10,7 @@
 // EO values — and collects the per-path worst/average remaining times
 // stored at the power-management points. Nothing in this phase depends on
 // the deadline, so a sweep over deadlines (paper §5.1: D = W / load) runs
-// it exactly once; see analyze_canonical / OfflineCache.
+// it exactly once; see analyze_canonical.
 //
 // Phase 2 — *shift* (round 2): shifts every canonical schedule (recursively
 // through embedded OR structures) so it finishes exactly at the deadline,
@@ -48,7 +48,8 @@ struct OfflineOptions {
 
 /// The deadline-independent subset of OfflineOptions: everything phase 1
 /// depends on. Two analyses with equal CanonicalOptions on the same graph
-/// are interchangeable — the basis of OfflineCache's key.
+/// are interchangeable — the basis of serve's per-graph analysis cache
+/// (serve/graph_store.h).
 struct CanonicalOptions {
   int cpus = 2;
   SimTime overhead_budget{};
@@ -261,44 +262,5 @@ SimTime deadline_at_load(SimTime worst_makespan, double load);
 /// lets sweeps assert they ran exactly one canonical analysis. Monotonic;
 /// take a before/after difference rather than resetting.
 std::uint64_t canonical_analysis_count();
-
-/// Memoizes analyze_canonical per (graph identity, cpus, overhead_budget,
-/// heuristic). Graph identity is the graph object's address: the cache is
-/// meant to be scoped to one sweep (or one driver) that keeps its
-/// applications alive and unmodified; do not cache across mutations of the
-/// same graph object (sweep_alpha redraws ACETs, so it must NOT reuse a
-/// cache entry across alphas — it keys nothing here and analyzes fresh).
-/// Not thread-safe; confine one cache to one driving thread.
-class OfflineCache {
- public:
-  /// Returns the cached analysis for (app.graph, options), computing and
-  /// inserting it on first use.
-  const CanonicalAnalysis& get(const Application& app,
-                               const CanonicalOptions& options);
-  std::size_t size() const { return entries_.size(); }
-
-  /// Lifetime get() statistics: lookups served from the cache vs. lookups
-  /// that ran a fresh canonical analysis. Exposed so harness callers can
-  /// export them as offline.cache.{hits,misses} registry counters
-  /// (ExperimentConfig::collect_metrics) instead of relying on the
-  /// canonical_analysis_count() test hook.
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-
- private:
-  struct Key {
-    const void* graph = nullptr;
-    int cpus = 0;
-    std::int64_t overhead_budget_ps = 0;
-    ListHeuristic heuristic = ListHeuristic::LongestTaskFirst;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const;
-  };
-  std::unordered_map<Key, CanonicalAnalysis, KeyHash> entries_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-};
 
 }  // namespace paserta

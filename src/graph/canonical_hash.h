@@ -1,9 +1,9 @@
 // Content-addressed graph identity (DESIGN.md §16).
 //
-// The serve daemon memoizes offline analysis *across requests*, but the
-// OfflineCache keys by graph address — two requests that parse the same
-// workload text produce two Application objects and would never share an
-// entry. This module assigns every AndOrGraph a canonical form that
+// The serve daemon memoizes offline analysis *across requests*, but two
+// requests that parse the same workload text produce two Application
+// objects, so a cache keyed by graph address would never share an entry
+// between them. This module assigns every AndOrGraph a canonical form that
 // depends only on its structure and timing/probability attributes — not
 // on node names, not on construction order — so structurally identical
 // graphs can be interned to one shared object.

@@ -615,10 +615,10 @@ MetricsRegistry* metrics_registry(const ExperimentConfig& cfg) {
   return cfg.registry != nullptr ? cfg.registry : &MetricsRegistry::global();
 }
 
-/// The registry handles of the pool telemetry, the dedup totals and the
-/// offline-cache lookups: each set is resolved once per registry
-/// (MetricsRegistry::handles) when a call first writes it, so every name
-/// appears exactly when it did with per-call lookups.
+/// The registry handles of the pool telemetry and the dedup totals: each
+/// set is resolved once per registry (MetricsRegistry::handles) when a
+/// call first writes it, so every name appears exactly when it did with
+/// per-call lookups.
 struct PoolHandles final : MetricHandles {
   explicit PoolHandles(MetricsRegistry& reg)
       : chunks(reg.counter("pool.chunks_completed")),
@@ -639,14 +639,6 @@ struct DedupHandles final : MetricHandles {
   Counter& hits;
   Counter& misses;
   Counter& bytes;
-};
-
-struct CacheHandles final : MetricHandles {
-  explicit CacheHandles(MetricsRegistry& reg)
-      : hits(reg.counter("offline.cache.hits")),
-        misses(reg.counter("offline.cache.misses")) {}
-  Counter& hits;
-  Counter& misses;
 };
 
 template <class T>
@@ -707,9 +699,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // --- Observability. Everything in this block is write-only for the
   // simulation (see the determinism contract in obs/metrics.h): the
   // workers below behave identically whether it is active or not.
-  // The calling thread's participant slot: the registry shard, profiler
-  // cell and tracer track of everything this call charges outside the
-  // pool loop (slot 0 unless the call runs inside a pool task or body).
+  // The calling thread's participant slot: the profiler cell and tracer
+  // track of everything this call charges outside the pool loop (slot 0
+  // unless the call runs inside a pool task or body).
   const int gslot = WorkerPool::participant_slot();
   MetricsRegistry* const reg = metrics_registry(cfg);
   ChunkObs obs_proto;
@@ -932,10 +924,10 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         const SimCounters& c = pt.metrics.schemes[s];
         SimCounterHandles::of(
             *reg, std::string("engine.") + to_string(cfg.schemes[s]), c.levels)
-            .add(gslot, c);
+            .add(c);
       }
       SimCounterHandles::of(*reg, "engine.NPM", pt.metrics.npm.levels)
-          .add(gslot, pt.metrics.npm);
+          .add(pt.metrics.npm);
     }
     if (any_dedup) {
       std::uint64_t hits = 0, misses = 0, bytes = 0;
@@ -945,9 +937,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
         bytes += pt.dedup.bytes;
       }
       DedupHandles& h = handles_of<DedupHandles>(*reg, "harness.dedup");
-      h.hits.add(gslot, hits);
-      h.misses.add(gslot, misses);
-      h.bytes.add(gslot, bytes);
+      h.hits.add(hits);
+      h.misses.add(misses);
+      h.bytes.add(bytes);
     }
   }
   return points;
@@ -957,21 +949,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
 /// a profiler.
 int top_phase(Profiler* prof, const char* name) {
   return prof != nullptr ? prof->phase(name, /*top_level=*/true) : -1;
-}
-
-/// Exports an OfflineCache::get delta as offline.cache.{hits,misses}
-/// registry counters (collect_metrics only). Callers snapshot the cache's
-/// lifetime counters before their get() calls and pass the snapshot here,
-/// so shared caches export each harness call's own lookups, not history.
-void export_offline_cache_delta(const ExperimentConfig& cfg,
-                                const OfflineCache& cache,
-                                std::uint64_t hits0, std::uint64_t misses0) {
-  MetricsRegistry* const reg = metrics_registry(cfg);
-  if (reg == nullptr) return;
-  CacheHandles& h = handles_of<CacheHandles>(*reg, "offline.cache");
-  const int slot = WorkerPool::participant_slot();
-  h.hits.add(slot, cache.hits() - hits0);
-  h.misses.add(slot, cache.misses() - misses0);
 }
 
 }  // namespace
@@ -1104,16 +1081,11 @@ std::vector<SweepPoint> sweep_load(const Application& app,
   // data solely through the cheap round-2 shift.
   Profiler* const prof = cfg.prof;
   const int slot = WorkerPool::participant_slot();
-  OfflineCache cache;
-  const CanonicalAnalysis* canon_ptr = nullptr;
+  CanonicalAnalysis canon;
   {
     ProfScope ps(prof, top_phase(prof, "offline.analyze"), slot);
-    const std::uint64_t h0 = cache.hits();
-    const std::uint64_t m0 = cache.misses();
-    canon_ptr = &cache.get(app, canonical_options(cfg));
-    export_offline_cache_delta(cfg, cache, h0, m0);
+    canon = analyze_canonical(app, canonical_options(cfg));
   }
-  const CanonicalAnalysis& canon = *canon_ptr;
 
   const int ph_apply = top_phase(prof, "offline.apply");
   std::vector<OfflineResult> offs;

@@ -12,8 +12,8 @@
 // Execution model: runs are partitioned into chunked index ranges claimed
 // atomically from the persistent WorkerPool (harness/pool.h) — no per-point
 // thread spawn/join. A load sweep additionally (a) runs the
-// deadline-independent canonical offline analysis exactly once through an
-// OfflineCache and (b) overlaps its points on the pool, so the machine
+// deadline-independent canonical offline analysis exactly once and shifts
+// it per point and (b) overlaps its points on the pool, so the machine
 // stays saturated even when `runs` per point is small. All of this is
 // unobservable in the output: every run draws from its own seed-derived
 // stream and results accumulate in run order, so SweepPoints are
@@ -207,9 +207,9 @@ bool resolved_dedup(const ExperimentConfig& config,
 /// offline rounds: the serve daemon resolves it once per graph.
 ///
 /// Called inside a WorkerPool task or body, the call runs its loop inline
-/// and charges the registry, profiler and tracer on the participant's slot
+/// and charges the profiler and tracer on the participant's slot
 /// (WorkerPool::participant_slot), so concurrent calls on different
-/// workers never share a shard.
+/// workers never share a profiler cell or trace track.
 SweepPoint run_point(const Application& app, const ExperimentConfig& config,
                      SimTime deadline, double x_value,
                      const CanonicalAnalysis* canon = nullptr);
@@ -227,8 +227,9 @@ SweepPoint run_point_unpooled(const Application& app,
 
 /// Load sweep: deadline = deadline_at_load(W, load) for each load in `loads`
 /// (0 < load <= 1).
-/// Performs exactly one canonical offline analysis (shared across points
-/// via OfflineCache) and overlaps the points on the worker pool.
+/// Performs exactly one canonical offline analysis, shifted to each
+/// point's deadline (apply_deadline), and overlaps the points on the
+/// worker pool.
 std::vector<SweepPoint> sweep_load(const Application& app,
                                    const ExperimentConfig& config,
                                    const std::vector<double>& loads);

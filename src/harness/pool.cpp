@@ -16,10 +16,11 @@
 
 namespace paserta {
 
-// Every parallel loop has at most 1 caller + kMaxThreads workers, each
-// owning one metric shard; keep the two constants from drifting apart.
-static_assert(WorkerPool::kMaxThreads + 1 <= kMaxShards,
-              "obs::kMaxShards must cover every pool participant slot");
+// Slot 0 plus one fixed slot per background worker, each owning one
+// profiler cell and trace track; keep the two constants from drifting
+// apart.
+static_assert(WorkerPool::kMaxThreads + 1 <= Profiler::kSlots,
+              "Profiler::kSlots must cover every pool participant slot");
 
 namespace {
 
@@ -38,15 +39,15 @@ std::int64_t now_ns() {
       .count();
 }
 
-/// Accounts one completed chunk, whose body ran over [t0, t1), into every
-/// non-null telemetry sink.
+/// Accounts one completed chunk, whose body ran over [t0, t1) on
+/// participant slot `slot`, into every non-null telemetry sink.
 void record_chunk(const PoolTelemetry& tel, int slot, std::int64_t t0,
                   std::int64_t t1) {
   const std::int64_t body_ns = t1 - t0;
-  if (tel.chunks) tel.chunks->add(slot);
-  if (tel.busy_ns) tel.busy_ns->add(slot, static_cast<std::uint64_t>(body_ns));
+  if (tel.chunks) tel.chunks->add();
+  if (tel.busy_ns) tel.busy_ns->add(static_cast<std::uint64_t>(body_ns));
   if (tel.chunk_seconds)
-    tel.chunk_seconds->record(slot, static_cast<double>(body_ns) * 1e-9);
+    tel.chunk_seconds->record(static_cast<double>(body_ns) * 1e-9);
   if (tel.prof != nullptr) tel.prof->charge(tel.ph_busy, slot, t0, t1);
 }
 
@@ -56,8 +57,7 @@ void record_chunk(const PoolTelemetry& tel, int slot, std::int64_t t0,
 void record_gap(const PoolTelemetry& tel, int phase, int slot,
                 std::int64_t from, std::int64_t until) {
   if (until <= from) return;
-  if (tel.idle_ns)
-    tel.idle_ns->add(slot, static_cast<std::uint64_t>(until - from));
+  if (tel.idle_ns) tel.idle_ns->add(static_cast<std::uint64_t>(until - from));
   if (tel.prof != nullptr) tel.prof->charge(phase, slot, from, until);
 }
 
@@ -96,81 +96,57 @@ struct WorkerPool::Impl {
   std::deque<std::function<void(int)>> tasks;  // guarded by m
 
   /// The claim loop of one participant: `slot` is its local slot, the
-  /// one bodies see; telemetry goes to its participant slot.
+  /// one bodies see; telemetry goes to its participant slot. With
+  /// telemetry, time inside a body is busy and everything else between
+  /// entering and leaving the loop (claims, the final failed claim) is
+  /// idle: one time mark splits the loop into stretches, and each is
+  /// charged once to the registry counters and the profiler alike. With a
+  /// profiler the stretch up to each claim is its own pool.claim stretch
+  /// (counter contention vs genuine waiting), paid for by one extra clock
+  /// read per claim. Without telemetry the loop reads no clock.
   void run_chunks(Job& job_ref, int slot) {
-    if (job_ref.telemetry != nullptr) {
-      run_chunks_instrumented(job_ref, slot);
-      return;
-    }
-    for (;;) {
-      const std::int64_t c0 = job_ref.next_chunk.fetch_add(
-          job_ref.claim_batch, std::memory_order_relaxed);
-      if (c0 >= job_ref.chunks) return;
-      const std::int64_t c1 =
-          std::min<std::int64_t>(job_ref.chunks, c0 + job_ref.claim_batch);
-      for (std::int64_t c = c0; c < c1; ++c) {
-        if (job_ref.abort.load(std::memory_order_relaxed)) return;
-        t_inside_body = true;
-        try {
-          (*job_ref.body)(static_cast<int>(c), slot);
-          t_inside_body = false;
-        } catch (...) {
-          t_inside_body = false;
-          std::lock_guard<std::mutex> lock(m);
-          if (!job_ref.error) job_ref.error = std::current_exception();
-          job_ref.abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  }
-
-  /// Same claim loop as run_chunks plus per-chunk timing: time inside the
-  /// body is busy, everything else between entering and leaving the loop
-  /// (claims, the final failed claim) is idle. One time mark splits the
-  /// loop into stretches, and each is charged once to the registry
-  /// counters and the profiler alike. With a profiler the stretch up to
-  /// each claim is its own pool.claim stretch (counter contention vs
-  /// genuine waiting), paid for by one extra clock read per claim.
-  void run_chunks_instrumented(Job& job_ref, int slot) {
-    const PoolTelemetry& tel = *job_ref.telemetry;
-    const int shard = t_slot;
-    std::int64_t mark = now_ns();  // end of the last charged stretch
-    const auto gap = [&](int phase, std::int64_t until) {
-      record_gap(tel, phase, shard, mark, until);
-      mark = until;
+    const PoolTelemetry* const tel = job_ref.telemetry;
+    const int pslot = t_slot;
+    const int ph_idle = tel != nullptr ? tel->ph_idle : -1;
+    const bool split_claims = tel != nullptr && tel->prof != nullptr;
+    std::int64_t mark = tel != nullptr ? now_ns() : 0;  // last charged end
+    // Charges [mark, now) to `phase` and moves the mark; untimed, a no-op.
+    const auto gap = [&](int phase) {
+      if (tel == nullptr) return;
+      const std::int64_t now = now_ns();
+      record_gap(*tel, phase, pslot, mark, now);
+      mark = now;
     };
     for (;;) {
       const std::int64_t c0 = job_ref.next_chunk.fetch_add(
           job_ref.claim_batch, std::memory_order_relaxed);
-      if (tel.prof != nullptr) gap(tel.ph_claim, now_ns());
+      if (split_claims) gap(tel->ph_claim);
       if (c0 >= job_ref.chunks) break;
       const std::int64_t c1 =
           std::min<std::int64_t>(job_ref.chunks, c0 + job_ref.claim_batch);
       for (std::int64_t c = c0; c < c1; ++c) {
-        if (job_ref.abort.load(std::memory_order_relaxed)) {
-          gap(tel.ph_idle, now_ns());
-          return;
-        }
-        const std::int64_t t0 = now_ns();
-        gap(tel.ph_idle, t0);
+        gap(ph_idle);
+        if (job_ref.abort.load(std::memory_order_relaxed)) return;
+        const std::int64_t t0 = mark;  // the body's start when timed
         t_inside_body = true;
         try {
           (*job_ref.body)(static_cast<int>(c), slot);
           t_inside_body = false;
         } catch (...) {
           t_inside_body = false;
-          record_chunk(tel, shard, t0, now_ns());
+          if (tel != nullptr) record_chunk(*tel, pslot, t0, now_ns());
           std::lock_guard<std::mutex> lock(m);
           if (!job_ref.error) job_ref.error = std::current_exception();
           job_ref.abort.store(true, std::memory_order_relaxed);
           return;
         }
-        mark = now_ns();
-        record_chunk(tel, shard, t0, mark);
+        if (tel != nullptr) {
+          mark = now_ns();
+          record_chunk(*tel, pslot, t0, mark);
+        }
       }
     }
-    gap(tel.ph_idle, now_ns());
+    gap(ph_idle);
   }
 
   void worker_main(int slot) {
@@ -304,27 +280,25 @@ void WorkerPool::serial_chunks(
   const bool was_inside = t_inside_body;
   t_inside_body = true;
   try {
-    if (telemetry == nullptr) {
-      for (int c = 0; c < chunk_count; ++c) body(c, 0);
-    } else {
-      // Mirror run_chunks_instrumented's accounting exactly: time inside
-      // bodies is busy, everything else in the loop (the serial stand-in
-      // for claims, including the trailing exit) is idle, so per-slot
-      // busy/idle fractions compare 1:1 between the serial and pooled
-      // modes. Serial mode has no claim counter, so the whole between-body
-      // stretch is the profiler's idle phase.
-      const PoolTelemetry& tel = *telemetry;
-      const int shard = t_slot;
-      std::int64_t mark = now_ns();
-      for (int c = 0; c < chunk_count; ++c) {
-        const std::int64_t t0 = now_ns();
-        record_gap(tel, tel.ph_idle, shard, mark, t0);
-        body(c, 0);
+    // The same accounting as run_chunks: time inside bodies is busy,
+    // everything else in the loop (the serial stand-in for claims,
+    // including the trailing exit) is idle, so per-slot busy/idle
+    // fractions compare 1:1 between the serial and pooled modes. Serial
+    // mode has no claim counter, so the whole between-body stretch is the
+    // profiler's idle phase. Without telemetry no clock is read.
+    const PoolTelemetry* const tel = telemetry;
+    const int pslot = t_slot;
+    std::int64_t mark = tel != nullptr ? now_ns() : 0;
+    for (int c = 0; c < chunk_count; ++c) {
+      const std::int64_t t0 = tel != nullptr ? now_ns() : 0;
+      if (tel != nullptr) record_gap(*tel, tel->ph_idle, pslot, mark, t0);
+      body(c, 0);
+      if (tel != nullptr) {
         mark = now_ns();
-        record_chunk(tel, shard, t0, mark);
+        record_chunk(*tel, pslot, t0, mark);
       }
-      record_gap(tel, tel.ph_idle, shard, mark, now_ns());
     }
+    if (tel != nullptr) record_gap(*tel, tel->ph_idle, pslot, mark, now_ns());
   } catch (...) {
     t_inside_body = was_inside;
     throw;

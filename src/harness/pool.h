@@ -14,11 +14,11 @@
 // groups simulate concurrently on the workers.
 //
 // Slots. Every background worker owns one fixed *participant slot* for its
-// lifetime (1 + its index); every other thread is slot 0. The metrics
-// shards, profiler cells and tracer tracks of obs/ are indexed by that
-// slot (participant_slot()), so whatever runs on a worker — a chunk, a
-// task, or a harness call nested inside either — writes its own shard.
-// parallel_chunks additionally hands each body a *local* slot in
+// lifetime (1 + its index); every other thread is slot 0. The profiler
+// cells and tracer tracks of obs/ are indexed by that slot
+// (participant_slot()), so whatever runs on a worker — a chunk, a task,
+// or a harness call nested inside either — charges its own cells and
+// track. parallel_chunks additionally hands each body a *local* slot in
 // [0, max_workers) for per-call scratch arrays.
 //
 // Determinism contract: the pool guarantees only that every chunk index in
@@ -75,25 +75,25 @@ class WorkerPool {
   /// background threads) the loop runs inline, in increasing chunk order,
   /// touching no synchronization.
   ///
-  /// When `telemetry` is non-null the pool records, per participant slot
-  /// (participant_slot(), not the local slot): completed chunks,
+  /// When `telemetry` is non-null the pool records completed chunks,
   /// per-chunk wall latency, time inside bodies (busy) and time spent
   /// claiming/waiting (idle; the caller's wait for helpers to drain counts
-  /// into the caller's slot), and charges the same stretches to the
-  /// profiler's claim/busy/idle phases. Null telemetry leaves the claim
-  /// loop untimed — not even a clock read.
+  /// as the caller's), and charges the same stretches to the profiler's
+  /// claim/busy/idle phases on each participant's slot
+  /// (participant_slot(), not the local slot). Null telemetry leaves the
+  /// claim loop untimed — not even a clock read.
   void parallel_chunks(int chunk_count, int max_workers,
                        const std::function<void(int chunk, int slot)>& body,
                        const PoolTelemetry* telemetry = nullptr,
                        int claim_batch = 1);
 
   /// Runs the same loop inline on the calling thread (local slot 0,
-  /// telemetry on participant_slot()), with the same telemetry accounting
-  /// as parallel_chunks — including idle time for the claim loop itself
-  /// (the stretches between bodies), so per-slot busy/idle fractions are
-  /// directly comparable between the serial and pooled modes. This is the
-  /// shared serial path: parallel_chunks degrades to it, and callers that
-  /// decide serial-vs-pooled themselves (the experiment harness's
+  /// profiler charges on participant_slot()), with the same telemetry
+  /// accounting as parallel_chunks — including idle time for the claim
+  /// loop itself (the stretches between bodies), so busy/idle fractions
+  /// are directly comparable between the serial and pooled modes. This is
+  /// the shared serial path: parallel_chunks degrades to it, and callers
+  /// that decide serial-vs-pooled themselves (the experiment harness's
   /// single-threaded bypass) use it directly so serial runs report the
   /// same metrics without instantiating the process pool.
   static void serial_chunks(int chunk_count,

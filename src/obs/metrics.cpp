@@ -9,27 +9,6 @@
 
 namespace paserta {
 
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < kMaxShards; ++s) total += shard_value(s);
-  return total;
-}
-
-void Counter::reset() {
-  for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
-double Gauge::value() const {
-  double total = 0.0;
-  for (const Shard& s : shards_)
-    total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Gauge::reset() {
-  for (Shard& s : shards_) s.v.store(0.0, std::memory_order_relaxed);
-}
-
 Histogram::Histogram(std::span<const double> upper_bounds)
     : bounds_(upper_bounds.begin(), upper_bounds.end()) {
   PASERTA_REQUIRE(bounds_.size() + 1 <= kMaxBuckets,
@@ -40,23 +19,9 @@ Histogram::Histogram(std::span<const double> upper_bounds)
                     "histogram bounds must be strictly ascending");
 }
 
-std::uint64_t Histogram::bucket_value(std::size_t b) const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_)
-    total += s.buckets[b].load(std::memory_order_relaxed);
-  return total;
-}
-
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
   for (std::size_t b = 0; b < bucket_count(); ++b) total += bucket_value(b);
-  return total;
-}
-
-double Histogram::sum() const {
-  double total = 0.0;
-  for (const Shard& s : shards_)
-    total += s.sum.load(std::memory_order_relaxed);
   return total;
 }
 
@@ -88,10 +53,8 @@ double Histogram::percentile(double q) const {
 }
 
 void Histogram::reset() {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 void SimCounters::add(const SimCounters& o) {
@@ -152,35 +115,16 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 }
 
 MetricHandles* MetricsRegistry::find_handles(const std::string& key) const {
-  const int n = handle_count_.load(std::memory_order_acquire);
-  for (int i = 0; i < n; ++i) {
-    const HandleEntry* e =
-        handle_index_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
-    if (e->key == key) return e->handles.get();
-  }
-  if (n < kMaxHandleSets) return nullptr;
-  std::lock_guard<std::mutex> lock(m_);  // past the index
-  for (std::size_t i = kMaxHandleSets; i < handle_sets_.size(); ++i)
-    if (handle_sets_[i]->key == key) return handle_sets_[i]->handles.get();
-  return nullptr;
+  std::lock_guard<std::mutex> lock(m_);
+  const auto it = handle_sets_.find(key);
+  return it != handle_sets_.end() ? it->second.get() : nullptr;
 }
 
 MetricHandles& MetricsRegistry::publish_handles(
     const std::string& key, std::unique_ptr<MetricHandles> handles) {
   std::lock_guard<std::mutex> lock(m_);
   // Another thread may have built the same set meanwhile: keep the first.
-  for (const auto& e : handle_sets_)
-    if (e->key == key) return *e->handles;
-  handle_sets_.push_back(
-      std::make_unique<HandleEntry>(HandleEntry{key, std::move(handles)}));
-  const int n = handle_count_.load(std::memory_order_relaxed);
-  if (n < kMaxHandleSets) {
-    handle_index_[static_cast<std::size_t>(n)].store(
-        handle_sets_.back().get(), std::memory_order_relaxed);
-    handle_count_.store(n + 1, std::memory_order_release);
-  }
-  return *handle_sets_.back()->handles;
+  return *handle_sets_.try_emplace(key, std::move(handles)).first->second;
 }
 
 SimCounterHandles& SimCounterHandles::of(MetricsRegistry& reg,
@@ -227,7 +171,7 @@ Counter& SimCounterHandles::sparse(std::atomic<Counter*>& h,
   return *c;
 }
 
-void SimCounterHandles::add(int shard, const SimCounters& c) {
+void SimCounterHandles::add(const SimCounters& c) {
   PASERTA_REQUIRE(c.levels == levels_,
                   "SimCounters ledger of " << c.levels
                                            << " levels exported through "
@@ -237,39 +181,31 @@ void SimCounterHandles::add(int shard, const SimCounters& c) {
       c.speed_changes, c.spec_picks, c.greedy_picks,
       c.reclaimed_slack_ps, c.idle_ps};
   for (std::size_t f = 0; f < fixed_.size(); ++f)
-    if (fixed[f] != 0) fixed_[f]->add(shard, fixed[f]);
+    if (fixed[f] != 0) fixed_[f]->add(fixed[f]);
   // Energy-attribution ledger: per-level time counters, transition counts
   // per (from, to) level pair (only the pairs that fired — an L x L matrix
   // of mostly-zero names would drown the export), and total idle time.
   // With the power table and overheads these rebuild the paper's busy /
   // overhead / idle energy split (attribution_energy).
   for (std::uint32_t l = 0; l < levels_; ++l) {
-    if (c.busy_ps[l] != 0) busy_[l]->add(shard, c.busy_ps[l]);
+    if (c.busy_ps[l] != 0) busy_[l]->add(c.busy_ps[l]);
     if (c.compute_ps[l] != 0)
-      sparse(compute_[l], ".compute_ps", l, -1).add(shard, c.compute_ps[l]);
+      sparse(compute_[l], ".compute_ps", l, -1).add(c.compute_ps[l]);
   }
   for (std::uint32_t from = 0; from < levels_; ++from)
     for (std::uint32_t to = 0; to < levels_; ++to) {
       const std::size_t i = std::size_t{from} * levels_ + to;
       if (c.transitions[i] != 0)
         sparse(transitions_[i], ".transitions", from, to)
-            .add(shard, c.transitions[i]);
+            .add(c.transitions[i]);
     }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(m_);
   MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) {
-    MetricsSnapshot::CounterRow row;
-    row.name = name;
-    row.value = c->value();
-    int last = -1;
-    for (int s = 0; s < kMaxShards; ++s)
-      if (c->shard_value(s) != 0) last = s;
-    for (int s = 0; s <= last; ++s) row.shards.push_back(c->shard_value(s));
-    snap.counters.push_back(std::move(row));
-  }
+  for (const auto& [name, c] : counters_)
+    snap.counters.push_back({name, c->value()});
   for (const auto& [name, g] : gauges_)
     snap.gauges.push_back({name, g->value()});
   for (const auto& [name, h] : histograms_) {
@@ -303,10 +239,8 @@ std::string metrics_to_json(const MetricsSnapshot& snap) {
   w.begin_object();
   w.key("counters").begin_array();
   for (const auto& c : snap.counters) {
-    w.begin_object().key("name").value(c.name).key("value").value(c.value);
-    w.key("shards").begin_array();
-    for (const std::uint64_t s : c.shards) w.value(s);
-    w.end_array().end_object();
+    w.begin_object().key("name").value(c.name).key("value").value(c.value)
+        .end_object();
   }
   w.end_array();
   w.key("gauges").begin_array();

@@ -1,24 +1,21 @@
-// Observability metrics: sharded counters, gauges and fixed-bucket
-// histograms behind a name-keyed registry.
+// Observability metrics: counters, gauges and fixed-bucket histograms
+// behind a name-keyed registry.
 //
-// Sharding. Every metric keeps kMaxShards cache-line-separated cells, one
-// per worker-pool participant slot (slot 0 is any thread outside the
-// pool, 1..kMaxThreads the background workers — harness/pool.h gives each
-// worker one fixed slot for its lifetime, and threads sharing slot 0
-// serialize their writes). The write path is therefore single-writer per
-// shard: a relaxed atomic
-// store of (relaxed load + n) compiles to a plain increment — no
-// read-modify-write instruction, no contention — while staying TSan-clean
-// when another thread snapshots the metric mid-loop (live /metrics
-// scrapes). Aggregation happens only at read time, by summing shards in
-// slot order.
+// One atomic per cell. A counter is one relaxed atomic that every writer
+// fetch_adds, a gauge one relaxed atomic that writers store, and a
+// histogram one atomic per bucket plus one for the sum. Any thread may
+// write any metric at any time, and a reader (a live /metrics scrape)
+// sees each cell whole. Metrics are written once per pool chunk, request
+// group or request, never per simulated run, so the contention a
+// per-thread layout would avoid is rare, and a compact metric keeps an
+// export of hundreds of counters on few cache lines (DESIGN.md §11).
 //
 // Determinism. Metrics are write-only for the simulation: nothing feeds
 // back into RNG streams, scheduling decisions or result accumulation, so
 // enabling collection cannot change a single output bit (test_obs pins
-// sweep results with observability on vs off). Counter cells are integers
-// and histogram cells are integer bucket counts, so cross-shard sums are
-// order-independent by construction.
+// sweep results with observability on vs off). Counter cells and
+// histogram buckets are integers, so their totals do not depend on the
+// order the writers' adds land in.
 //
 // Cost. Disabled mode is a null-pointer check at each would-be increment
 // site; its end-to-end cost measured under 2 % on the fig4a point.
@@ -30,8 +27,7 @@
 // Handles. Looking a metric up by name builds a string and takes the
 // registry mutex, so code that exports many metrics per call resolves its
 // handles once per registry: MetricsRegistry::handles caches a handle set
-// under a key and finds it again without a lock (SimCounterHandles is the
-// engine counters' set).
+// under a key (SimCounterHandles is the engine counters' set).
 #pragma once
 
 #include <array>
@@ -47,73 +43,30 @@
 
 namespace paserta {
 
-/// One shard per worker-pool participant slot: threads outside the pool
-/// are slot 0, background workers own 1..WorkerPool::kMaxThreads (pool.cpp
-/// static_asserts the bound so the two constants cannot drift apart).
-constexpr int kMaxShards = 65;
-
-namespace obs_detail {
-
-/// Single-writer relaxed increment: the owning slot is the only writer, so
-/// load + store (no lock prefix) is exact; concurrent readers may miss the
-/// in-flight add but never see a torn value.
-inline void shard_add(std::atomic<std::uint64_t>& cell, std::uint64_t n) {
-  cell.store(cell.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-}
-
-inline void shard_add(std::atomic<double>& cell, double v) {
-  cell.store(cell.load(std::memory_order_relaxed) + v,
-             std::memory_order_relaxed);
-}
-
-}  // namespace obs_detail
-
-/// Monotonic sharded counter.
+/// Monotonic counter.
 class Counter {
  public:
-  void add(int shard, std::uint64_t n = 1) {
-    obs_detail::shard_add(shards_[static_cast<std::size_t>(shard)].v, n);
-  }
-
-  /// Sum over shards (exact once writers have joined; a live read may lag
-  /// by in-flight increments).
-  std::uint64_t value() const;
-  std::uint64_t shard_value(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].v.load(
-        std::memory_order_relaxed);
-  }
-  void reset();
+  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  /// Exact once writers have joined; a live read may lag by in-flight adds.
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Shard, kMaxShards> shards_{};
+  std::atomic<std::uint64_t> v_{0};
 };
 
-/// Additive sharded gauge (e.g. bytes held, entries buffered): each shard
-/// tracks its own contribution via add(); value() is the cross-shard sum.
+/// Last-value gauge (e.g. bytes held, entries queued).
 class Gauge {
  public:
-  void add(int shard, double delta) {
-    obs_detail::shard_add(shards_[static_cast<std::size_t>(shard)].v, delta);
-  }
-  void set(int shard, double v) {
-    shards_[static_cast<std::size_t>(shard)].v.store(
-        v, std::memory_order_relaxed);
-  }
-  double value() const;
-  void reset();
+  void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  double value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { set(0.0); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<double> v{0.0};
-  };
-  std::array<Shard, kMaxShards> shards_{};
+  std::atomic<double> v_{0.0};
 };
 
-/// Fixed-bucket sharded histogram. Bucket i counts values v with
+/// Fixed-bucket histogram. Bucket i counts values v with
 /// v <= upper_bounds[i] (and v > upper_bounds[i-1]); one implicit overflow
 /// bucket catches everything above the last bound — cumulative
 /// Prometheus-style "le" semantics, pinned by test_obs.
@@ -124,23 +77,26 @@ class Histogram {
 
   static constexpr std::size_t kMaxBuckets = 24;  // including overflow
 
-  void record(int shard, double value) {
+  void record(double value) {
     // Branchless-enough: buckets are few, the scan is a handful of
     // well-predicted compares on a cache-resident array.
     std::size_t b = 0;
     while (b < bounds_.size() && value > bounds_[b]) ++b;
-    Shard& s = shards_[static_cast<std::size_t>(shard)];
-    obs_detail::shard_add(s.buckets[b], 1);
-    obs_detail::shard_add(s.sum, value);
+    buckets_[b].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
   }
 
   const std::vector<double>& bounds() const { return bounds_; }
   /// Number of buckets including the overflow bucket.
   std::size_t bucket_count() const { return bounds_.size() + 1; }
-  /// Cross-shard count of bucket `b` (b == bounds().size() = overflow).
-  std::uint64_t bucket_value(std::size_t b) const;
+  /// Count of bucket `b` (b == bounds().size() = overflow).
+  std::uint64_t bucket_value(std::size_t b) const {
+    return buckets_[b].load(std::memory_order_relaxed);
+  }
   std::uint64_t count() const;  // total samples
-  double sum() const;           // sum of recorded values
+  double sum() const {  // sum of recorded values
+    return sum_.load(std::memory_order_relaxed);
+  }
   /// Quantile estimate from the bucket counts, Prometheus
   /// histogram_quantile-style: the rank q * count() is located in the
   /// cumulative bucket counts and interpolated linearly inside the matched
@@ -151,12 +107,9 @@ class Histogram {
   void reset();
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>, kMaxBuckets> buckets{};
-    std::atomic<double> sum{0.0};
-  };
   std::vector<double> bounds_;
-  std::array<Shard, kMaxShards> shards_{};
+  std::array<std::atomic<std::uint64_t>, kMaxBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
 };
 
 /// Additive engine telemetry for one simulated run (sim/engine.cpp fills
@@ -215,9 +168,9 @@ class Profiler;  // obs/prof.h
 /// pointer may be null (that sink is skipped); a null struct pointer
 /// disables instrumentation entirely, leaving the claim loop untouched.
 struct PoolTelemetry {
-  Counter* chunks = nullptr;          // completed chunks, sharded by slot
+  Counter* chunks = nullptr;          // completed chunks
   Histogram* chunk_seconds = nullptr; // per-chunk wall latency
-  Counter* busy_ns = nullptr;         // time inside bodies, per slot
+  Counter* busy_ns = nullptr;         // time inside bodies
   Counter* idle_ns = nullptr;         // claim/wait time outside bodies
   /// Phase profiler (obs/prof.h): when set, the pool charges each body
   /// stretch to ph_busy, each counter-claim stretch to ph_claim and the
@@ -230,13 +183,11 @@ struct PoolTelemetry {
 };
 
 /// Read-time snapshot of a registry, suitable for rendering. Rows are
-/// sorted by name; counter rows carry the per-shard breakdown (trailing
-/// all-zero shards trimmed) so pool-balance analyses can see skew.
+/// sorted by name.
 struct MetricsSnapshot {
   struct CounterRow {
     std::string name;
     std::uint64_t value = 0;
-    std::vector<std::uint64_t> shards;  // trimmed at the last non-zero
   };
   struct GaugeRow {
     std::string name;
@@ -264,7 +215,7 @@ class MetricHandles {
 /// Name-keyed metric registry. Every counter()/gauge()/histogram() call
 /// takes a mutex; the returned reference is stable for the registry's
 /// lifetime, so hot paths resolve their handles once and then write
-/// lock-free.
+/// without the lock.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -280,8 +231,8 @@ class MetricsRegistry {
   /// The handle set cached under `key`: on the key's first use `make()`
   /// (returning std::unique_ptr<T>, T derived from MetricHandles) builds
   /// it outside the lock, so it may register metrics; later calls find it
-  /// without a lock (the first kMaxHandleSets keys; later keys are found
-  /// under the mutex). Sets live as long as the registry. Thread-safe.
+  /// under the registry mutex. Sets live as long as the registry.
+  /// Thread-safe.
   template <class T, class Make>
   T& handles(const std::string& key, Make&& make) {
     MetricHandles* h = find_handles(key);
@@ -296,13 +247,7 @@ class MetricsRegistry {
   /// The process-wide registry the experiment harness defaults to.
   static MetricsRegistry& global();
 
-  static constexpr int kMaxHandleSets = 64;
-
  private:
-  struct HandleEntry {
-    std::string key;
-    std::unique_ptr<MetricHandles> handles;
-  };
   MetricHandles* find_handles(const std::string& key) const;
   MetricHandles& publish_handles(const std::string& key,
                                  std::unique_ptr<MetricHandles> handles);
@@ -311,11 +256,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::vector<std::unique_ptr<HandleEntry>> handle_sets_;  // guarded by m_
-  // Lock-free index of the first kMaxHandleSets entries: slots below
-  // handle_count_ are written once, before the count is published.
-  std::array<std::atomic<const HandleEntry*>, kMaxHandleSets> handle_index_{};
-  std::atomic<int> handle_count_{0};
+  std::map<std::string, std::unique_ptr<MetricHandles>> handle_sets_;
 };
 
 /// The "<prefix>.<field>" counters one SimCounters total exports to: the
@@ -335,8 +276,8 @@ class SimCounterHandles final : public MetricHandles {
   SimCounterHandles(MetricsRegistry& reg, std::string prefix,
                     std::uint32_t levels);
 
-  /// Adds `c`, whose ledger must have this set's level count, on `shard`.
-  void add(int shard, const SimCounters& c);
+  /// Adds `c`, whose ledger must have this set's level count.
+  void add(const SimCounters& c);
 
  private:
   /// The counter behind sparse handle `h`, registered on first use as

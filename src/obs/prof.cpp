@@ -24,8 +24,9 @@ std::int64_t now_ns() {
       .count();
 }
 
-/// Single-writer relaxed accumulate, same idiom as obs_detail::shard_add:
-/// no RMW, so concurrent relaxed readers (snapshot/export) are TSan-clean.
+/// Single-writer relaxed accumulate: a cell has one writer at a time, so
+/// load + store needs no read-modify-write, and concurrent relaxed readers
+/// (snapshot/export) are TSan-clean.
 inline void cell_add(std::atomic<std::uint64_t>& v, std::uint64_t delta) {
   if (delta != 0)
     v.store(v.load(std::memory_order_relaxed) + delta,
@@ -261,8 +262,7 @@ void Profiler::export_delta_to(MetricsRegistry& reg) {
       std::uint64_t& last = exported_[p * kFields + f];
       const std::uint64_t delta = totals[f] - last;
       last = totals[f];
-      reg.counter("prof." + snap[p].name + "." + kFieldNames[f])
-          .add(0, delta);
+      reg.counter("prof." + snap[p].name + "." + kFieldNames[f]).add(delta);
     }
   }
 }

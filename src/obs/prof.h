@@ -4,11 +4,12 @@
 // region that charges its wall time — and, when the host grants
 // perf_event_open, its hardware-counter deltas (cycles, instructions,
 // cache references/misses, branch misses) — to one (phase, slot) cell.
-// Slots follow the observability shard convention (obs/metrics.h): slot 0
-// is any thread outside the pool (a loop's caller, the serve dispatcher),
-// slots 1..kMaxShards-1 are the pool workers' fixed participant slots
-// (harness/pool.h); each cell is written by one thread at a time and read
-// with relaxed loads, so the profiler is TSan-clean against concurrent
+// Slots are the worker pool's participant slots (kSlots): slot 0 is any
+// thread outside the pool (a loop's caller, the serve dispatcher), slots
+// 1..kSlots-1 the pool workers' fixed participant slots (harness/pool.h).
+// Cells stay per slot because the progress view and the trace tracks are
+// per slot; each cell is written by one thread at a time and read with
+// relaxed loads, so the profiler is TSan-clean against concurrent
 // snapshot/export calls.
 //
 // One instrumentation point: instrumented code only charges phases. A
@@ -150,7 +151,11 @@ class Profiler {
   std::vector<ProfSample> samples() const;
 
   static constexpr int kMaxPhases = 32;
-  static constexpr int kSlots = kMaxShards;
+  /// Participant slots of the profiler's cells and of the tracer's tracks
+  /// (obs/trace.h): slot 0 plus one per pool worker, each of which owns
+  /// its slot for its lifetime (pool.cpp static_asserts that the bound
+  /// covers WorkerPool::kMaxThreads).
+  static constexpr int kSlots = 65;
   static constexpr int kMaxSamples = 4096;
   /// Minimum spacing between two counter samples of one slot.
   static constexpr std::int64_t kSampleIntervalNs = 10'000'000;  // 10 ms
@@ -209,8 +214,7 @@ class Profiler {
 };
 
 /// RAII phase region. Null profiler = single pointer test, nothing else.
-/// The slot must follow the shard contract: one live writer per (profiler,
-/// slot) at a time.
+/// One live writer per (profiler, slot) at a time.
 class ProfScope {
  public:
   ProfScope(Profiler* prof, int phase, int slot) : prof_(prof) {

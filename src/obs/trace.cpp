@@ -15,9 +15,9 @@ std::int64_t Tracer::now_ns() const {
 void Tracer::record(int slot, const char* name, std::int64_t ts_ns,
                     std::int64_t dur_ns, std::int64_t point,
                     std::int64_t run, const char* cat) {
-  Shard& shard = shards_[static_cast<std::size_t>(slot)];
-  if (shard.events.size() >= kMaxSlotEvents) {
-    ++shard.dropped;
+  Track& track = tracks_[static_cast<std::size_t>(slot)];
+  if (track.events.size() >= kMaxSlotEvents) {
+    ++track.dropped;
     return;
   }
   TraceEvent ev;
@@ -28,14 +28,14 @@ void Tracer::record(int slot, const char* name, std::int64_t ts_ns,
   ev.dur_ns = dur_ns < 0 ? 0 : dur_ns;
   ev.point = point;
   ev.run = run;
-  shard.events.push_back(ev);
+  track.events.push_back(ev);
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> all;
   all.reserve(event_count());
-  for (const Shard& s : shards_)
-    all.insert(all.end(), s.events.begin(), s.events.end());
+  for (const Track& t : tracks_)
+    all.insert(all.end(), t.events.begin(), t.events.end());
   std::stable_sort(all.begin(), all.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
@@ -47,13 +47,13 @@ std::vector<TraceEvent> Tracer::events() const {
 
 std::size_t Tracer::event_count() const {
   std::size_t n = 0;
-  for (const Shard& s : shards_) n += s.events.size();
+  for (const Track& t : tracks_) n += t.events.size();
   return n;
 }
 
 std::uint64_t Tracer::dropped_count() const {
   std::uint64_t n = 0;
-  for (const Shard& s : shards_) n += s.dropped;
+  for (const Track& t : tracks_) n += t.dropped;
   return n;
 }
 

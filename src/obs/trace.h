@@ -1,15 +1,15 @@
 // Span storage for the Chrome/Perfetto trace export.
 //
-// A Tracer collects completed spans sharded per worker-pool slot exactly
-// like the metrics (obs/metrics.h): each slot appends to its own event
-// vector, so recording takes no lock and perturbs nothing shared. Spans
-// come from phase charges: a Tracer is attached to a Profiler
-// (obs/prof.h), and every charge a slot's own thread makes lands here as
-// one span with the same start and duration it charged — category =
-// phase. Only spans that are no region of one thread (serve's per-request
-// span) are written with record() directly. The merged event list is read
-// after the recording threads have joined (the pool's join is the
-// happens-before edge) and exported as Chrome/Perfetto trace-event JSON by
+// A Tracer collects completed spans on one track per participant slot
+// (Profiler::kSlots): each slot appends to its own event vector, so
+// recording takes no lock and perturbs nothing shared. Spans come from
+// phase charges: a Tracer is attached to a Profiler (obs/prof.h), and
+// every charge a slot's own thread makes lands here as one span with the
+// same start and duration it charged — category = phase. Only spans that
+// are no region of one thread (serve's per-request span) are written
+// with record() directly. The merged event list is read after the
+// recording threads have joined (the pool's join is the happens-before
+// edge) and exported as Chrome/Perfetto trace-event JSON by
 // obs/chrome_trace.h, so a whole sweep opens in ui.perfetto.dev with one
 // track per worker slot.
 //
@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"  // kMaxShards
+#include "obs/prof.h"  // Profiler::kSlots
 
 namespace paserta {
 
@@ -61,15 +61,15 @@ class Tracer {
         .count();
   }
 
-  /// Appends a completed span to `slot`'s shard; a null `cat` files the
+  /// Appends a completed span to `slot`'s track; a null `cat` files the
   /// span under its own name. A slot already holding kMaxSlotEvents spans
   /// counts the span as dropped instead. Only the thread owning the slot
-  /// may call this (single-writer sharding).
+  /// may call this (one writer per track).
   void record(int slot, const char* name, std::int64_t ts_ns,
               std::int64_t dur_ns, std::int64_t point = -1,
               std::int64_t run = -1, const char* cat = nullptr);
 
-  /// All events merged across shards, ordered by (ts_ns, slot, dur_ns
+  /// All events merged across tracks, ordered by (ts_ns, slot, dur_ns
   /// descending) so enclosing spans precede their children. Call only
   /// after the recording threads have joined.
   std::vector<TraceEvent> events() const;
@@ -86,12 +86,12 @@ class Tracer {
   static constexpr std::size_t kMaxSlotEvents = std::size_t{1} << 18;
 
  private:
-  struct alignas(64) Shard {
+  struct alignas(64) Track {
     std::vector<TraceEvent> events;
     std::uint64_t dropped = 0;
   };
   std::chrono::steady_clock::time_point epoch_;
-  std::array<Shard, kMaxShards> shards_;
+  std::array<Track, Profiler::kSlots> tracks_;
 };
 
 }  // namespace paserta

@@ -152,13 +152,13 @@ void SimServer::accept_main() {
     if (free_slot == nullptr) {
       // All slots busy: shed the connection rather than queue unbounded
       // socket state (the request queue has its own backpressure).
-      service_.registry().counter("serve.conn_rejected").add(0, 1);
+      service_.registry().counter("serve.conn_rejected").add();
       write_all(fd, render_error("", "overloaded",
                                  "too many connections; retry later") + "\n");
       ::close(fd);
       continue;
     }
-    service_.registry().counter("serve.connections").add(0, 1);
+    service_.registry().counter("serve.connections").add();
     free_slot->done.store(false);
     free_slot->fd.store(fd);
     free_slot->thread = std::thread(
@@ -190,7 +190,7 @@ std::string SimServer::response_for(const std::string& line) {
         f.wait_for(std::chrono::milliseconds(settings_.request_timeout_ms));
     if (status != std::future_status::ready) {
       // The service still finishes the job; only this wait gives up.
-      service_.registry().counter("serve.timeouts").add(0, 1);
+      service_.registry().counter("serve.timeouts").add();
       return render_error("", "timeout",
                           "no response within " +
                               std::to_string(settings_.request_timeout_ms) +
@@ -209,7 +209,7 @@ void SimServer::respond_ndjson(int fd, const std::string& line) {
     if (timeout_ms > 0 &&
         sub.response.wait_for(std::chrono::milliseconds(timeout_ms)) !=
             std::future_status::ready) {
-      service_.registry().counter("serve.timeouts").add(0, 1);
+      service_.registry().counter("serve.timeouts").add();
       write_all(fd, render_error("", "timeout",
                                  "no response within " +
                                      std::to_string(timeout_ms) + " ms") +
@@ -234,7 +234,7 @@ void SimServer::respond_ndjson(int fd, const std::string& line) {
               .count();
       const long remaining_ms = timeout_ms - elapsed_ms;
       if (remaining_ms <= 0) {
-        service_.registry().counter("serve.timeouts").add(0, 1);
+        service_.registry().counter("serve.timeouts").add();
         write_all(fd, render_error("", "timeout",
                                    "no response within " +
                                        std::to_string(timeout_ms) + " ms") +

@@ -194,7 +194,7 @@ std::shared_future<std::string> SimService::submit(const std::string& line) {
 SimService::Submission SimService::submit_line(const std::string& line) {
   // Parsing runs concurrently on connection threads, so it is timed here
   // and charged to serve.parse inside the m_-held sections below — the
-  // mutex serializes the cell writes, keeping the single-writer contract.
+  // mutex serializes the writes to the profiler's slot-0 cell.
   const auto p0 = std::chrono::steady_clock::now();
   SimRequest req;
   std::string parse_error;
@@ -212,7 +212,7 @@ SimService::Submission SimService::submit_line(const std::string& line) {
   if (!parse_error.empty()) {
     std::lock_guard<std::mutex> lk(m_);
     prof_.add_ns(ph_parse_, 0, parse_ns);
-    bad_requests_->add(0, 1);
+    bad_requests_->add();
     sub.response = ready_future(render_error("", "bad_request", parse_error));
     return sub;
   }
@@ -221,7 +221,7 @@ SimService::Submission SimService::submit_line(const std::string& line) {
   if (req.command == "hello") {
     std::lock_guard<std::mutex> lk(m_);
     prof_.add_ns(ph_parse_, 0, parse_ns);
-    hellos_->add(0, 1);
+    hellos_->add();
     sub.response = ready_future(render_hello(req.id_json));
     return sub;
   }
@@ -234,13 +234,13 @@ SimService::Submission SimService::submit_line(const std::string& line) {
   std::lock_guard<std::mutex> lk(m_);
   prof_.add_ns(ph_parse_, 0, parse_ns);
   if (stopping_) {
-    rejected_->add(0, 1);
+    rejected_->add();
     sub.response = ready_future(render_error(job->req.id_json, "shutting_down",
                                              "server is shutting down"));
     return sub;
   }
   if (queue_.size() >= static_cast<std::size_t>(settings_.queue_limit)) {
-    rejected_->add(0, 1);
+    rejected_->add();
     sub.response = ready_future(render_error(
         job->req.id_json, "overloaded",
         "queue full (" + std::to_string(queue_.size()) +
@@ -249,12 +249,12 @@ SimService::Submission SimService::submit_line(const std::string& line) {
   }
   job->seq = next_seq_++;
   job->progress = std::make_shared<JobProgress>();
-  requests_->add(0, 1);
+  requests_->add();
   sub.response = job->promise.get_future().share();
   sub.progress = job->progress;
   queue_.push_back(std::move(job));
   depth_.store(queue_.size(), std::memory_order_relaxed);
-  queue_depth_->set(0, static_cast<double>(queue_.size()));
+  queue_depth_->set(static_cast<double>(queue_.size()));
   cv_.notify_all();
   return sub;
 }
@@ -299,7 +299,7 @@ void SimService::dispatcher_main() {
       }
       batch.swap(queue_);
       depth_.store(0, std::memory_order_relaxed);
-      queue_depth_->set(0, 0.0);
+      queue_depth_->set(0.0);
     }
     process_batch(batch);
     batch.clear();
@@ -310,11 +310,11 @@ void SimService::finish_job(Job& job, const std::string& response, int slot,
                             std::chrono::steady_clock::time_point start) {
   // Queue wait runs from submit to the group's start, service time from
   // there to the response: together the request latency, from the same
-  // three clock reads. Each writer records on its own shard.
+  // three clock reads.
   const auto end = std::chrono::steady_clock::now();
-  latency_->record(slot, seconds_between(job.t0, end));
-  queue_seconds_->record(slot, seconds_between(job.t0, start));
-  service_seconds_->record(slot, seconds_between(start, end));
+  latency_->record(seconds_between(job.t0, end));
+  queue_seconds_->record(seconds_between(job.t0, start));
+  service_seconds_->record(seconds_between(start, end));
   if (settings_.tracer != nullptr) {
     settings_.tracer->record(slot, "serve.request", job.ts_ns,
                              settings_.tracer->now_ns() - job.ts_ns,
@@ -328,18 +328,14 @@ void SimService::fail_group(Group& g, const std::string& code,
                             const std::string& message) {
   const auto start = std::chrono::steady_clock::now();
   ProfScope respond_scope(&prof_, ph_respond_, 0);
-  {
-    // serve.bad_requests shard 0 is shared with the submit side.
-    std::lock_guard<std::mutex> lk(m_);
-    (code == "internal" ? errors_ : bad_requests_)
-        ->add(0, static_cast<std::uint64_t>(g.jobs.size()));
-  }
+  (code == "internal" ? errors_ : bad_requests_)
+      ->add(static_cast<std::uint64_t>(g.jobs.size()));
   for (auto& job : g.jobs)
     finish_job(*job, render_error(job->req.id_json, code, message), 0, start);
 }
 
 void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
-  batches_->add(0, 1);
+  batches_->add();
 
   // Group jobs by semantic key, preserving first-seen order. The
   // Application of each group's representative is interned so repeated
@@ -374,14 +370,14 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
     }
     groups[it->second]->jobs.push_back(std::move(job));
   }
-  graph_interned_->add(0, store_.misses() - last_interned_);
+  graph_interned_->add(store_.misses() - last_interned_);
   last_interned_ = store_.misses();
 
   WorkerPool& pool = WorkerPool::process_pool();
   for (std::shared_ptr<Group>& gp : groups) {
     Group& g = *gp;
     if (g.jobs.size() > 1)
-      coalesced_->add(0, static_cast<std::uint64_t>(g.jobs.size() - 1));
+      coalesced_->add(static_cast<std::uint64_t>(g.jobs.size() - 1));
     const SimRequest& req = g.jobs.front()->req;
     try {
       ExperimentConfig& cfg = g.cfg;
@@ -403,7 +399,7 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
         ProfScope analyze_scope(&prof_, ph_analyze_, 0);
         bool hit = false;
         g.canon = store_.analysis(g.entry, canonical_options(cfg), hit);
-        (hit ? cache_hits_ : cache_misses_)->add(0, 1);
+        (hit ? cache_hits_ : cache_misses_)->add();
       }
       if (req.deadline_ms) {
         g.deadline = SimTime::from_ms(*req.deadline_ms);
@@ -437,8 +433,8 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
       idle_cv_.notify_all();
     });
   }
-  store_bytes_->set(0, static_cast<double>(store_.resident_bytes()));
-  evictions_->add(0, store_.evictions() - last_evicted_);
+  store_bytes_->set(static_cast<double>(store_.resident_bytes()));
+  evictions_->add(store_.evictions() - last_evicted_);
   last_evicted_ = store_.evictions();
 }
 
@@ -494,12 +490,12 @@ void SimService::run_group(Group& g, int slot) {
   ProfScope respond_scope(&prof_, ph_respond_, slot);
   for (auto& job : g.jobs) {
     if (!error_code.empty()) {
-      (error_code == "internal" ? errors_ : bad_requests_)->add(slot, 1);
+      (error_code == "internal" ? errors_ : bad_requests_)->add();
       finish_job(*job, render_error(job->req.id_json, error_code,
                                     response_error),
                  slot, start);
     } else {
-      responses_->add(slot, 1);
+      responses_->add();
       finish_job(*job,
                  render_result(job->req.id_json, g.entry->content_hash,
                                static_cast<std::uint64_t>(g.jobs.size() - 1),

@@ -22,13 +22,14 @@
 // budget (a group in flight keeps its entry alive). serve.*,
 // offline.cache.* and serve.graph_store.* metrics make both observable.
 //
-// Threading / metrics discipline: every writer uses its own shard. Submit-
-// side counters (serve.requests, serve.rejected, ...) are written under
-// the queue mutex on shard 0, and so are the dispatcher's writes to the
-// counters they share; the dispatcher's own counters use shard 0; a worker
-// writes the response counters, the latency histograms and its spans on
-// its participant slot (WorkerPool::participant_slot), where the harness
-// also charges the group's run_point.
+// Threading / metrics discipline: registry metrics are atomics that any
+// thread writes (connection threads, the dispatcher and the workers
+// alike). Profiler cells and trace tracks have one writer per slot: the
+// dispatcher charges slot 0, connection threads charge serve.parse on
+// slot 0 under the queue mutex, and a worker charges its phases and its
+// serve.request spans on its participant slot
+// (WorkerPool::participant_slot), where the harness also charges the
+// group's run_point.
 #pragma once
 
 #include <atomic>
@@ -172,7 +173,7 @@ class SimService {
   int threads_ = 1;
   std::unique_ptr<MetricsRegistry> owned_registry_;
   MetricsRegistry* registry_ = nullptr;
-  // Handles resolved once at construction; see the shard rules above.
+  // Handles resolved once at construction; any thread writes them.
   Histogram* latency_ = nullptr;  // serve.request_seconds
   Histogram* queue_seconds_ = nullptr;
   Histogram* service_seconds_ = nullptr;

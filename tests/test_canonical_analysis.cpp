@@ -1,15 +1,13 @@
-// Tests for the two-phase offline analysis: apply_deadline on a cached
+// Tests for the two-phase offline analysis: apply_deadline on a
 // CanonicalAnalysis must reproduce analyze_offline bit-for-bit (on AND/OR
-// graphs with nested forks), the OfflineCache must key on
-// (graph, cpus, overhead_budget, heuristic), and the canonical-analysis
-// counter must reflect the round-1 work actually performed.
+// graphs with nested forks), and run_point given a resolved analysis must
+// only shift it, running no round-1 work.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
 #include "harness/json.h"
-#include "obs/metrics.h"
 
 namespace paserta {
 namespace {
@@ -84,12 +82,11 @@ void expect_offline_identical(const Application& app, const OfflineResult& a,
   }
 }
 
-TEST(OfflineCache, CachedEqualsFreshOnNestedForks) {
+TEST(CanonicalAnalysis, ShiftedEqualsFreshOnNestedForks) {
   const Application app = nested_fork_app();
-  OfflineCache cache;
   for (int cpus : {1, 2, 3}) {
-    const CanonicalAnalysis& canon =
-        cache.get(app, copts(cpus, SimTime::from_us(50)));
+    const CanonicalAnalysis canon =
+        analyze_canonical(app, copts(cpus, SimTime::from_us(50)));
     for (double deadline_ms : {40.0, 60.0, 123.4}) {
       SCOPED_TRACE(testing::Message()
                    << "cpus=" << cpus << " deadline=" << deadline_ms);
@@ -98,75 +95,16 @@ TEST(OfflineCache, CachedEqualsFreshOnNestedForks) {
       opt.deadline = ms(deadline_ms);
       opt.overhead_budget = SimTime::from_us(50);
       const OfflineResult fresh = analyze_offline(app, opt);
-      const OfflineResult cached = apply_deadline(canon, ms(deadline_ms));
-      expect_offline_identical(app, fresh, cached);
+      const OfflineResult shifted = apply_deadline(canon, ms(deadline_ms));
+      expect_offline_identical(app, fresh, shifted);
     }
   }
-}
-
-TEST(OfflineCache, HitsAndMissesFollowTheKey) {
-  const Application app = nested_fork_app();
-  OfflineCache cache;
-
-  std::uint64_t before = canonical_analysis_count();
-  (void)cache.get(app, copts(2));
-  EXPECT_EQ(canonical_analysis_count() - before, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Same key: a hit, no new round-1 work.
-  before = canonical_analysis_count();
-  (void)cache.get(app, copts(2));
-  EXPECT_EQ(canonical_analysis_count() - before, 0u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-
-  // Different cpus / budget / heuristic: three distinct entries.
-  (void)cache.get(app, copts(3));
-  (void)cache.get(app, copts(2, SimTime::from_us(5)));
-  CanonicalOptions stf = copts(2);
-  stf.heuristic = ListHeuristic::ShortestTaskFirst;
-  (void)cache.get(app, stf);
-  EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 4u);
-}
-
-// sweep_load looks its canonical analysis up in its own cache and exports
-// the lookup as offline.cache.{hits,misses} registry counters
-// (collect_metrics only): every sweep misses once.
-TEST(OfflineCache, SweepLoadExportsCacheCounters) {
-  const Application app = nested_fork_app();
-  ExperimentConfig cfg;
-  cfg.runs = 4;
-  cfg.collect_metrics = true;
-  MetricsRegistry reg;
-  cfg.registry = &reg;
-
-  (void)sweep_load(app, cfg, {0.5, 0.7});
-  EXPECT_EQ(reg.counter("offline.cache.hits").value(), 0u);
-  EXPECT_EQ(reg.counter("offline.cache.misses").value(), 1u);
-  (void)sweep_load(app, cfg, {0.5});
-  EXPECT_EQ(reg.counter("offline.cache.misses").value(), 2u);
-
-  // Without a registry (collect_metrics off) the export is a no-op — the
-  // global registry must stay untouched.
-  const std::uint64_t g_misses =
-      MetricsRegistry::global().counter("offline.cache.misses").value();
-  ExperimentConfig plain = cfg;
-  plain.collect_metrics = false;
-  plain.registry = nullptr;
-  (void)sweep_load(app, plain, {0.5});
-  EXPECT_EQ(MetricsRegistry::global().counter("offline.cache.misses").value(),
-            g_misses);
 }
 
 // run_point given the point's canonical analysis only shifts it: no round
 // 1 runs, and the point equals one that analyzed from scratch. An analysis
 // of other options is refused.
-TEST(OfflineCache, RunPointShiftsAResolvedAnalysis) {
+TEST(CanonicalAnalysis, RunPointShiftsAResolvedAnalysis) {
   const Application app = nested_fork_app();
   ExperimentConfig cfg;
   cfg.runs = 16;
@@ -185,7 +123,7 @@ TEST(OfflineCache, RunPointShiftsAResolvedAnalysis) {
   EXPECT_THROW((void)run_point(app, other, deadline, 0.5, &canon), Error);
 }
 
-TEST(OfflineCache, CanonicalAccessorsMatchOfflineResult) {
+TEST(CanonicalAnalysis, AccessorsMatchOfflineResult) {
   const Application app = nested_fork_app();
   const CanonicalAnalysis canon = analyze_canonical(app, copts(2));
   ASSERT_TRUE(canon.valid());
@@ -200,7 +138,7 @@ TEST(OfflineCache, CanonicalAccessorsMatchOfflineResult) {
             canonical_worst_makespan(app, 2, SimTime::zero()));
 }
 
-TEST(OfflineCache, ApplyDeadlineValidatesInput) {
+TEST(CanonicalAnalysis, ApplyDeadlineValidatesInput) {
   const Application app = nested_fork_app();
   const CanonicalAnalysis canon = analyze_canonical(app, copts(2));
   EXPECT_THROW(apply_deadline(canon, SimTime::zero()), Error);

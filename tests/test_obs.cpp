@@ -1,17 +1,18 @@
-// Tests for the observability subsystem (src/obs/): sharded metrics,
-// span tracing with Chrome export, the pool telemetry hooks and the
-// profiler's progress view — and the determinism contract: enabling any
-// of it must not change a single output bit of the experiment harness.
+// Tests for the observability subsystem (src/obs/): metrics, span tracing
+// with Chrome export, the pool telemetry hooks and the profiler's progress
+// view — and the determinism contract: enabling any of it must not change
+// a single output bit of the experiment harness.
 //
 // The concurrency tests double as the TSan target (ctest -L pool_smoke
-// under -DPASERTA_SANITIZE=thread): single-writer shard increments racing
-// with live cross-shard reads must stay clean.
+// under -DPASERTA_SANITIZE=thread): many writers on one metric racing
+// with live reads must stay clean and lose no count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,51 +44,74 @@ namespace {
 // ------------------------------------------------------------- counters
 
 TEST(Counter, ShardsAggregateInSlotOrder) {
+  // One cell takes every add, whichever thread makes it.
   Counter c;
-  c.add(0, 5);
-  c.add(3, 7);
-  c.add(kMaxShards - 1, 1);
+  c.add(5);
+  c.add(7);
+  c.add();  // one
   EXPECT_EQ(c.value(), 13u);
-  EXPECT_EQ(c.shard_value(0), 5u);
-  EXPECT_EQ(c.shard_value(3), 7u);
-  EXPECT_EQ(c.shard_value(1), 0u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(Counter, ConcurrentShardWritersWithLiveReader) {
-  // One writer per slot plus a live cross-shard reader: the single-writer
-  // relaxed store(load + n) pattern must be exact per shard and TSan-clean
-  // against value() snapshots taken mid-loop.
-  Counter c;
-  std::atomic<std::uint64_t> live_max{0};
-  WorkerPool pool(3);
-  const int chunks = 400;
-  pool.parallel_chunks(chunks, 4, [&](int chunk, int slot) {
-    c.add(slot);
-    if (chunk % 16 == 0) {
-      // Live read while other shards are being written.
-      std::uint64_t seen = c.value();
-      std::uint64_t prev = live_max.load();
-      while (seen > prev && !live_max.compare_exchange_weak(prev, seen)) {
-      }
+  // Many writers on one metric: pool workers and four plain threads
+  // outside the pool (participant slot 0, like serve's connection
+  // threads) add to one counter and record into one histogram while a
+  // reader snapshots the registry. Every count must land, and the run
+  // must be TSan-clean.
+  MetricsRegistry reg;
+  Counter& c = reg.counter("c");
+  const double bounds[] = {10.0};
+  Histogram& h = reg.histogram("h", bounds);
+  constexpr std::uint64_t kChunks = 400, kPerChunk = 50;
+  constexpr std::uint64_t kThreads = 4, kPerThread = 5000;
+  constexpr std::uint64_t kPool = kChunks * kPerChunk;
+  constexpr std::uint64_t kPlain = kThreads * kPerThread;
+
+  std::atomic<bool> done{false};
+  std::uint64_t live_max = 0;
+  std::thread reader([&] {
+    while (!done.load()) {
+      for (const auto& row : reg.snapshot().counters)
+        live_max = std::max(live_max, row.value);
     }
   });
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(chunks));
-  EXPECT_LE(live_max.load(), static_cast<std::uint64_t>(chunks));
-  // Every shard total survives exactly (no lost updates within a shard).
-  std::uint64_t sum = 0;
-  for (int s = 0; s < kMaxShards; ++s) sum += c.shard_value(s);
-  EXPECT_EQ(sum, static_cast<std::uint64_t>(chunks));
+  std::vector<std::thread> plain;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    plain.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        c.add();
+        h.record(1.0);
+      }
+    });
+  WorkerPool pool(3);
+  pool.parallel_chunks(static_cast<int>(kChunks), 4, [&](int, int) {
+    for (std::uint64_t i = 0; i < kPerChunk; ++i) {
+      c.add();
+      h.record(100.0);
+    }
+  });
+  for (std::thread& t : plain) t.join();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(c.value(), kPool + kPlain);
+  EXPECT_LE(live_max, kPool + kPlain);
+  EXPECT_EQ(h.bucket_value(0), kPlain);
+  EXPECT_EQ(h.bucket_value(1), kPool);
+  EXPECT_EQ(h.count(), kPool + kPlain);
+  // Whole numbers far below 2^53 add exactly in any order.
+  EXPECT_EQ(h.sum(), 1.0 * kPlain + 100.0 * kPool);
 }
 
 TEST(Gauge, AddAndSetPerShard) {
+  // A gauge reads the last value set.
   Gauge g;
-  g.add(0, 1.5);
-  g.add(1, 2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-  g.set(1, 0.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.0);
+  g.set(1.5);
+  EXPECT_DOUBLE_EQ(g.value(), 1.5);
+  g.set(0.5);
+  EXPECT_DOUBLE_EQ(g.value(), 0.5);
   g.reset();
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
 }
@@ -99,13 +123,13 @@ TEST(Histogram, BucketEdgesAreLeSemantics) {
   Histogram h(bounds);
   ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
 
-  h.record(0, 0.5);    // <= 1        -> bucket 0
-  h.record(0, 1.0);    // == bound    -> bucket 0 (le, not lt)
-  h.record(0, 1.0001); // just above  -> bucket 1
-  h.record(0, 10.0);   // == bound    -> bucket 1
-  h.record(0, 99.9);   //             -> bucket 2
-  h.record(0, 100.0);  // == last     -> bucket 2
-  h.record(0, 1e6);    // overflow    -> bucket 3
+  h.record(0.5);    // <= 1        -> bucket 0
+  h.record(1.0);    // == bound    -> bucket 0 (le, not lt)
+  h.record(1.0001); // just above  -> bucket 1
+  h.record(10.0);   // == bound    -> bucket 1
+  h.record(99.9);   //             -> bucket 2
+  h.record(100.0);  // == last     -> bucket 2
+  h.record(1e6);    // overflow    -> bucket 3
 
   EXPECT_EQ(h.bucket_value(0), 2u);
   EXPECT_EQ(h.bucket_value(1), 2u);
@@ -118,9 +142,9 @@ TEST(Histogram, BucketEdgesAreLeSemantics) {
 TEST(Histogram, PercentileInterpolatesWithinBuckets) {
   const double bounds[] = {10.0, 20.0, 30.0};
   Histogram h(bounds);
-  for (int i = 0; i < 2; ++i) h.record(0, 5.0);   // bucket 0: (0, 10]
-  for (int i = 0; i < 4; ++i) h.record(0, 15.0);  // bucket 1: (10, 20]
-  for (int i = 0; i < 2; ++i) h.record(0, 25.0);  // bucket 2: (20, 30]
+  for (int i = 0; i < 2; ++i) h.record(5.0);   // bucket 0: (0, 10]
+  for (int i = 0; i < 4; ++i) h.record(15.0);  // bucket 1: (10, 20]
+  for (int i = 0; i < 2; ++i) h.record(25.0);  // bucket 2: (20, 30]
 
   // Hand-computed: rank = q * 8, linear interpolation inside the bucket.
   // p50 -> rank 4, bucket 1 holds ranks (2, 6]: 10 + 10 * (4-2)/4 = 15.
@@ -136,7 +160,7 @@ TEST(Histogram, PercentileInterpolatesWithinBuckets) {
 TEST(Histogram, PercentileSkipsEmptyBucketsToUpperEdge) {
   const double bounds[] = {10.0, 20.0};
   Histogram h(bounds);
-  for (int i = 0; i < 4; ++i) h.record(0, 12.0);  // all in bucket 1
+  for (int i = 0; i < 4; ++i) h.record(12.0);  // all in bucket 1
   // p50 -> rank 2 inside bucket 1: 10 + 10 * 2/4 = 15.
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 15.0);
   // p0 -> rank 0 matches the empty first bucket: its upper edge.
@@ -146,7 +170,7 @@ TEST(Histogram, PercentileSkipsEmptyBucketsToUpperEdge) {
 TEST(Histogram, PercentileClampsOverflowToLastBound) {
   const double bounds[] = {10.0};
   Histogram h(bounds);
-  for (int i = 0; i < 3; ++i) h.record(0, 1e6);  // all overflow
+  for (int i = 0; i < 3; ++i) h.record(1e6);  // all overflow
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 10.0);
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
 }
@@ -155,7 +179,7 @@ TEST(Histogram, PercentileEdgeCasesAndValidation) {
   const double bounds[] = {10.0};
   Histogram h(bounds);
   EXPECT_TRUE(std::isnan(h.percentile(0.5)));  // no samples
-  h.record(0, 5.0);
+  h.record(5.0);
   EXPECT_THROW(h.percentile(-0.1), Error);
   EXPECT_THROW(h.percentile(1.5), Error);
 }
@@ -171,8 +195,8 @@ TEST(Histogram, ShardedRecordingAggregates) {
   const double bounds[] = {10.0};
   Histogram h(bounds);
   WorkerPool pool(3);
-  pool.parallel_chunks(200, 4, [&](int chunk, int slot) {
-    h.record(slot, chunk < 150 ? 1.0 : 100.0);
+  pool.parallel_chunks(200, 4, [&](int chunk, int) {
+    h.record(chunk < 150 ? 1.0 : 100.0);
   });
   EXPECT_EQ(h.bucket_value(0), 150u);
   EXPECT_EQ(h.bucket_value(1), 50u);
@@ -186,7 +210,7 @@ TEST(MetricsRegistry, RegisterOrGetReturnsStableRefs) {
   Counter& a = reg.counter("x");
   Counter& b = reg.counter("x");
   EXPECT_EQ(&a, &b);
-  a.add(0, 3);
+  a.add(3);
   EXPECT_EQ(reg.counter("x").value(), 3u);
 
   const double bounds[] = {1.0, 2.0};
@@ -203,17 +227,15 @@ TEST(MetricsRegistry, RegisterOrGetReturnsStableRefs) {
 
 TEST(MetricsRegistry, SnapshotIsSortedAndTrimmed) {
   MetricsRegistry reg;
-  reg.counter("zeta").add(2, 9);
-  reg.counter("alpha").add(0, 1);
-  reg.gauge("g").set(0, 2.5);
+  reg.counter("zeta").add(9);
+  reg.counter("alpha").add(1);
+  reg.gauge("g").set(2.5);
   const MetricsSnapshot snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
   EXPECT_EQ(snap.counters[0].name, "alpha");
+  EXPECT_EQ(snap.counters[0].value, 1u);
   EXPECT_EQ(snap.counters[1].name, "zeta");
-  // Shards trimmed at the last non-zero cell.
-  EXPECT_EQ(snap.counters[0].shards.size(), 1u);
-  ASSERT_EQ(snap.counters[1].shards.size(), 3u);
-  EXPECT_EQ(snap.counters[1].shards[2], 9u);
+  EXPECT_EQ(snap.counters[1].value, 9u);
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 2.5);
 }
@@ -238,39 +260,39 @@ TEST(MetricsRegistry, HandleSetsAreBuiltOncePerKey) {
   EXPECT_EQ(&first.a, &reg.counter("pair.a"));
   EXPECT_NE(&reg.handles<Pair>("other", make), &first);
   EXPECT_EQ(built, 2);
-  // Past the lock-free index a set is still built once and found.
-  for (int k = 0; k < MetricsRegistry::kMaxHandleSets; ++k)
-    (void)reg.handles<Pair>(std::to_string(k), make);
-  EXPECT_EQ(built, 2 + MetricsRegistry::kMaxHandleSets);
-  Pair& late = reg.handles<Pair>("63", make);
-  EXPECT_EQ(&reg.handles<Pair>("63", make), &late);
-  EXPECT_EQ(built, 2 + MetricsRegistry::kMaxHandleSets);
+  // However many sets the registry holds, each key is built once.
+  constexpr int kKeys = 100;
+  for (int round = 0; round < 2; ++round)
+    for (int k = 0; k < kKeys; ++k)
+      (void)reg.handles<Pair>(std::to_string(k), make);
+  EXPECT_EQ(built, 2 + kKeys);
+  EXPECT_EQ(&reg.handles<Pair>("pair", make), &first);
 }
 
 /// The per-name export SimCounterHandles replaced: one registry lookup
 /// per counter, sparse names only when non-zero.
 void flush_by_name(MetricsRegistry& reg, const std::string& prefix,
                    const SimCounters& c) {
-  reg.counter(prefix + ".dispatches").add(0, c.dispatches);
-  reg.counter(prefix + ".tasks").add(0, c.tasks);
-  reg.counter(prefix + ".or_fires").add(0, c.or_fires);
-  reg.counter(prefix + ".speed_changes").add(0, c.speed_changes);
-  reg.counter(prefix + ".spec_picks").add(0, c.spec_picks);
-  reg.counter(prefix + ".greedy_picks").add(0, c.greedy_picks);
-  reg.counter(prefix + ".reclaimed_slack_ps").add(0, c.reclaimed_slack_ps);
+  reg.counter(prefix + ".dispatches").add(c.dispatches);
+  reg.counter(prefix + ".tasks").add(c.tasks);
+  reg.counter(prefix + ".or_fires").add(c.or_fires);
+  reg.counter(prefix + ".speed_changes").add(c.speed_changes);
+  reg.counter(prefix + ".spec_picks").add(c.spec_picks);
+  reg.counter(prefix + ".greedy_picks").add(c.greedy_picks);
+  reg.counter(prefix + ".reclaimed_slack_ps").add(c.reclaimed_slack_ps);
   for (std::uint32_t l = 0; l < c.levels; ++l) {
     const std::string suffix = ".L" + std::to_string(l);
-    reg.counter(prefix + ".busy_ps" + suffix).add(0, c.busy_ps[l]);
+    reg.counter(prefix + ".busy_ps" + suffix).add(c.busy_ps[l]);
     if (c.compute_ps[l] != 0)
-      reg.counter(prefix + ".compute_ps" + suffix).add(0, c.compute_ps[l]);
+      reg.counter(prefix + ".compute_ps" + suffix).add(c.compute_ps[l]);
   }
   for (std::uint32_t from = 0; from < c.levels; ++from)
     for (std::uint32_t to = 0; to < c.levels; ++to)
       if (const std::uint64_t n = c.transitions[from * c.levels + to])
         reg.counter(prefix + ".transitions.L" + std::to_string(from) + "_L" +
                     std::to_string(to))
-            .add(0, n);
-  reg.counter(prefix + ".idle_ps").add(0, c.idle_ps);
+            .add(n);
+  reg.counter(prefix + ".idle_ps").add(c.idle_ps);
 }
 
 TEST(SimCounterHandles, ExportEqualsPerNameLookups) {
@@ -293,7 +315,7 @@ TEST(SimCounterHandles, ExportEqualsPerNameLookups) {
   MetricsRegistry by_name, by_handle;
   for (const SimCounters* x : {&c, &later}) {
     flush_by_name(by_name, "engine.GSS", *x);
-    SimCounterHandles::of(by_handle, "engine.GSS", x->levels).add(0, *x);
+    SimCounterHandles::of(by_handle, "engine.GSS", x->levels).add(*x);
   }
   EXPECT_EQ(metrics_to_json(by_handle.snapshot()),
             metrics_to_json(by_name.snapshot()));
@@ -301,7 +323,7 @@ TEST(SimCounterHandles, ExportEqualsPerNameLookups) {
             &SimCounterHandles::of(by_handle, "engine.GSS", 3));
   SimCounters other = c;
   other.levels = 2;
-  EXPECT_THROW(SimCounterHandles::of(by_handle, "engine.GSS", 3).add(0, other),
+  EXPECT_THROW(SimCounterHandles::of(by_handle, "engine.GSS", 3).add(other),
                Error);
 }
 
@@ -323,7 +345,7 @@ TEST(SimCounterHandles, ConcurrentExportsAndLookupsAgree) {
   pool.parallel_chunks(kChunks, 4, [&](int chunk, int) {
     const int slot = WorkerPool::participant_slot();
     const std::string prefix = chunk % 2 == 0 ? "engine.GSS" : "engine.AS";
-    SimCounterHandles::of(reg, prefix, 2).add(slot, c);
+    SimCounterHandles::of(reg, prefix, 2).add(c);
     ProfScope scope(&prof, prof.phase(chunk % 3 == 0 ? "a" : "b"), slot);
   });
   for (const char* prefix : {"engine.GSS", "engine.AS"}) {
@@ -341,17 +363,19 @@ TEST(SimCounterHandles, ConcurrentExportsAndLookupsAgree) {
 
 TEST(MetricsRegistry, JsonRoundTripsThroughParser) {
   MetricsRegistry reg;
-  reg.counter("engine.GSS.tasks").add(1, 42);
+  reg.counter("engine.GSS.tasks").add(42);
   const double bounds[] = {0.5, 1.5};
   Histogram& h = reg.histogram("lat", bounds);
-  h.record(0, 0.25);
-  h.record(0, 7.0);
+  h.record(0.25);
+  h.record(7.0);
 
   const JsonValue doc = json_parse(metrics_to_json(reg.snapshot()));
   ASSERT_TRUE(doc.is_object());
   const JsonValue& counters = doc.at("counters");
   ASSERT_TRUE(counters.is_array());
   ASSERT_EQ(counters.array.size(), 1u);
+  // A counter row is its name and its value, nothing else.
+  EXPECT_EQ(counters.array[0].object.size(), 2u);
   EXPECT_EQ(counters.array[0].at("name").str, "engine.GSS.tasks");
   EXPECT_DOUBLE_EQ(counters.array[0].at("value").number, 42.0);
 
@@ -398,14 +422,14 @@ std::map<std::string, double> parse_prometheus(const std::string& text) {
 
 TEST(Prometheus, RoundTripsAgainstJsonSnapshot) {
   MetricsRegistry reg;
-  reg.counter("engine.GSS.tasks").add(1, 42);
-  reg.counter("pool.chunks_completed").add(0, 7);
-  reg.gauge("sweep.points").set(0, 3.5);
+  reg.counter("engine.GSS.tasks").add(42);
+  reg.counter("pool.chunks_completed").add(7);
+  reg.gauge("sweep.points").set(3.5);
   const double bounds[] = {0.5, 1.5};
   Histogram& h = reg.histogram("pool.chunk_seconds", bounds);
-  h.record(0, 0.25);
-  h.record(0, 1.0);
-  h.record(0, 7.0);
+  h.record(0.25);
+  h.record(1.0);
+  h.record(7.0);
 
   const MetricsSnapshot snap = reg.snapshot();
   const JsonValue doc = json_parse(metrics_to_json(snap));
@@ -485,8 +509,8 @@ TEST(Prometheus, NonFiniteValuesUseTextFormatSpelling) {
   // spells them NaN / +Inf / -Inf, which the exporter must emit for
   // gauges and histogram _sum (a "null" sample value breaks scrapers).
   MetricsRegistry reg;
-  reg.gauge("odd.nan").set(0, std::nan(""));
-  reg.gauge("odd.inf").set(0, std::numeric_limits<double>::infinity());
+  reg.gauge("odd.nan").set(std::nan(""));
+  reg.gauge("odd.inf").set(std::numeric_limits<double>::infinity());
   const std::string text = metrics_to_prometheus(reg.snapshot());
   EXPECT_NE(text.find("odd_nan NaN"), std::string::npos);
   EXPECT_NE(text.find("odd_inf +Inf"), std::string::npos);
@@ -663,13 +687,21 @@ TEST(PoolTelemetry, CountsChunksBusyAndProgress) {
 
 TEST(PoolTelemetry, SerialChunksReportsOnSlotZero) {
   MetricsRegistry reg;
+  Profiler prof(Profiler::Mode::kFallback);
   PoolTelemetry tel;
   tel.chunks = &reg.counter("chunks");
   tel.busy_ns = &reg.counter("busy");
+  tel.prof = &prof;
+  tel.ph_claim = prof.phase("pool.claim", /*top_level=*/true);
+  tel.ph_busy = prof.phase("pool.busy", /*top_level=*/true);
+  tel.ph_idle = prof.phase("pool.idle", /*top_level=*/true);
+  prof.expect(tel.ph_busy, 10);
   WorkerPool::serial_chunks(10, [&](int, int slot) { EXPECT_EQ(slot, 0); },
                             &tel);
   EXPECT_EQ(tel.chunks->value(), 10u);
-  EXPECT_EQ(tel.chunks->shard_value(0), 10u);  // everything on the caller
+  // Every chunk is charged on the caller's participant slot.
+  EXPECT_EQ(prof.progress(0).done, 10u);
+  EXPECT_EQ(prof.progress().done, 10u);
 }
 
 TEST(PoolTelemetry, NullTelemetryUnchangedBehaviour) {

@@ -341,10 +341,10 @@ TEST(PoolDeterminism, LoadSweepRunsExactlyOneCanonicalAnalysis) {
 
 TEST(PoolDeterminism, RunPointInsideATaskChargesTheTaskSlot) {
   // A harness call made inside a task runs its loop inline (threads = 3
-  // degrades to serial) and writes every registry shard, profiler cell
-  // and progress count on the task's slot — the same totals a serial call
-  // on the main thread leaves on slot 0. Fixed chunks make both calls
-  // split the runs alike.
+  // degrades to serial), leaves the same registry totals as a serial call
+  // on the main thread, and charges every profiler cell and progress
+  // count on the task's slot where the main thread's call charges slot 0.
+  // Fixed chunks make both calls split the runs alike.
   const Application app = apps::build_synthetic();
   const SimTime d = SimTime::from_ms(120);
   const auto observed = [&](int threads, MetricsRegistry& reg,
@@ -380,14 +380,6 @@ TEST(PoolDeterminism, RunPointInsideATaskChargesTheTaskSlot) {
     EXPECT_EQ(sa.name, sb.name);
     if (sa.name.find("_ns") == std::string::npos) {  // not a duration
       EXPECT_EQ(sa.value, sb.value) << sa.name;
-    }
-    // Everything on the caller's slot: 0 on the main thread, the task's
-    // slot on the worker.
-    EXPECT_LE(sa.shards.size(), 1u) << sa.name;
-    for (std::size_t s = 0; s < sb.shards.size(); ++s) {
-      if (static_cast<int>(s) != slot) {
-        EXPECT_EQ(sb.shards[s], 0u) << sb.name;
-      }
     }
   }
   const std::vector<ProfPhaseTotals> pa = serial_prof.snapshot();

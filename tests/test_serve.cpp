@@ -630,11 +630,26 @@ TEST(ServeServer, RequestTimeoutProducesStructuredError) {
   ServerSettings net;
   net.request_timeout_ms = 50;
   SimServer server(service, net);
-  service.pause_dispatch();  // guarantee the wait expires
-  ServeClient client(server.port());
-  const JsonValue v = json_parse(client.request(atr_request()));
-  EXPECT_EQ(v.at("type").str, "error");
-  EXPECT_EQ(v.at("code").str, "timeout");
+  service.pause_dispatch();  // guarantee the waits expire
+  // Four connections time out at once: their threads count the timeouts
+  // in serve.timeouts concurrently, and no count may be lost.
+  constexpr int kClients = 4;
+  std::vector<std::string> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ServeClient client(server.port());
+      responses[static_cast<std::size_t>(c)] = client.request(atr_request());
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const std::string& response : responses) {
+    const JsonValue v = json_parse(response);
+    EXPECT_EQ(v.at("type").str, "error");
+    EXPECT_EQ(v.at("code").str, "timeout");
+  }
+  EXPECT_EQ(counter(service, "serve.timeouts"),
+            static_cast<std::uint64_t>(kClients));
   service.resume_dispatch();
 }
 
