@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
@@ -49,11 +48,9 @@ namespace {
 //
 // Sharding mirrors the staging design of §13: each (point, slot) owns a
 // single-threaded OutcomeShard (fingerprint table + id-major record
-// arenas) that its worker consults lock-free on the per-run path; a
-// mutex-protected SharedOutcomes store per point lets slots adopt each
-// other's records — consulted only on a shard-local first encounter, and
-// appended to only in a post-chunk publish, so the lock is off the per-run
-// path entirely.
+// arenas) that only its worker touches, so the per-run path takes no lock.
+// Slots never share records: each simulates a distinct scenario at most
+// once per point, and which slot simulated it never reaches an output bit.
 
 /// Whether `cfg` resolves to dedup for a point whose compiled sampler
 /// reports `space` distinct scenarios (0 = unbounded).
@@ -77,16 +74,14 @@ bool dedup_for(const ExperimentConfig& cfg, std::uint64_t space) {
 }
 
 /// Cached outcome records of one (point, slot). Strictly single-threaded:
-/// only the owning slot's worker ever touches it (the cross-thread record
-/// flow goes through SharedOutcomes). Records are stored id-major in flat
-/// arenas parallel to the fingerprint table's dense ids.
+/// only the owning slot's worker ever touches it. Records are stored
+/// id-major in flat arenas parallel to the fingerprint table's dense ids.
 struct OutcomeShard {
   FingerprintTable table;
   std::vector<double> npm_energy;        // one per record
   std::vector<std::uint8_t> degenerate;  // one per record
   std::vector<SchemeOutcome> rows;       // id-major x nschemes
   std::vector<SimCounters> cells;        // id-major x (nschemes+1); metrics
-  std::vector<std::uint32_t> pending;    // record ids not yet published
   std::uint64_t hits = 0;    // runs replayed from a cached record
   std::uint64_t misses = 0;  // scenarios this shard actually simulated
 
@@ -102,30 +97,9 @@ struct OutcomeShard {
     return table.bytes() + npm_energy.capacity() * sizeof(double) +
            degenerate.capacity() +
            rows.capacity() * sizeof(SchemeOutcome) +
-           cells.capacity() * sizeof(SimCounters) +
-           pending.capacity() * sizeof(std::uint32_t);
+           cells.capacity() * sizeof(SimCounters);
   }
 };
-
-/// One complete record in transit between stores: shared-store reads copy
-/// into this (slot-owned) buffer under the lock, so no simulation or
-/// shard mutation ever happens while the shared mutex is held.
-struct RecordTmp {
-  double npm_energy = 0.0;
-  std::uint8_t degenerate = 0;
-  std::vector<SchemeOutcome> rows;
-  std::vector<SimCounters> cells;  // empty when metrics are off
-};
-
-/// Appends `tmp` as the shard's next record (dense id order: the caller
-/// interned the key and got exactly record_count() as its id).
-void append_record(OutcomeShard& sh, const RecordTmp& tmp, bool metrics) {
-  sh.npm_energy.push_back(tmp.npm_energy);
-  sh.degenerate.push_back(tmp.degenerate);
-  sh.rows.insert(sh.rows.end(), tmp.rows.begin(), tmp.rows.end());
-  if (metrics)
-    sh.cells.insert(sh.cells.end(), tmp.cells.begin(), tmp.cells.end());
-}
 
 /// Replays cached record `id` into stage position `i`: copies the staged
 /// values and integer-adds the cached counter cells into the slot cells —
@@ -144,73 +118,6 @@ void replay_record(const OutcomeShard& sh, std::uint32_t id,
     for (std::size_t c = 0; c < ncells; ++c) slot_cells[c].add(cell[c]);
   }
 }
-
-/// Shared per-point publish store: lets one slot adopt a record another
-/// slot already simulated. All access is under `mu`; consulted only on a
-/// shard-local first encounter and appended to per chunk, so contention is
-/// O(distinct scenarios + chunks), never O(runs). Which slot wins a
-/// publish race is output-invisible: both computed bit-identical records.
-struct SharedOutcomes {
-  std::mutex mu;
-  FingerprintTable table;
-  std::vector<double> npm_energy;
-  std::vector<std::uint8_t> degenerate;
-  std::vector<SchemeOutcome> rows;
-  std::vector<SimCounters> cells;
-
-  explicit SharedOutcomes(std::size_t key_words) : table(key_words) {}
-
-  /// Copies the record of `key` into `tmp` when present.
-  bool find_copy(const std::uint64_t* key, std::size_t nschemes,
-                 std::size_t ncells, bool metrics, RecordTmp& tmp) {
-    std::lock_guard<std::mutex> lock(mu);
-    const std::uint32_t id = table.find(key);
-    if (id == FingerprintTable::kNotFound) return false;
-    tmp.npm_energy = npm_energy[id];
-    tmp.degenerate = degenerate[id];
-    const auto r = rows.begin() + static_cast<std::ptrdiff_t>(
-                                      static_cast<std::size_t>(id) * nschemes);
-    tmp.rows.assign(r, r + static_cast<std::ptrdiff_t>(nschemes));
-    if (metrics) {
-      const auto c = cells.begin() + static_cast<std::ptrdiff_t>(
-                                         static_cast<std::size_t>(id) * ncells);
-      tmp.cells.assign(c, c + static_cast<std::ptrdiff_t>(ncells));
-    }
-    return true;
-  }
-
-  /// Publishes the shard's pending records (first writer per key wins).
-  void publish(OutcomeShard& shard, std::size_t nschemes, std::size_t ncells,
-               bool metrics) {
-    if (shard.pending.empty()) return;
-    std::lock_guard<std::mutex> lock(mu);
-    for (const std::uint32_t id : shard.pending) {
-      bool inserted = false;
-      (void)table.intern(shard.table.key(id), inserted);
-      if (!inserted) continue;  // another slot published this key first
-      // The new dense id equals the arena size: append keeps alignment.
-      npm_energy.push_back(shard.npm_energy[id]);
-      degenerate.push_back(shard.degenerate[id]);
-      const SchemeOutcome* row =
-          shard.rows.data() + static_cast<std::size_t>(id) * nschemes;
-      rows.insert(rows.end(), row, row + nschemes);
-      if (metrics) {
-        const SimCounters* cell =
-            shard.cells.data() + static_cast<std::size_t>(id) * ncells;
-        cells.insert(cells.end(), cell, cell + ncells);
-      }
-    }
-    shard.pending.clear();
-  }
-
-  std::uint64_t bytes() {
-    std::lock_guard<std::mutex> lock(mu);
-    return table.bytes() + npm_energy.capacity() * sizeof(double) +
-           degenerate.capacity() +
-           rows.capacity() * sizeof(SchemeOutcome) +
-           cells.capacity() * sizeof(SimCounters);
-  }
-};
 
 /// Lanes per simulate_batch call. The value is output-invisible (the
 /// batched engine is bit-identical to the scalar one run for run), so it
@@ -363,7 +270,6 @@ struct WorkerCtx {
   // Dedup scratch (DESIGN.md §15), sized on first use.
   std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
-  RecordTmp rec_tmp;  // shared-store reads copy here under the lock
 
   explicit WorkerCtx(std::size_t sampler_count)
       : samplers(sampler_count), batch_results(kBatchLanes) {}
@@ -466,17 +372,13 @@ void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
 /// With a dedup `shard` (DESIGN.md §15) each draw also emits its
 /// fingerprint, and only a first encounter keeps its lane; every run of
 /// the group is then replayed from the shard once the group's records
-/// exist. A first encounter that another slot already published to
-/// `shared` is adopted instead of simulated. Its record id follows the
-/// group's pending lane ids, so it ends the group: the lanes are appended
-/// first, then the adopted record, which keeps the arenas dense and
-/// id-aligned. Replay writes exactly the stage values and counter sums
-/// that simulating the run would have.
+/// exist. Replay writes exactly the stage values and counter sums that
+/// simulating the run would have.
 void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
                     const OfflineResult& off, const PowerModel& pm,
                     SimTime deadline, const ScenarioSampler& sampler,
                     int first, int count, WorkerCtx& ctx, const ChunkObs& obs,
-                    OutcomeShard* shard, SharedOutcomes* shared) {
+                    OutcomeShard* shard) {
   const std::size_t nschemes = cfg.schemes.size();
   const std::size_t ncells = nschemes + 1;
   const bool metrics = obs.cells != nullptr;
@@ -484,17 +386,15 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
   ctx.batch_sc.ensure(static_cast<std::size_t>(std::min(kBatchLanes, count)),
                       app.graph.size());
   if (shard != nullptr) ctx.key.resize(sampler.op_count());
-  const std::uint64_t miss0 = shard != nullptr ? shard->misses : 0;
   int k = 0;    // next run of the chunk to draw
   int cur = 0;  // lanes taken in the open group
-  bool adopted = false;  // ctx.rec_tmp holds a record adopted from `shared`
 
   while (k < count) {
     {
       // Fill the open group. harness.sample covers the draws and, on a
       // dedup point, their fingerprint lookups.
       ProfScope ps(obs.prof, obs.ph_sample, obs.slot);
-      for (; k < count && cur < kBatchLanes && !adopted; ++k) {
+      for (; k < count && cur < kBatchLanes; ++k) {
         Rng run_rng(
             Rng::stream_seed(cfg.seed, static_cast<std::uint64_t>(first + k)));
         const auto lane = static_cast<std::size_t>(cur);
@@ -506,14 +406,10 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
         sampler.draw_into(run_rng, ctx.batch_sc, lane, ctx.key.data());
         bool inserted = false;
         const std::uint32_t id = shard->table.intern(ctx.key.data(), inserted);
-        if (inserted) {
-          if (shared != nullptr &&
-              shared->find_copy(ctx.key.data(), nschemes, ncells, metrics,
-                                ctx.rec_tmp))
-            adopted = true;
-          else
-            ++cur;  // lane `cur` holds this scenario until the group runs
-        }
+        if (inserted)
+          ++cur;  // lane `cur` holds this scenario until the group runs
+        else
+          ++shard->hits;
         ctx.fill.emplace_back(k, id);
       }
     }
@@ -544,24 +440,14 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
                       shard->rows.data() + base * nschemes,
                       metrics ? shard->cells.data() + base * ncells
                               : nullptr});
-      if (shared != nullptr)
-        for (std::size_t l = 0; l < nlanes; ++l)
-          shard->pending.push_back(static_cast<std::uint32_t>(base + l));
       shard->misses += nlanes;
       cur = 0;
-    }
-    if (adopted) {
-      append_record(*shard, ctx.rec_tmp, metrics);
-      adopted = false;
     }
     for (const auto& [idx, id] : ctx.fill)
       replay_record(*shard, id, stage, static_cast<std::size_t>(idx),
                     nschemes, obs.cells, ncells);
     ctx.fill.clear();
   }
-  if (shard == nullptr) return;
-  shard->hits += static_cast<std::uint64_t>(count) - (shard->misses - miss0);
-  if (shared != nullptr) shared->publish(*shard, nschemes, ncells, metrics);
 }
 
 /// One prepared sweep point: the (application, offline result, deadline)
@@ -793,9 +679,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // Dedup resolution (DESIGN.md §15): the scenario space is a sampler
   // property, so resolve once per distinct application and fan out per
   // spec. When any point dedups, each (point, slot) pair gets a lazily
-  // created single-threaded OutcomeShard; with more than one worker, each
-  // dedup point additionally gets a shared publish store so slots can
-  // adopt each other's simulated records instead of re-simulating.
+  // created single-threaded OutcomeShard.
   std::vector<std::uint8_t> spec_dedup(specs.size(), 0);
   bool any_dedup = false;
   {
@@ -809,12 +693,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   }
   std::vector<std::unique_ptr<OutcomeShard>> shards(
       any_dedup ? specs.size() * nslots : 0);
-  std::vector<std::unique_ptr<SharedOutcomes>> shared_stores(
-      any_dedup && max_workers > 1 ? specs.size() : 0);
-  for (std::size_t i = 0; i < shared_stores.size(); ++i)
-    if (spec_dedup[i])
-      shared_stores[i] = std::make_unique<SharedOutcomes>(
-          samplers[spec_sampler_idx[i]]->op_count());
 
   std::vector<std::unique_ptr<WorkerCtx>> ctxs(nslots);
 
@@ -843,7 +721,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     // memory at all.
     if (!ctx->stage) ctx->stage = fold.acquire();
     OutcomeShard* shard = nullptr;
-    SharedOutcomes* shared = nullptr;
     if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
       // The shard is created by the owning slot's own thread, like the
       // rest of its worker-local state.
@@ -852,12 +729,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
       if (!owned)
         owned = std::make_unique<OutcomeShard>(ctx->samplers[sidx]->op_count());
       shard = owned.get();
-      if (!shared_stores.empty())
-        shared = shared_stores[static_cast<std::size_t>(p)].get();
     }
     evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                   *ctx->samplers[sidx], first, count, *ctx, obs, shard,
-                   shared);
+                   *ctx->samplers[sidx], first, count, *ctx, obs, shard);
     // Folds this chunk (and any parked successors) when it extends the
     // point's folded prefix, else parks it; a parked stage leaves
     // ctx->stage null and the next chunk acquires another.
@@ -910,8 +784,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
           d.misses += shard->misses;
           d.bytes += shard->bytes();
         }
-        if (!shared_stores.empty() && shared_stores[p])
-          d.bytes += shared_stores[p]->bytes();
       }
     }
   }

@@ -154,13 +154,15 @@ struct PointMetrics {
 
 /// Dedup-layer telemetry of one point (zero unless the point's
 /// configuration resolved to dedup). hits + misses always equals the run
-/// count; misses is the number of distinct scenarios actually simulated.
+/// count; misses is the number of scenarios actually simulated: the
+/// distinct scenarios at one thread, up to threads times that above it.
 struct DedupStats {
   bool enabled = false;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  /// Heap footprint of the fingerprint tables and cached records (all
-  /// per-slot shards plus the shared publish store).
+  /// Heap footprint of the fingerprint tables and cached records, summed
+  /// over the point's per-slot shards (each slot keeps its own record of
+  /// every scenario it met).
   std::uint64_t bytes = 0;
 };
 

@@ -17,8 +17,8 @@
 #include <string>
 
 #include "common/error.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 
 namespace paserta {
 namespace {
@@ -77,7 +77,11 @@ struct SimServer::Slot {
 };
 
 SimServer::SimServer(SimService& service, const ServerSettings& settings)
-    : service_(service), settings_(settings) {
+    : service_(service),
+      settings_(settings),
+      connections_(service.registry().counter("serve.connections")),
+      conn_rejected_(service.registry().counter("serve.conn_rejected")),
+      timeouts_(service.registry().counter("serve.timeouts")) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   PASERTA_REQUIRE(listen_fd_ >= 0,
                   "socket() failed: " << std::strerror(errno));
@@ -152,13 +156,13 @@ void SimServer::accept_main() {
     if (free_slot == nullptr) {
       // All slots busy: shed the connection rather than queue unbounded
       // socket state (the request queue has its own backpressure).
-      service_.registry().counter("serve.conn_rejected").add();
+      conn_rejected_.add();
       write_all(fd, render_error("", "overloaded",
                                  "too many connections; retry later") + "\n");
       ::close(fd);
       continue;
     }
-    service_.registry().counter("serve.connections").add();
+    connections_.add();
     free_slot->done.store(false);
     free_slot->fd.store(fd);
     free_slot->thread = std::thread(
@@ -183,80 +187,43 @@ void SimServer::handle_connection(int fd, Slot& slot) {
   slot.done.store(true);
 }
 
-std::string SimServer::response_for(const std::string& line) {
-  std::shared_future<std::string> f = service_.submit(line);
-  if (settings_.request_timeout_ms > 0) {
-    const auto status =
-        f.wait_for(std::chrono::milliseconds(settings_.request_timeout_ms));
-    if (status != std::future_status::ready) {
-      // The service still finishes the job; only this wait gives up.
-      service_.registry().counter("serve.timeouts").add();
-      return render_error("", "timeout",
-                          "no response within " +
-                              std::to_string(settings_.request_timeout_ms) +
-                              " ms");
-    }
-  }
-  return f.get();
-}
-
-void SimServer::respond_ndjson(int fd, const std::string& line) {
-  SimService::Submission sub = service_.submit_line(line);
-  const auto t0 = std::chrono::steady_clock::now();
+std::string SimServer::await_response(const SimService::Submission& sub,
+                                      int progress_fd) {
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
   const long timeout_ms = settings_.request_timeout_ms;
-  if (!sub.stream) {
-    // The pre-streaming exchange, byte for byte: one response line.
-    if (timeout_ms > 0 &&
-        sub.response.wait_for(std::chrono::milliseconds(timeout_ms)) !=
-            std::future_status::ready) {
-      service_.registry().counter("serve.timeouts").add();
-      write_all(fd, render_error("", "timeout",
-                                 "no response within " +
-                                     std::to_string(timeout_ms) + " ms") +
-                        "\n");
-      return;
-    }
-    write_all(fd, sub.response.get() + "\n");
-    return;
-  }
-
-  // Streamed request: a progress line at most every stream_interval_ms
-  // while the response is pending, then the unchanged final response —
-  // the overall request_timeout_ms bound still applies.
-  const long interval_ms =
-      std::max(1, settings_.stream_interval_ms);
   for (;;) {
-    long wait_ms = interval_ms;
+    // Wait for the response, the next progress line or the timeout,
+    // whichever comes first; -1 waits for the response alone.
+    long wait_ms = progress_fd >= 0 ? std::max(1, settings_.stream_interval_ms)
+                                    : -1;
     if (timeout_ms > 0) {
-      const long elapsed_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-      const long remaining_ms = timeout_ms - elapsed_ms;
+      const long remaining_ms =
+          timeout_ms - std::chrono::duration_cast<std::chrono::milliseconds>(
+                           Clock::now() - t0)
+                           .count();
       if (remaining_ms <= 0) {
-        service_.registry().counter("serve.timeouts").add();
-        write_all(fd, render_error("", "timeout",
-                                   "no response within " +
-                                       std::to_string(timeout_ms) + " ms") +
-                          "\n");
-        return;
+        // The service still finishes the job; only this wait gives up.
+        timeouts_.add();
+        return render_error("", "timeout",
+                            "no response within " +
+                                std::to_string(timeout_ms) + " ms");
       }
-      wait_ms = std::min(wait_ms, remaining_ms);
+      wait_ms = wait_ms < 0 ? remaining_ms : std::min(wait_ms, remaining_ms);
     }
-    if (sub.response.wait_for(std::chrono::milliseconds(wait_ms)) ==
-        std::future_status::ready) {
-      break;
-    }
+    if (wait_ms < 0 ||
+        sub.response.wait_for(std::chrono::milliseconds(wait_ms)) ==
+            std::future_status::ready)
+      return sub.response.get();
+    if (progress_fd < 0) continue;
     const SimService::LiveProgress lp = service_.live_progress(sub);
     const double elapsed =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    write_all(fd, render_progress(sub.id_json, lp.done, lp.total, lp.phase,
-                                  elapsed, lp.cycles, lp.instructions) +
-                      "\n");
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    write_all(progress_fd,
+              render_progress(sub.id_json, lp.done, lp.total, lp.phase,
+                              elapsed, lp.cycles, lp.instructions) +
+                  "\n");
   }
-  write_all(fd, sub.response.get() + "\n");
 }
 
 void SimServer::serve_ndjson(int fd, std::string pending) {
@@ -273,7 +240,8 @@ void SimServer::serve_ndjson(int fd, std::string pending) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      respond_ndjson(fd, line);
+      const SimService::Submission sub = service_.submit_line(line);
+      write_all(fd, await_response(sub, sub.stream ? fd : -1) + "\n");
     }
     carry += pending.substr(start);
     pending.clear();
@@ -347,8 +315,9 @@ void SimServer::serve_http(int fd, std::string head) {
     // Strip a trailing newline so curl -d @file and NDJSON agree.
     while (!body.empty() && (body.back() == '\n' || body.back() == '\r'))
       body.pop_back();
-    write_all(fd, http_response(200, "OK", "application/json",
-                                response_for(body) + "\n"));
+    write_all(fd, http_response(
+                      200, "OK", "application/json",
+                      await_response(service_.submit_line(body), -1) + "\n"));
     return;
   }
   write_all(fd, http_response(404, "Not Found", "text/plain",

@@ -33,9 +33,9 @@
 #include <thread>
 #include <vector>
 
-namespace paserta {
+#include "serve/service.h"
 
-class SimService;
+namespace paserta {
 
 struct ServerSettings {
   /// 0 = ephemeral: the kernel picks, port() reports.
@@ -74,13 +74,20 @@ class SimServer {
   void handle_connection(int fd, Slot& slot);
   void serve_ndjson(int fd, std::string first_chunk);
   void serve_http(int fd, std::string first_chunk);
-  std::string response_for(const std::string& line);
-  /// One NDJSON request/response exchange, including the streamed
-  /// progress lines when the request asked for them.
-  void respond_ndjson(int fd, const std::string& line);
+  /// The response line of `sub`, or the structured timeout error (counted
+  /// in serve.timeouts) once request_timeout_ms has passed without it.
+  /// With `progress_fd` >= 0 (a streamed NDJSON request) a progress line
+  /// goes to that socket every stream_interval_ms while the wait lasts.
+  std::string await_response(const SimService::Submission& sub,
+                             int progress_fd);
 
   SimService& service_;
   ServerSettings settings_;
+  // The connection layer's serve.* counters, resolved once so a fresh
+  // daemon's /metrics lists them at 0.
+  Counter& connections_;
+  Counter& conn_rejected_;
+  Counter& timeouts_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};

@@ -386,7 +386,6 @@ void SimService::process_batch(std::vector<std::unique_ptr<Job>>& batch) {
       cfg.runs = req.runs;
       cfg.seed = req.seed;
       cfg.threads = 1;  // one group, one worker: concurrency is across groups
-      cfg.dedup = settings_.dedup;
       cfg.heuristic = req.heuristic;
       if (!req.schemes.empty()) cfg.schemes = req.schemes;
       cfg.collect_metrics = true;

@@ -56,7 +56,6 @@ struct ServeSettings {
   /// Request groups simulated at once, each serially on one worker of the
   /// process pool; 0 = one per hardware thread.
   int threads = 0;
-  DedupMode dedup = DedupMode::kAuto;
   /// Pending requests beyond which submit() rejects with "overloaded"
   /// (the 429-style backpressure bound).
   int queue_limit = 256;

@@ -17,8 +17,7 @@
 // onto one probe chain and pin that property adversarially.
 //
 // Single-threaded by design: the harness keeps one table per (point, slot)
-// shard plus a mutex-protected shared store, mirroring the staging design
-// of DESIGN.md §13.
+// shard, mirroring the staging design of DESIGN.md §13.
 #pragma once
 
 #include <cstdint>

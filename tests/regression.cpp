@@ -1,4 +1,4 @@
-#include "harness/regression.h"
+#include "regression.h"
 
 #include <cmath>
 #include <iomanip>

@@ -8,14 +8,15 @@
 // AND/OR applications, in both the discrete (high-hit-rate) and the
 // continuous (all-miss) regime, a dedup-on evaluation must produce
 // byte-identical rendered output and bitwise-equal counter totals to
-// dedup-off at every thread count. Carries the batch_identity and the
-// dedup_identity labels (TSan CI).
+// dedup-off at every thread count — plus the per-slot accounting above
+// one thread. Carries the dedup_identity label (TSan CI).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "apps/atr.h"
 #include "apps/random_app.h"
 #include "common/rng.h"
 #include "core/offline.h"
@@ -285,6 +286,50 @@ TEST(DedupCrossValidation, ContinuousRandomAppsSurviveForcedDedup) {
     apps::RandomAppConfig rcfg;
     const Application app = apps::random_application(gen, rcfg, "cont");
     cross_validate(app, /*seed=*/seed * 1000 + 2, /*expect_hits=*/false);
+  }
+}
+
+// ---- Per-slot accounting above one thread -------------------------------
+
+TEST(DedupAccounting, EachSlotSimulatesAScenarioAtMostOnce) {
+  // The alpha = 1 ATR point (OR forks the only randomness, a handful of
+  // scenarios) with small chunks, so every worker claims several chunks of
+  // the point. Each slot keeps its own shard: it simulates a scenario the
+  // first time it meets it and replays it after, so misses lie between the
+  // distinct count (the one-thread misses) and threads times that count.
+  Application app = apps::build_atr();
+  assign_alpha(app.graph, 1.0);
+  ExperimentConfig cfg;
+  cfg.runs = 400;
+  cfg.seed = 7;
+  cfg.chunk_runs = 8;
+  const SimTime w = canonical_worst_makespan(
+      app, cfg.cpus, cfg.overheads.worst_case_budget(cfg.table),
+      cfg.heuristic);
+  const SimTime deadline = deadline_at_load(w, 0.5);
+  const auto runs = static_cast<std::uint64_t>(cfg.runs);
+
+  const EvalResult ref = evaluate(app, cfg, deadline, DedupMode::kOff, 1);
+  const EvalResult one = evaluate(app, cfg, deadline, DedupMode::kAuto, 1);
+  ASSERT_TRUE(one.dedup.enabled);  // auto: 4 scenarios <= 400 runs
+  const std::uint64_t distinct = one.dedup.misses;
+  EXPECT_GT(distinct, 0u);
+  EXPECT_LE(distinct, ScenarioSampler(app.graph).scenario_space());
+  EXPECT_EQ(one.json, ref.json);
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const EvalResult r =
+        evaluate(app, cfg, deadline, DedupMode::kAuto, threads);
+    EXPECT_TRUE(r.dedup.enabled);
+    EXPECT_EQ(r.dedup.hits + r.dedup.misses, runs);
+    EXPECT_GE(r.dedup.misses, distinct);
+    EXPECT_LE(r.dedup.misses, static_cast<std::uint64_t>(threads) * distinct);
+    EXPECT_GT(r.dedup.bytes, 0u);
+    EXPECT_EQ(r.json, ref.json);
+    for (std::size_t s = 0; s < r.metrics.schemes.size(); ++s)
+      expect_counters_eq(r.metrics.schemes[s], ref.metrics.schemes[s]);
+    expect_counters_eq(r.metrics.npm, ref.metrics.npm);
   }
 }
 

@@ -12,7 +12,7 @@
 #include "apps/atr.h"
 #include "apps/synthetic.h"
 #include "common/error.h"
-#include "harness/regression.h"
+#include "regression.h"
 
 namespace paserta {
 namespace {

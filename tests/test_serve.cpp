@@ -653,6 +653,32 @@ TEST(ServeServer, RequestTimeoutProducesStructuredError) {
   service.resume_dispatch();
 }
 
+TEST(ServeServer, HttpSimulateTimeoutIsStructuredAndCounted) {
+  SimService service(ServeSettings{});
+  ServerSettings net;
+  net.request_timeout_ms = 50;
+  SimServer server(service, net);
+  service.pause_dispatch();  // guarantee the wait expires
+  const JsonValue v =
+      json_parse(http_request(server.port(), "/simulate", atr_request()));
+  EXPECT_EQ(v.at("type").str, "error");
+  EXPECT_EQ(v.at("code").str, "timeout");
+  EXPECT_EQ(counter(service, "serve.timeouts"), 1u);
+  service.resume_dispatch();
+}
+
+TEST(ServeServer, FreshServerListsConnectionCountersAtZero) {
+  // The connection layer resolves its counters when the server starts, so
+  // the first scrape lists every family before any event has happened.
+  SimService service(ServeSettings{});
+  SimServer server(service, ServerSettings{});
+  const std::string text = service.metrics_text();
+  for (const char* line :
+       {"\nserve_timeouts 0\n", "\nserve_conn_rejected 0\n",
+        "\nserve_connections 0\n"})
+    EXPECT_NE(text.find(line), std::string::npos) << line;
+}
+
 TEST(ServeServer, OversizedRequestLineIsRejected) {
   ServeSettings settings;
   settings.limits.max_request_bytes = 256;

@@ -78,7 +78,6 @@ struct Options {
   double from = 0.1, to = 1.0, step = 0.1;
   bool json = false;
   std::optional<int> threads;  // unset: 1, or one group per core for serve
-  DedupMode dedup = DedupMode::kAuto;
   std::string trace_out;
   std::string metrics_out;
   std::string metrics_format = "json";
@@ -86,7 +85,6 @@ struct Options {
   bool progress = false;
   // profile
   bool sweep = false;
-  bool fallback = false;
   // serve
   int port = 0;
   int queue_limit = 256;
@@ -146,11 +144,6 @@ struct Options {
       "                      serve: request groups simulated at once, each\n"
       "                      on one thread (default: one per hardware\n"
       "                      thread)\n"
-      "  --dedup MODE        auto | on | off (default auto): simulate each\n"
-      "                      distinct scenario once and replay duplicates;\n"
-      "                      auto enables it when the scenario space is\n"
-      "                      provably finite and <= runs. Replay is\n"
-      "                      bit-identical, so output is the same either way\n"
       "sweep:\n"
       "  --x load|alpha      swept parameter (default load)\n"
       "  --json              emit JSON instead of CSV\n"
@@ -169,9 +162,6 @@ struct Options {
       "profile:\n"
       "  --sweep             profile the full --from/--to/--step load sweep\n"
       "                      instead of the single --load point\n"
-      "  --fallback          force the monotonic-clock fallback even when\n"
-      "                      perf_event_open is available (PASERTA_NO_PERF=1\n"
-      "                      does the same from the environment)\n"
       "serve (SIGINT or SIGTERM drains in-flight requests and flushes the\n"
       "sinks):\n"
       "  --port N            listen port on 127.0.0.1 (default 0 =\n"
@@ -223,7 +213,6 @@ const std::map<std::string, std::string> kFlagCommands = {
     {"--to", "sweep profile"},
     {"--step", "sweep profile"},
     {"--threads", "sweep profile serve"},
-    {"--dedup", "sweep profile serve"},
     {"--x", "sweep"},
     {"--json", "sweep"},
     {"--audit", "sweep"},
@@ -232,7 +221,6 @@ const std::map<std::string, std::string> kFlagCommands = {
     {"--metrics-out", "sweep serve"},
     {"--metrics-format", "sweep serve"},
     {"--sweep", "profile"},
-    {"--fallback", "profile"},
     {"--port", "serve"},
     {"--queue-limit", "serve"},
     {"--timeout-ms", "serve"},
@@ -330,14 +318,6 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--step") o.step = double_value("--step");
     else if (flag == "--json") o.json = true;
     else if (flag == "--threads") o.threads = int_value("--threads", 1);
-    else if (flag == "--dedup") {
-      const std::string v = need_value("--dedup");
-      if (v == "auto") o.dedup = DedupMode::kAuto;
-      else if (v == "on") o.dedup = DedupMode::kOn;
-      else if (v == "off") o.dedup = DedupMode::kOff;
-      else
-        usage(("--dedup must be auto, on or off, got \"" + v + "\"").c_str());
-    }
     else if (flag == "--trace-out") o.trace_out = need_value("--trace-out");
     else if (flag == "--metrics-out")
       o.metrics_out = need_value("--metrics-out");
@@ -350,7 +330,6 @@ Options parse_args(int argc, char** argv) {
     else if (flag == "--audit") o.audit = true;
     else if (flag == "--progress") o.progress = true;
     else if (flag == "--sweep") o.sweep = true;
-    else if (flag == "--fallback") o.fallback = true;
     else if (flag == "--port") o.port = int_value("--port", 0, 65535);
     else if (flag == "--queue-limit")
       o.queue_limit = int_value("--queue-limit", 0);
@@ -512,7 +491,6 @@ ExperimentConfig experiment_config(const Options& o) {
   cfg.runs = o.runs.value_or(200);
   cfg.seed = o.seed;
   cfg.threads = o.threads.value_or(1);
-  cfg.dedup = o.dedup;
   cfg.heuristic = heuristic_of(o);
   return cfg;
 }
@@ -619,8 +597,7 @@ int cmd_profile(const Options& o) {
   const Application app = load(o);
   ExperimentConfig cfg = experiment_config(o);
 
-  Profiler prof(o.fallback ? Profiler::Mode::kFallback
-                           : Profiler::Mode::kAuto);
+  Profiler prof;  // PASERTA_NO_PERF=1 forces the monotonic-clock fallback
   cfg.prof = &prof;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -733,7 +710,6 @@ int cmd_serve(const Options& o) {
 
   ServeSettings settings;
   settings.threads = o.threads.value_or(0);  // 0: one group per core
-  settings.dedup = o.dedup;
   settings.queue_limit = o.queue_limit;
   settings.tracer = tracer.get();
   SimService service(settings);
