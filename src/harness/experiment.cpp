@@ -459,17 +459,16 @@ struct PointSpec {
   double x = 0.0;
 };
 
-int chunk_size_for(const ExperimentConfig& cfg) {
+int chunk_size_for(const ExperimentConfig& cfg, int workers) {
   if (cfg.chunk_runs > 0) return cfg.chunk_runs;
   // Auto: batch enough runs per claim that the shared counter and the
-  // point's fold lock are touched O(threads) times per point, not O(runs)
+  // point's fold lock are touched O(workers) times per point, not O(runs)
   // — about 8 chunks per worker per point. Floored at 16 so short points
   // still balance, capped so progress ticks and tail imbalance stay
   // bounded. Any value is output-identical; this is purely a scheduling
   // knob.
-  const std::int64_t target =
-      static_cast<std::int64_t>(cfg.runs) /
-      (static_cast<std::int64_t>(std::max(1, cfg.threads)) * 8);
+  const std::int64_t target = static_cast<std::int64_t>(cfg.runs) /
+                              (static_cast<std::int64_t>(workers) * 8);
   return static_cast<int>(std::clamp<std::int64_t>(target, 16, 2048));
 }
 
@@ -547,8 +546,10 @@ SweepPoint point_header(const ExperimentConfig& cfg, const PointSpec& spec) {
 
 /// The shared Monte-Carlo loop: evaluates every (point, run) pair of
 /// `specs` by claiming chunked run ranges from the worker pool. The flat
-/// chunk space spans all points, so independent points overlap and the
-/// pool stays saturated even when `cfg.runs` is small.
+/// chunk space spans all points, point-interleaved: flat chunk c is chunk
+/// c / P of point c % P (P points), so workers claiming consecutive chunks
+/// evaluate different points, and each usually extends its own point's
+/// folded prefix and folds the chunk it just evaluated (DESIGN.md §13).
 std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
                                         const ExperimentConfig& cfg) {
   validate_config(cfg);
@@ -559,7 +560,12 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
 
   const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
   const int runs = cfg.runs;
-  const int chunk = chunk_size_for(cfg);
+  // The participants this call can use: the pool runs the caller plus at
+  // most WorkerPool::kMaxThreads workers. The slot arrays below and the
+  // chunk size follow this count, not the raw setting, so a huge `threads`
+  // allocates nothing that no worker could use.
+  const int workers = std::min(cfg.threads, WorkerPool::kMaxThreads + 1);
+  const int chunk = chunk_size_for(cfg, workers);
   // The flat chunk space spans all points, so its size is the *product*
   // of two int-ranged quantities: do the arithmetic in 64 bits and reject
   // configurations whose chunk space does not fit the pool's int chunk
@@ -577,9 +583,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
                                     << ", chunk=" << chunk
                                     << ") — raise chunk_runs or split the "
                                        "sweep");
-  const int chunks_per_point = static_cast<int>(chunks_per_point64);
   const int total_chunks = static_cast<int>(total_chunks64);
-  const int max_workers = std::min(cfg.threads, total_chunks);
+  const int npoints = static_cast<int>(specs.size());
+  const int max_workers = std::min(workers, total_chunks);
   const int claim_batch = claim_batch_for(total_chunks64, max_workers);
 
   // --- Observability. Everything in this block is write-only for the
@@ -699,8 +705,9 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   const auto body = [&](int c, int slot) {
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
     if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
-    const int p = c / chunks_per_point;
-    const int first = (c % chunks_per_point) * chunk;
+    const int p = c % npoints;
+    const int k = c / npoints;  // the chunk's index within its point
+    const int first = k * chunk;
     const int count = std::min(runs, first + chunk) - first;
     const PointSpec& spec = specs[static_cast<std::size_t>(p)];
     ChunkObs obs = obs_proto;
@@ -736,8 +743,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
     // point's folded prefix, else parks it; a parked stage leaves
     // ctx->stage null and the next chunk acquires another.
     ProfScope ps(prof, ph_fold, obs.slot);
-    fold.complete(static_cast<std::size_t>(p), c % chunks_per_point,
-                  ctx->stage);
+    fold.complete(static_cast<std::size_t>(p), k, ctx->stage);
   };
 
   setup_scope.reset();

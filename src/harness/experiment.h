@@ -68,7 +68,8 @@ struct ExperimentConfig {
   int runs = 1000;
   std::uint64_t seed = 42;
   /// Maximum concurrent workers for the Monte-Carlo loop (1 = serial, no
-  /// pool involvement). Results are bit-identical for any value: each run
+  /// pool involvement), capped at WorkerPool::kMaxThreads + 1, the most
+  /// the pool runs. Results are bit-identical for any value: each run
   /// draws from its own seed-derived stream and accumulation happens in
   /// run order.
   int threads = 1;

@@ -75,14 +75,4 @@ std::uint32_t FingerprintTable::intern(const std::uint64_t* key,
   return id;
 }
 
-std::uint32_t FingerprintTable::find(const std::uint64_t* key) const {
-  std::size_t idx = hash_(key, key_words_) & mask_;
-  while (slots_[idx] != 0) {
-    const std::uint32_t id = slots_[idx] - 1;
-    if (key_equals(id, key)) return id;
-    idx = (idx + 1) & mask_;
-  }
-  return kNotFound;
-}
-
 }  // namespace paserta

@@ -30,9 +30,6 @@ class FingerprintTable {
   using HashFn = std::uint64_t (*)(const std::uint64_t* key,
                                    std::size_t words);
 
-  /// Sentinel returned by find() for unknown keys.
-  static constexpr std::uint32_t kNotFound = 0xFFFFFFFFu;
-
   /// A table for keys of `key_words` 64-bit words (0 is legal: a fully
   /// deterministic workload has an empty fingerprint and exactly one
   /// distinct scenario). `hash` defaults to a splitmix64-style mix;
@@ -44,17 +41,7 @@ class FingerprintTable {
   /// in first-encounter order, so callers can keep id-major side arrays.
   std::uint32_t intern(const std::uint64_t* key, bool& inserted);
 
-  /// Lookup without insertion; kNotFound when the key is unknown.
-  std::uint32_t find(const std::uint64_t* key) const;
-
-  /// The interned key of `id` (key_words() words), valid until the next
-  /// intern() — entries are never removed, but the key store may grow.
-  const std::uint64_t* key(std::uint32_t id) const {
-    return keys_.data() + static_cast<std::size_t>(id) * key_words_;
-  }
-
   std::size_t size() const { return count_; }
-  std::size_t key_words() const { return key_words_; }
 
   /// Heap footprint (slot array + key store), for dedup.bytes accounting.
   std::size_t bytes() const {
@@ -63,6 +50,11 @@ class FingerprintTable {
   }
 
  private:
+  /// The interned key of `id` (key_words_ words), valid until the next
+  /// intern() — entries are never removed, but the key store may grow.
+  const std::uint64_t* key(std::uint32_t id) const {
+    return keys_.data() + static_cast<std::size_t>(id) * key_words_;
+  }
   bool key_equals(std::uint32_t id, const std::uint64_t* key) const;
   void grow();
 

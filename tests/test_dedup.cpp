@@ -44,12 +44,12 @@ TEST(FingerprintTable, InternsDenseIdsInFirstEncounterOrder) {
   EXPECT_EQ(table.intern(a, inserted), 0u);
   EXPECT_FALSE(inserted);
   EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.find(b), 1u);
+  EXPECT_EQ(table.intern(b, inserted), 1u);
+  EXPECT_FALSE(inserted);
   const std::uint64_t c[] = {1, 3};  // shares a word with `a`, distinct key
-  EXPECT_EQ(table.find(c), FingerprintTable::kNotFound);
-  // Stored keys are readable back, id-major.
-  EXPECT_EQ(table.key(0)[0], 1u);
-  EXPECT_EQ(table.key(1)[1], 4u);
+  EXPECT_EQ(table.intern(c, inserted), 2u);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(table.size(), 3u);
 }
 
 TEST(FingerprintTable, GrowsPastInitialCapacityWithoutLosingKeys) {
@@ -64,7 +64,6 @@ TEST(FingerprintTable, GrowsPastInitialCapacityWithoutLosingKeys) {
   EXPECT_EQ(table.size(), kKeys);
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     const std::uint64_t key = k * 0x9E3779B97F4A7C15ULL + 7;
-    ASSERT_EQ(table.find(&key), k);
     ASSERT_EQ(table.intern(&key, inserted), k);
     ASSERT_FALSE(inserted);
   }
@@ -86,7 +85,7 @@ TEST(FingerprintTable, ZeroWordKeysCollapseToOneId) {
 TEST(FingerprintTable, CollidingHashesFallBackToFullKeyComparison) {
   // Adversarial hash: every key collides. Correctness may not depend on
   // hash quality — distinct keys must still intern to distinct ids, and
-  // lookups must land on the right one via the full-key memcmp.
+  // a seen key must find its own id via the full-key memcmp.
   const auto constant_hash = [](const std::uint64_t*, std::size_t)
       -> std::uint64_t { return 42; };
   FingerprintTable table(3, constant_hash);
@@ -100,12 +99,12 @@ TEST(FingerprintTable, CollidingHashesFallBackToFullKeyComparison) {
   EXPECT_EQ(table.size(), kKeys);
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     const std::uint64_t key[] = {k, ~k, k ^ 0xABCDEF};
-    ASSERT_EQ(table.find(key), k);
+    ASSERT_EQ(table.intern(key, inserted), k);
+    ASSERT_FALSE(inserted);
   }
   // A near-miss key (equal hash, equal first words, one differing word)
-  // must not alias an existing entry.
+  // must not alias an existing entry: it gets the next dense id.
   const std::uint64_t near[] = {0, ~std::uint64_t{0}, 0xABCDEE};
-  EXPECT_EQ(table.find(near), FingerprintTable::kNotFound);
   EXPECT_EQ(table.intern(near, inserted), kKeys);
   EXPECT_TRUE(inserted);
 }

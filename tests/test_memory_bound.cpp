@@ -3,7 +3,8 @@
 // as it completes (harness/ordered_fold.h), so a one-thread point keeps
 // one chunk's outcomes at a time, whatever its run count. A run-major
 // per-run store would take about 290 bytes per run — about 58 MB at the
-// 200k runs below.
+// 200k runs below. Nor may a call's per-slot state grow past the workers
+// the pool can run, however large the configured thread count.
 //
 // This file is its own test executable: it replaces the global allocation
 // functions to track the heap high-water mark, which must not leak into
@@ -13,13 +14,19 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <future>
 #include <new>
+#include <string>
+#include <vector>
 
 #include <malloc.h>
 
 #include "apps/atr.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
+#include "harness/json.h"
+#include "harness/pool.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -134,6 +141,54 @@ TEST(MemoryBound, OneThreadPointRetainsNoPerRunStorage) {
   EXPECT_LT(peak, kBoundBytes)
       << "run_point heap high-water " << peak << " B for " << cfg.runs
       << " runs";
+}
+
+TEST(MemoryBound, WorkerSlotsStopAtWhatThePoolRuns) {
+  // The pool runs at most WorkerPool::kMaxThreads + 1 participants, so a
+  // larger `threads` must size no more counter cells, worker contexts or
+  // dedup shards than that, and must not shrink the chunks either. Sized
+  // by the raw setting, this sweep's cells alone would take 5 points x
+  // 6250 slots x 6 cells x 144 B, about 27 MB. Each sweep runs inside a
+  // pool task, where its loop runs inline on one slot: the high-water then
+  // holds what the call sizes, not how many stages 65 threads sharing the
+  // host's cores happen to park.
+  const Application app = apps::build_atr();
+  const std::vector<double> loads = {0.2, 0.4, 0.6, 0.8, 1.0};
+  WorkerPool& pool = WorkerPool::process_pool();
+  const auto sweep = [&](int threads, std::int64_t& peak) {
+    MetricsRegistry reg;
+    ExperimentConfig cfg;
+    cfg.runs = 20000;
+    cfg.threads = threads;
+    cfg.collect_metrics = true;
+    cfg.registry = &reg;
+    std::promise<std::string> rendered;
+    pool.submit([&](int) {
+      g_live.store(0);
+      g_peak.store(0);
+      g_track.store(true);
+      std::vector<SweepPoint> points = sweep_load(app, cfg, loads);
+      g_track.store(false);
+      JsonExportOptions jopt;
+      jopt.x_name = "load";
+      rendered.set_value(sweep_to_json(points, jopt));
+    });
+    std::string json = rendered.get_future().get();
+    peak = g_peak.load();
+    return json;
+  };
+
+  std::int64_t capped_peak = 0, huge_peak = 0;
+  const std::string capped = sweep(WorkerPool::kMaxThreads + 1, capped_peak);
+  const std::string huge = sweep(1 << 16, huge_peak);
+  EXPECT_EQ(huge, capped);
+  EXPECT_LE(pool.thread_count(), WorkerPool::kMaxThreads);
+  RecordProperty("heap_high_water_bytes_capped", std::to_string(capped_peak));
+  RecordProperty("heap_high_water_bytes_huge", std::to_string(huge_peak));
+  constexpr std::int64_t kSlackBytes = 1 << 20;
+  EXPECT_LT(huge_peak, capped_peak + kSlackBytes)
+      << "threads=65536 peaks at " << huge_peak << " B, threads=65 at "
+      << capped_peak << " B";
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Tests for the persistent worker pool (harness/pool.h) and the pooled
-// sweep executor built on it: chunk coverage, exception propagation, and —
-// the contract the paper's figures depend on — bit-identical SweepPoints
-// for every thread count, chunk size and point-interleaving mode. The
-// determinism tests carry the `pool_smoke` ctest label so they can be run
-// standalone under TSan (cmake -DPASERTA_SANITIZE=thread; ctest -L
-// pool_smoke).
+// sweep executor built on it: chunk coverage, exception propagation, the
+// executor's point-interleaved chunk order, and — the contract the
+// paper's figures depend on — bit-identical SweepPoints for every thread
+// count and chunk size. The determinism tests carry the `pool_smoke`
+// ctest label so they can be run standalone under TSan (cmake
+// -DPASERTA_SANITIZE=thread; ctest -L pool_smoke).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <map>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,9 +21,12 @@
 #include "common/error.h"
 #include "core/offline.h"
 #include "harness/experiment.h"
+#include "harness/figures.h"
+#include "harness/json.h"
 #include "harness/pool.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
+#include "obs/trace.h"
 
 namespace paserta {
 namespace {
@@ -312,6 +317,41 @@ TEST(PoolDeterminism, SweepInvariantAcrossThreadsChunksPointModes) {
       expect_sweep_identical(baseline, sweep);
     }
   }
+}
+
+TEST(PoolDeterminism, SweepClaimsChunksPointInterleaved) {
+  // Flat chunk c of a P-point call is chunk c / P of point c % P, so one
+  // thread evaluates every point's first chunk before any point's second.
+  // A chunk of 8 runs is one lane group, whose NPM harness.simulate span
+  // carries (point, first run); the gaussian ATR graph does not dedup, so
+  // every group has a first run.
+  const FigureDef fig = paper_figure("fig4a", 40);
+  const Application app = figure_workload(fig);
+  const std::vector<double> loads = {0.3, 0.6, 0.9};
+  ExperimentConfig cfg = fig.config;
+  cfg.chunk_runs = 8;
+  Tracer tracer;
+  Profiler prof(Profiler::Mode::kFallback, &tracer);
+  cfg.prof = &prof;
+  const std::vector<SweepPoint> serial = sweep_load(app, cfg, loads);
+
+  std::vector<std::pair<std::int64_t, std::int64_t>> spans;
+  for (const TraceEvent& ev : tracer.events()) {
+    if (std::string_view(ev.cat) == "harness.simulate" &&
+        std::string_view(ev.name) == "NPM")
+      spans.emplace_back(ev.point, ev.run);
+  }
+  std::vector<std::pair<std::int64_t, std::int64_t>> want;
+  for (std::int64_t run = 0; run < 40; run += 8)
+    for (std::int64_t p = 0; p < 3; ++p) want.emplace_back(p, run);
+  EXPECT_EQ(spans, want);
+
+  cfg.prof = nullptr;
+  cfg.threads = 4;
+  JsonExportOptions jopt;
+  jopt.x_name = "load";
+  EXPECT_EQ(sweep_to_json(sweep_load(app, cfg, loads), jopt),
+            sweep_to_json(serial, jopt));
 }
 
 TEST(PoolDeterminism, PooledMatchesUnpooledRunPoint) {
