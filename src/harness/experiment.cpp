@@ -46,11 +46,12 @@ namespace {
 // counters integer-add into the same slot cells, so sums, CSVs, metrics
 // and ledgers stay bit-identical at every thread count and chunk size.
 //
-// Sharding mirrors the staging design of §13: each (point, slot) owns a
-// single-threaded OutcomeShard (fingerprint table + id-major record
-// arenas) that only its worker touches, so the per-run path takes no lock.
-// Slots never share records: each simulates a distinct scenario at most
-// once per point, and which slot simulated it never reaches an output bit.
+// Sharding mirrors the staging design of §13: each slot's WorkerCtx holds
+// one single-threaded OutcomeShard (fingerprint table + id-major record
+// arenas) per point, which only that slot's worker touches, so the per-run
+// path takes no lock. Slots never share records: each simulates a distinct
+// scenario at most once per point, and which slot simulated it never
+// reaches an output bit.
 
 /// Whether `cfg` resolves to dedup for a point whose compiled sampler
 /// reports `space` distinct scenarios (0 = unbounded).
@@ -102,21 +103,20 @@ struct OutcomeShard {
 };
 
 /// Replays cached record `id` into stage position `i`: copies the staged
-/// values and integer-adds the cached counter cells into the slot cells —
-/// exactly the writes re-simulating the scenario would have produced
-/// (copies are bitwise, counter adds are integer and order-independent).
+/// values and, with metrics on, integer-adds the cached counter cells into
+/// the stage's cells — exactly the writes re-simulating the scenario would
+/// have produced (copies are bitwise, counter adds are integer and
+/// order-independent).
 void replay_record(const OutcomeShard& sh, std::uint32_t id,
-                   ChunkStage& stage, std::size_t i, std::size_t nschemes,
-                   SimCounters* slot_cells, std::size_t ncells) {
+                   ChunkStage& stage, std::size_t i, std::size_t nschemes) {
   stage.npm_energy[i] = sh.npm_energy[id];
   stage.degenerate[i] = sh.degenerate[id];
   std::copy_n(sh.rows.data() + static_cast<std::size_t>(id) * nschemes,
               nschemes, stage.schemes.data() + i * nschemes);
-  if (slot_cells != nullptr) {
-    const SimCounters* cell =
-        sh.cells.data() + static_cast<std::size_t>(id) * ncells;
-    for (std::size_t c = 0; c < ncells; ++c) slot_cells[c].add(cell[c]);
-  }
+  const std::size_t ncells = stage.counters.size();
+  const SimCounters* cell =
+      sh.cells.data() + static_cast<std::size_t>(id) * ncells;
+  for (std::size_t c = 0; c < ncells; ++c) stage.counters[c].add(cell[c]);
 }
 
 /// Lanes per simulate_batch call. The value is output-invisible (the
@@ -132,9 +132,9 @@ constexpr int kBatchLanes = 32;
 struct ChunkObs {
   int slot = 0;
   std::int64_t point = -1;  // span arg of the per-engine-call scopes
-  /// Slot-owned telemetry cells for this (point, slot): one SimCounters
-  /// per scheme in config order, then one for the NPM baseline. Null =
-  /// counting off.
+  /// The chunk stage's counter cells (ChunkStage::counters): one
+  /// SimCounters per scheme in config order, then one for the NPM
+  /// baseline. Null = counting off.
   SimCounters* cells = nullptr;
   /// Phase profiler + pre-registered phase ids (run_point_specs resolves
   /// them once per call). Null prof = every scope is a pointer test.
@@ -248,19 +248,19 @@ void evaluate_scenario(const Application& app, const ExperimentConfig& cfg,
   }
 }
 
-/// Worker-local state, one set per pool slot, reused across every chunk
-/// (and every point) that slot processes. Lazily constructed by the slot's
-/// own thread on its first chunk, so every buffer a worker touches per run
-/// is allocated by (and stays local to) that worker. `samplers` holds the
-/// slot's private copies of the shared compiled ScenarioSamplers, cloned
-/// on first use per distinct application: scenario drawing then reads no
-/// memory another thread is also streaming through, which keeps the per-
-/// run path free of any cross-thread cache traffic (the shared masters
-/// are read-only, but private copies also dodge capacity fights on a
-/// busy socket and make the no-shared-state property mechanical).
+/// Everything one participant slot owns for one harness call, reused
+/// across every chunk (and every point) the slot processes. Lazily
+/// constructed by the slot's own thread on its first chunk, so every
+/// buffer a worker touches per run is allocated by (and stays local to)
+/// that worker. `sampler` is the slot's private copy of the call's
+/// compiled ScenarioSampler: scenario drawing then reads no memory another
+/// thread is also streaming through, which keeps the per-run path free of
+/// any cross-thread cache traffic (the shared master is read-only, but a
+/// private copy also dodges capacity fights on a busy socket and makes the
+/// no-shared-state property mechanical).
 struct WorkerCtx {
   std::unique_ptr<ChunkStage> stage;  // null until OrderedFold::acquire
-  std::vector<std::unique_ptr<ScenarioSampler>> samplers;
+  ScenarioSampler sampler;
   // Batched-engine state (sim/batch_engine.h), sized on first use.
   BatchWorkspace batch_ws;
   ScenarioBatch batch_sc;
@@ -270,9 +270,12 @@ struct WorkerCtx {
   // Dedup scratch (DESIGN.md §15), sized on first use.
   std::vector<std::uint64_t> key;  // one fingerprint (op_count words)
   std::vector<std::pair<int, std::uint32_t>> fill;  // (stage idx, record id)
+  /// One shard per point, made on the slot's first chunk of the point;
+  /// empty when the call does not dedup.
+  std::vector<std::unique_ptr<OutcomeShard>> shards;
 
-  explicit WorkerCtx(std::size_t sampler_count)
-      : samplers(sampler_count), batch_results(kBatchLanes) {}
+  WorkerCtx(const ScenarioSampler& master, std::size_t shard_count)
+      : sampler(master), batch_results(kBatchLanes), shards(shard_count) {}
 };
 
 /// Where simulate_lanes writes lane l's record: npm_energy[l],
@@ -290,7 +293,7 @@ struct LaneRecords {
 /// (its energies normalize the others), then every scheme — with one
 /// simulate_batch call each, and builds every lane's SchemeOutcome into
 /// `out`. Counters go per lane into out.cells when it is set (a dedup
-/// record caches exactly one run's worth), else into the slot cells
+/// record caches exactly one run's worth), else into the stage cells
 /// obs.cells. Audit exports each lane into its own cell so
 /// attribution_energy sees one run's ledger; verify_traces checks every
 /// lane's trace against its scenario. Each simulate_batch call is one
@@ -316,13 +319,13 @@ void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
     bo.ph_setup = obs.ph_batch_setup;
     bo.ph_drain = obs.ph_batch_drain;
     bo.slot = obs.slot;
-    SimCounters* const slot_cell =
+    SimCounters* const stage_cell =
         obs.cells != nullptr ? obs.cells + c : nullptr;
     if (lane_cells) {
       ctx.batch_cells.assign(nlanes, SimCounters{});
       bo.lane_cells = ctx.batch_cells.data();
     } else {
-      bo.shared_cell = slot_cell;
+      bo.shared_cell = stage_cell;
     }
     simulate_batch(app, off, pm, cfg.overheads, scheme, cfg.policy_options,
                    ctx.batch_sc, nlanes, ctx.batch_ws,
@@ -334,8 +337,8 @@ void simulate_lanes(const Application& app, const ExperimentConfig& cfg,
                   ctx.batch_results[l], scheme);
       if (out.cells != nullptr)
         out.cells[l * ncells + c] = ctx.batch_cells[l];
-      else if (slot_cell != nullptr)
-        slot_cell->add(ctx.batch_cells[l]);
+      else if (stage_cell != nullptr)
+        stage_cell->add(ctx.batch_cells[l]);
     }
   };
 
@@ -445,15 +448,15 @@ void evaluate_chunk(const Application& app, const ExperimentConfig& cfg,
     }
     for (const auto& [idx, id] : ctx.fill)
       replay_record(*shard, id, stage, static_cast<std::size_t>(idx),
-                    nschemes, obs.cells, ncells);
+                    nschemes);
     ctx.fill.clear();
   }
 }
 
-/// One prepared sweep point: the (application, offline result, deadline)
-/// triple the Monte-Carlo loop needs. Pointees must outlive the call.
+/// One prepared sweep point: the (offline result, deadline) pair the
+/// Monte-Carlo loop needs beside the call's application. The pointee must
+/// outlive the call.
 struct PointSpec {
-  const Application* app = nullptr;
   const OfflineResult* off = nullptr;
   SimTime deadline{};
   double x = 0.0;
@@ -472,33 +475,18 @@ int chunk_size_for(const ExperimentConfig& cfg, int workers) {
   return static_cast<int>(std::clamp<std::int64_t>(target, 16, 2048));
 }
 
-/// Consecutive chunks per atomic claim (WorkerPool claim_batch): when a
-/// caller forces very fine chunks (chunk_runs=1 makes one chunk per run),
-/// claiming them one by one would put the shared counter back on the
-/// per-run path; batching restores O(threads) claims without changing
-/// chunk semantics. With auto-sized chunks this stays 1.
-int claim_batch_for(std::int64_t total_chunks, int max_workers) {
-  const std::int64_t target =
-      total_chunks / (static_cast<std::int64_t>(std::max(1, max_workers)) * 32);
-  return static_cast<int>(std::clamp<std::int64_t>(target, 1, 64));
-}
-
 void validate_config(const ExperimentConfig& cfg) {
   PASERTA_REQUIRE(cfg.runs >= 1, "need at least one run");
   PASERTA_REQUIRE(cfg.threads >= 1, "need at least one worker thread");
   PASERTA_REQUIRE(cfg.chunk_runs >= 0, "chunk_runs must be non-negative");
+  PASERTA_REQUIRE(!cfg.collect_metrics || cfg.registry != nullptr,
+                  "collect_metrics needs a registry");
 }
 
 /// Latency buckets of the pool chunk histogram: ~log-spaced 10 us .. 10 s.
 constexpr double kChunkSecondsBounds[] = {1e-5, 3e-5, 1e-4, 3e-4, 1e-3,
                                           3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
                                           1.0,  3.0,  10.0};
-
-/// The registry `cfg` collects into; null with collect_metrics off.
-MetricsRegistry* metrics_registry(const ExperimentConfig& cfg) {
-  if (!cfg.collect_metrics) return nullptr;
-  return cfg.registry != nullptr ? cfg.registry : &MetricsRegistry::global();
-}
 
 /// The registry handles of the pool telemetry and the dedup totals: each
 /// set is resolved once per registry (MetricsRegistry::handles) when a
@@ -545,12 +533,14 @@ SweepPoint point_header(const ExperimentConfig& cfg, const PointSpec& spec) {
 }
 
 /// The shared Monte-Carlo loop: evaluates every (point, run) pair of
-/// `specs` by claiming chunked run ranges from the worker pool. The flat
-/// chunk space spans all points, point-interleaved: flat chunk c is chunk
-/// c / P of point c % P (P points), so workers claiming consecutive chunks
-/// evaluate different points, and each usually extends its own point's
-/// folded prefix and folds the chunk it just evaluated (DESIGN.md §13).
-std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
+/// `specs`, all points of application `app`, by claiming chunked run
+/// ranges from the worker pool. The flat chunk space spans all points,
+/// point-interleaved: flat chunk c is chunk c / P of point c % P (P
+/// points), so workers claiming consecutive chunks evaluate different
+/// points, and each usually extends its own point's folded prefix and
+/// folds the chunk it just evaluated (DESIGN.md §13).
+std::vector<SweepPoint> run_point_specs(const Application& app,
+                                        std::span<const PointSpec> specs,
                                         const ExperimentConfig& cfg) {
   validate_config(cfg);
   for (const PointSpec& spec : specs)
@@ -561,9 +551,8 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   const PowerModel pm(cfg.table, cfg.c_ef, cfg.idle_fraction);
   const int runs = cfg.runs;
   // The participants this call can use: the pool runs the caller plus at
-  // most WorkerPool::kMaxThreads workers. The slot arrays below and the
-  // chunk size follow this count, not the raw setting, so a huge `threads`
-  // allocates nothing that no worker could use.
+  // most WorkerPool::kMaxThreads workers. The chunk size follows this
+  // count, not the raw setting.
   const int workers = std::min(cfg.threads, WorkerPool::kMaxThreads + 1);
   const int chunk = chunk_size_for(cfg, workers);
   // The flat chunk space spans all points, so its size is the *product*
@@ -586,7 +575,6 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   const int total_chunks = static_cast<int>(total_chunks64);
   const int npoints = static_cast<int>(specs.size());
   const int max_workers = std::min(workers, total_chunks);
-  const int claim_batch = claim_batch_for(total_chunks64, max_workers);
 
   // --- Observability. Everything in this block is write-only for the
   // simulation (see the determinism contract in obs/metrics.h): the
@@ -595,7 +583,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   // track of everything this call charges outside the pool loop (slot 0
   // unless the call runs inside a pool task or body).
   const int gslot = WorkerPool::participant_slot();
-  MetricsRegistry* const reg = metrics_registry(cfg);
+  MetricsRegistry* const reg = cfg.collect_metrics ? cfg.registry : nullptr;
   ChunkObs obs_proto;
   PoolTelemetry tel;
   const PoolTelemetry* telp = nullptr;
@@ -635,114 +623,76 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   if (reg != nullptr || prof != nullptr) telp = &tel;
 
   // Everything between here and the pool run that is not sampler
-  // compilation is accumulator, counter-cell and dedup plumbing; charge it
-  // as harness.setup (two scope entries, split around the compile) so the
+  // compilation is accumulator and slot plumbing; charge it as
+  // harness.setup (two scope entries, split around the compile) so the
   // top-level phases keep tiling the call.
   auto setup_scope = std::make_optional<ProfScope>(prof, ph_setup, gslot);
 
-  // Engine-counter cells, one SimCounters row (schemes + NPM) per
-  // (point, slot): each worker accumulates into its own slot's row without
-  // synchronization, and the rows are summed in fixed slot order after the
-  // join, so the totals are thread-count independent.
-  const std::size_t nslots =
-      static_cast<std::size_t>(std::max(1, max_workers));
+  // Each point's accumulators, fed chunk by chunk in run order as the
+  // workers complete them (DESIGN.md §13): nothing per run is stored. With
+  // metrics on, every stage also carries its chunk's engine counters
+  // (schemes + NPM), which the fold adds to the point in chunk order.
   const std::size_t nschemes = cfg.schemes.size();
   const std::size_t ncells = nschemes + 1;  // + NPM baseline
-  std::vector<SimCounters> cells(
-      cfg.collect_metrics ? specs.size() * nslots * ncells : 0);
-
-  // Each point's accumulators, fed chunk by chunk in run order as the
-  // workers complete them (DESIGN.md §13): nothing per run is stored.
   std::vector<SweepPoint> headers;
   headers.reserve(specs.size());
   for (const PointSpec& spec : specs)
     headers.push_back(point_header(cfg, spec));
   OrderedFold fold(std::move(headers), runs, chunk);
 
-  // One compiled sampler per distinct application: load-sweep points share
-  // one graph, so a 10-point sweep compiles exactly one. Compiled up front
-  // on the driving thread; workers clone their own private copies from
-  // these masters (WorkerCtx::samplers) instead of reading them shared.
-  std::vector<std::unique_ptr<ScenarioSampler>> samplers;
-  std::vector<const Application*> sampler_apps;
-  std::vector<std::size_t> spec_sampler_idx(specs.size());
-  {
-    setup_scope.reset();  // close the setup stretch around the compile
+  // The call's one compiled sampler: every point shares the application.
+  // Compiled up front on the driving thread; workers draw from private
+  // copies of it (WorkerCtx::sampler).
+  setup_scope.reset();  // close the setup stretch around the compile
+  const ScenarioSampler sampler = [&] {
     ProfScope ps(prof, ph_compile, gslot);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      std::size_t j = 0;
-      while (j < sampler_apps.size() && sampler_apps[j] != specs[i].app) ++j;
-      if (j == sampler_apps.size()) {
-        sampler_apps.push_back(specs[i].app);
-        samplers.push_back(
-            std::make_unique<ScenarioSampler>(specs[i].app->graph));
-      }
-      spec_sampler_idx[i] = j;
-    }
-  }
-  setup_scope.emplace(prof, ph_setup, gslot);  // dedup plumbing + slots
+    return ScenarioSampler(app.graph);
+  }();
+  setup_scope.emplace(prof, ph_setup, gslot);
 
   // Dedup resolution (DESIGN.md §15): the scenario space is a sampler
-  // property, so resolve once per distinct application and fan out per
-  // spec. When any point dedups, each (point, slot) pair gets a lazily
-  // created single-threaded OutcomeShard.
-  std::vector<std::uint8_t> spec_dedup(specs.size(), 0);
-  bool any_dedup = false;
-  {
-    std::vector<std::uint8_t> sampler_dedup(samplers.size(), 0);
-    for (std::size_t j = 0; j < samplers.size(); ++j)
-      sampler_dedup[j] = dedup_for(cfg, samplers[j]->scenario_space()) ? 1 : 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      spec_dedup[i] = sampler_dedup[spec_sampler_idx[i]];
-      any_dedup = any_dedup || spec_dedup[i] != 0;
-    }
-  }
-  std::vector<std::unique_ptr<OutcomeShard>> shards(
-      any_dedup ? specs.size() * nslots : 0);
+  // property, so the call resolves it once for all its points.
+  const bool dedup = dedup_for(cfg, sampler.scenario_space());
 
-  std::vector<std::unique_ptr<WorkerCtx>> ctxs(nslots);
+  // Per-call slot state, indexed by participant slot and created by each
+  // slot's own thread on its first chunk.
+  std::vector<std::unique_ptr<WorkerCtx>> ctxs(WorkerPool::kMaxThreads + 1);
 
-  const auto body = [&](int c, int slot) {
+  const auto body = [&](int c) {
+    const int slot = WorkerPool::participant_slot();
     auto& ctx = ctxs[static_cast<std::size_t>(slot)];
-    if (!ctx) ctx = std::make_unique<WorkerCtx>(samplers.size());
+    if (!ctx)
+      ctx = std::make_unique<WorkerCtx>(sampler, dedup ? specs.size() : 0);
     const int p = c % npoints;
     const int k = c / npoints;  // the chunk's index within its point
     const int first = k * chunk;
     const int count = std::min(runs, first + chunk) - first;
     const PointSpec& spec = specs[static_cast<std::size_t>(p)];
-    ChunkObs obs = obs_proto;
-    obs.slot = WorkerPool::participant_slot();
-    obs.point = p;
-    if (!cells.empty())
-      obs.cells = cells.data() +
-                  (static_cast<std::size_t>(p) * nslots +
-                   static_cast<std::size_t>(slot)) *
-                      ncells;
-    // The slot's private sampler copy for this point's application,
-    // cloned from the shared master on first use.
-    const std::size_t sidx = spec_sampler_idx[static_cast<std::size_t>(p)];
-    if (!ctx->samplers[sidx])
-      ctx->samplers[sidx] = std::make_unique<ScenarioSampler>(*samplers[sidx]);
     // Evaluate the whole chunk into the slot's private stage, then hand it
     // to the ordered fold: the per-run loop touches no shared mutable
     // memory at all.
     if (!ctx->stage) ctx->stage = fold.acquire();
+    ChunkObs obs = obs_proto;
+    obs.slot = slot;
+    obs.point = p;
+    if (reg != nullptr) {
+      // Zeroed cells that keep their ledgers' capacity.
+      ctx->stage->counters.assign(ncells, SimCounters{});
+      obs.cells = ctx->stage->counters.data();
+    }
     OutcomeShard* shard = nullptr;
-    if (spec_dedup[static_cast<std::size_t>(p)] != 0) {
-      // The shard is created by the owning slot's own thread, like the
-      // rest of its worker-local state.
-      auto& owned = shards[static_cast<std::size_t>(p) * nslots +
-                           static_cast<std::size_t>(slot)];
+    if (dedup) {
+      auto& owned = ctx->shards[static_cast<std::size_t>(p)];
       if (!owned)
-        owned = std::make_unique<OutcomeShard>(ctx->samplers[sidx]->op_count());
+        owned = std::make_unique<OutcomeShard>(ctx->sampler.op_count());
       shard = owned.get();
     }
-    evaluate_chunk(*spec.app, cfg, *spec.off, pm, spec.deadline,
-                   *ctx->samplers[sidx], first, count, *ctx, obs, shard);
+    evaluate_chunk(app, cfg, *spec.off, pm, spec.deadline, ctx->sampler,
+                   first, count, *ctx, obs, shard);
     // Folds this chunk (and any parked successors) when it extends the
     // point's folded prefix, else parks it; a parked stage leaves
     // ctx->stage null and the next chunk acquires another.
-    ProfScope ps(prof, ph_fold, obs.slot);
+    ProfScope ps(prof, ph_fold, slot);
     fold.complete(static_cast<std::size_t>(p), k, ctx->stage);
   };
 
@@ -753,50 +703,26 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
   } else {
     WorkerPool& pool = WorkerPool::process_pool();
     pool.ensure_threads(max_workers - 1);
-    pool.parallel_chunks(total_chunks, max_workers, body, telp, claim_batch);
+    pool.parallel_chunks(total_chunks, max_workers, body, telp);
   }
 
-  // The runs are already folded; what remains is summing the per-slot
-  // counter cells and dedup shards.
+  // The runs and engine counters are already folded; what remains is
+  // summing the slots' dedup shards and flushing the registry.
   std::vector<SweepPoint> points = fold.release();
-  {
-    ProfScope ps(prof, ph_finalize, gslot);
+  ProfScope ps(prof, ph_finalize, gslot);
+  if (dedup) {
     for (std::size_t p = 0; p < specs.size(); ++p) {
-      if (cfg.collect_metrics) {
-        // Sum the slot cells in fixed slot order (integer adds: the order
-        // would not matter anyway, but keep it canonical). The first
-        // slot's row is moved in: adding it to empty totals would copy
-        // its ledgers.
-        PointMetrics& m = points[p].metrics;
-        SimCounters* const row0 = cells.data() + p * nslots * ncells;
-        m.schemes.assign(std::make_move_iterator(row0),
-                         std::make_move_iterator(row0 + nschemes));
-        m.npm = std::move(row0[nschemes]);
-        for (std::size_t slot = 1; slot < nslots; ++slot) {
-          const SimCounters* cell =
-              cells.data() + (p * nslots + slot) * ncells;
-          for (std::size_t s = 0; s < nschemes; ++s)
-            m.schemes[s].add(cell[s]);
-          m.npm.add(cell[nschemes]);
-        }
-      }
-      if (spec_dedup[p] != 0) {
-        DedupStats& d = points[p].dedup;
-        d.enabled = true;
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-          const auto& shard = shards[p * nslots + slot];
-          if (!shard) continue;
-          d.hits += shard->hits;
-          d.misses += shard->misses;
-          d.bytes += shard->bytes();
-        }
+      DedupStats& d = points[p].dedup;
+      d.enabled = true;
+      for (const auto& ctx : ctxs) {
+        if (!ctx || !ctx->shards[p]) continue;
+        d.hits += ctx->shards[p]->hits;
+        d.misses += ctx->shards[p]->misses;
+        d.bytes += ctx->shards[p]->bytes();
       }
     }
   }
   if (reg != nullptr) {
-    // Counter flushing is part of wrapping the run up — second entry into
-    // the finalize phase, so profile attribution covers the whole tail.
-    ProfScope ps(prof, ph_finalize, gslot);
     for (const SweepPoint& pt : points) {
       for (std::size_t s = 0; s < nschemes; ++s) {
         const SimCounters& c = pt.metrics.schemes[s];
@@ -807,7 +733,7 @@ std::vector<SweepPoint> run_point_specs(std::span<const PointSpec> specs,
       SimCounterHandles::of(*reg, "engine.NPM", pt.metrics.npm.levels)
           .add(pt.metrics.npm);
     }
-    if (any_dedup) {
+    if (dedup) {
       std::uint64_t hits = 0, misses = 0, bytes = 0;
       for (const SweepPoint& pt : points) {
         hits += pt.dedup.hits;
@@ -880,11 +806,10 @@ SweepPoint run_point(const Application& app, const ExperimentConfig& cfg,
   }
 
   PointSpec spec;
-  spec.app = &app;
   spec.off = &off;
   spec.deadline = deadline;
   spec.x = x_value;
-  return run_point_specs({&spec, 1}, cfg).front();
+  return run_point_specs(app, {&spec, 1}, cfg).front();
 }
 
 SweepPoint run_point_unpooled(const Application& app,
@@ -941,7 +866,6 @@ SweepPoint run_point_unpooled(const Application& app,
   }
 
   PointSpec spec;
-  spec.app = &app;
   spec.off = &off;
   spec.deadline = deadline;
   spec.x = x_value;
@@ -977,14 +901,13 @@ std::vector<SweepPoint> sweep_load(const Application& app,
       offs.push_back(apply_deadline(canon, deadline));
     }
     PointSpec spec;
-    spec.app = &app;
     spec.off = &offs.back();
     spec.deadline = deadline;
     spec.x = load;
     specs.push_back(spec);
   }
 
-  return run_point_specs(specs, cfg);
+  return run_point_specs(app, specs, cfg);
 }
 
 std::vector<SweepPoint> sweep_alpha(const Application& app,

@@ -97,11 +97,12 @@ struct ExperimentConfig {
   // output bit (regression-tested), only record what happened.
   /// Collect engine SimCounters per (point, scheme) onto SweepPoint::
   /// metrics, and pool-balance metrics (chunk counts/latency, busy/idle
-  /// time per slot) into `registry`. Off = zero instrumentation cost
-  /// beyond a few null checks.
+  /// time) into `registry`. Off = zero instrumentation cost beyond a few
+  /// null checks.
   bool collect_metrics = false;
-  /// Registry receiving the pool metrics and engine counter totals; null
-  /// with collect_metrics on = MetricsRegistry::global().
+  /// Registry receiving the pool metrics and engine counter totals. Every
+  /// caller that turns collect_metrics on passes its own; on without one
+  /// is rejected.
   MetricsRegistry* registry = nullptr;
   /// Cycle-level phase profiler (obs/prof.h), the harness's one
   /// instrumentation point: it charges the offline analyze/apply, sampler
@@ -144,8 +145,9 @@ struct SchemeStats {
 
 /// Engine telemetry totals of one point (ExperimentConfig::collect_metrics):
 /// SimCounters summed over all runs, per scheme plus the NPM baseline.
-/// Summation happens per (slot, scheme) cell in fixed slot order, so the
-/// totals are identical for every thread count and chunk interleaving.
+/// Each chunk's counters are added by the run-ordered fold in chunk order,
+/// so the totals are identical for every thread count and chunk
+/// interleaving.
 struct PointMetrics {
   std::vector<SimCounters> schemes;  // parallel to ExperimentConfig::schemes
   SimCounters npm;

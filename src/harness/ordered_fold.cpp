@@ -70,6 +70,12 @@ void OrderedFold::fold_chunk(PointState& ps, const ChunkStage& stage,
   const std::int64_t first = std::int64_t{k} * chunk_;
   const std::int64_t last = std::min<std::int64_t>(runs_, first + chunk_);
   fold_runs(ps.point, stage, static_cast<int>(last - first));
+  if (stage.counters.empty()) return;
+  PointMetrics& m = ps.point.metrics;
+  m.schemes.resize(nschemes_);  // sized by the point's first chunk
+  for (std::size_t s = 0; s < nschemes_; ++s)
+    m.schemes[s].add(stage.counters[s]);
+  m.npm.add(stage.counters[nschemes_]);
 }
 
 void OrderedFold::complete(std::size_t p, int k,

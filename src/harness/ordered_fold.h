@@ -8,6 +8,9 @@
 // and otherwise parks it until its predecessors are folded. The worker
 // that folds a chunk also folds every parked successor. Retained memory is
 // therefore the out-of-order window, not the run count (DESIGN.md §13).
+// With metrics on, a stage also carries its chunk's engine counters, and
+// the fold adds them to the point in the same chunk order: it is the one
+// place where a point's per-run values are added up.
 //
 // Harness-internal: experiment.cpp is the only production user; the header
 // exists so tests can drive completion order directly.
@@ -48,6 +51,10 @@ struct ChunkStage {
   std::vector<double, CacheAlignedAlloc<double>> npm_energy;
   std::vector<std::uint8_t, CacheAlignedAlloc<std::uint8_t>> degenerate;
   std::vector<SchemeOutcome, CacheAlignedAlloc<SchemeOutcome>> schemes;
+  /// The staged runs' engine counters summed, with metrics on: one
+  /// SimCounters per scheme, then one for the NPM baseline (empty = none).
+  /// Unlike the per-run arrays they are cleared before each chunk.
+  std::vector<SimCounters> counters;
 
   /// Grows the stage to hold `runs` runs (never shrinks).
   void ensure(int runs, std::size_t nschemes);
@@ -75,7 +82,8 @@ class OrderedFold {
   /// Chunk `k` of point `p` is staged in `stage`. If the chunk extends the
   /// point's folded prefix, folds it and then every parked successor, in
   /// run order and outside the point's lock; `stage` stays with the
-  /// caller. Otherwise parks it and leaves `stage` null.
+  /// caller. Otherwise parks it and leaves `stage` null. Folding a chunk
+  /// also adds its counters, if any, to the point's PointMetrics.
   void complete(std::size_t p, int k, std::unique_ptr<ChunkStage>& stage);
 
   /// The folded points. Every chunk of every point must have completed.

@@ -64,22 +64,21 @@ void record_gap(const PoolTelemetry& tel, int phase, int slot,
 }  // namespace
 
 struct WorkerPool::Impl {
-  /// One parallel loop in flight. Slot/active bookkeeping is guarded by
-  /// `m`; only the chunk counter and abort flag are lock-free, because they
-  /// sit on the claim path of every chunk.
+  /// One parallel loop in flight. Participant/active bookkeeping is
+  /// guarded by `m`; only the chunk counter and abort flag are lock-free,
+  /// because they sit on the claim path of every chunk.
   struct Job {
-    const std::function<void(int, int)>* body = nullptr;
+    const std::function<void(int)>* body = nullptr;
     const PoolTelemetry* telemetry = nullptr;
     int chunks = 0;
     int max_workers = 1;
-    int claim_batch = 1;
-    // 64-bit: each participant's final failed claim overshoots by up to
-    // claim_batch, so an int counter could wrap past INT_MAX on chunk
-    // spaces near the int limit.
+    // 64-bit: each participant's final failed claim still bumps the
+    // counter, so an int counter could wrap past INT_MAX on chunk spaces
+    // near the int limit.
     std::atomic<std::int64_t> next_chunk{0};
     std::atomic<bool> abort{false};
-    int next_slot = 1;  // guarded by m (slot 0 is the caller)
-    int active = 0;     // participants currently between claim and exit
+    int participants = 1;  // guarded by m (the caller is one)
+    int active = 0;        // helpers currently between claim and exit
     std::exception_ptr error;  // first body exception (guarded by m)
   };
 
@@ -95,16 +94,16 @@ struct WorkerPool::Impl {
   std::mutex run_m;  // serializes parallel loops
   std::deque<std::function<void(int)>> tasks;  // guarded by m
 
-  /// The claim loop of one participant: `slot` is its local slot, the
-  /// one bodies see; telemetry goes to its participant slot. With
-  /// telemetry, time inside a body is busy and everything else between
-  /// entering and leaving the loop (claims, the final failed claim) is
-  /// idle: one time mark splits the loop into stretches, and each is
-  /// charged once to the registry counters and the profiler alike. With a
-  /// profiler the stretch up to each claim is its own pool.claim stretch
-  /// (counter contention vs genuine waiting), paid for by one extra clock
-  /// read per claim. Without telemetry the loop reads no clock.
-  void run_chunks(Job& job_ref, int slot) {
+  /// The claim loop of one participant, whose telemetry goes to its
+  /// participant slot. With telemetry, time inside a body is busy and
+  /// everything else between entering and leaving the loop (claims, the
+  /// final failed claim) is idle: one time mark splits the loop into
+  /// stretches, and each is charged once to the registry counters and the
+  /// profiler alike. With a profiler the stretch up to each claim is its
+  /// own pool.claim stretch (counter contention vs genuine waiting), paid
+  /// for by one extra clock read per claim. Without telemetry the loop
+  /// reads no clock.
+  void run_chunks(Job& job_ref) {
     const PoolTelemetry* const tel = job_ref.telemetry;
     const int pslot = t_slot;
     const int ph_idle = tel != nullptr ? tel->ph_idle : -1;
@@ -118,32 +117,28 @@ struct WorkerPool::Impl {
       mark = now;
     };
     for (;;) {
-      const std::int64_t c0 = job_ref.next_chunk.fetch_add(
-          job_ref.claim_batch, std::memory_order_relaxed);
+      const std::int64_t c =
+          job_ref.next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (split_claims) gap(tel->ph_claim);
-      if (c0 >= job_ref.chunks) break;
-      const std::int64_t c1 =
-          std::min<std::int64_t>(job_ref.chunks, c0 + job_ref.claim_batch);
-      for (std::int64_t c = c0; c < c1; ++c) {
-        gap(ph_idle);
-        if (job_ref.abort.load(std::memory_order_relaxed)) return;
-        const std::int64_t t0 = mark;  // the body's start when timed
-        t_inside_body = true;
-        try {
-          (*job_ref.body)(static_cast<int>(c), slot);
-          t_inside_body = false;
-        } catch (...) {
-          t_inside_body = false;
-          if (tel != nullptr) record_chunk(*tel, pslot, t0, now_ns());
-          std::lock_guard<std::mutex> lock(m);
-          if (!job_ref.error) job_ref.error = std::current_exception();
-          job_ref.abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (tel != nullptr) {
-          mark = now_ns();
-          record_chunk(*tel, pslot, t0, mark);
-        }
+      if (c >= job_ref.chunks) break;
+      gap(ph_idle);
+      if (job_ref.abort.load(std::memory_order_relaxed)) return;
+      const std::int64_t t0 = mark;  // the body's start when timed
+      t_inside_body = true;
+      try {
+        (*job_ref.body)(static_cast<int>(c));
+        t_inside_body = false;
+      } catch (...) {
+        t_inside_body = false;
+        if (tel != nullptr) record_chunk(*tel, pslot, t0, now_ns());
+        std::lock_guard<std::mutex> lock(m);
+        if (!job_ref.error) job_ref.error = std::current_exception();
+        job_ref.abort.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (tel != nullptr) {
+        mark = now_ns();
+        record_chunk(*tel, pslot, t0, mark);
       }
     }
     gap(ph_idle);
@@ -160,15 +155,15 @@ struct WorkerPool::Impl {
       if (generation != seen) {
         seen = generation;
         Job* j = job;
-        // Job pointer reads, slot claims and the active count all happen
+        // Job pointer reads, admissions and the active count all happen
         // under `m`, so a job cleared by the caller can never be entered
         // late and the caller can never observe active == 0 while a
-        // participant is between claiming a slot and exiting.
-        if (j != nullptr && j->next_slot < j->max_workers) {
-          const int local = j->next_slot++;
+        // helper is between its admission and its exit.
+        if (j != nullptr && j->participants < j->max_workers) {
+          ++j->participants;
           ++j->active;
           lock.unlock();
-          run_chunks(*j, local);
+          run_chunks(*j);
           lock.lock();
           if (--j->active == 0) done.notify_all();
           continue;
@@ -226,12 +221,10 @@ int WorkerPool::thread_count() const {
 
 void WorkerPool::ensure_threads(int threads) { impl_->spawn(threads); }
 
-void WorkerPool::parallel_chunks(
-    int chunk_count, int max_workers,
-    const std::function<void(int chunk, int slot)>& body,
-    const PoolTelemetry* telemetry, int claim_batch) {
+void WorkerPool::parallel_chunks(int chunk_count, int max_workers,
+                                 const std::function<void(int chunk)>& body,
+                                 const PoolTelemetry* telemetry) {
   PASERTA_REQUIRE(chunk_count >= 0, "chunk count must be non-negative");
-  PASERTA_REQUIRE(claim_batch >= 1, "claim batch must be positive");
   if (chunk_count == 0) return;
   max_workers = std::clamp(max_workers, 1, chunk_count);
 
@@ -249,7 +242,6 @@ void WorkerPool::parallel_chunks(
   job.telemetry = telemetry;
   job.chunks = chunk_count;
   job.max_workers = max_workers;
-  job.claim_batch = claim_batch;
   {
     std::lock_guard<std::mutex> lock(impl_->m);
     impl_->job = &job;
@@ -257,7 +249,7 @@ void WorkerPool::parallel_chunks(
   }
   impl_->wake.notify_all();
 
-  impl_->run_chunks(job, 0);  // the caller is local slot 0
+  impl_->run_chunks(job);  // the caller is a participant too
 
   const std::int64_t wait_start = telemetry != nullptr ? now_ns() : 0;
   {
@@ -273,9 +265,9 @@ void WorkerPool::parallel_chunks(
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void WorkerPool::serial_chunks(
-    int chunk_count, const std::function<void(int chunk, int slot)>& body,
-    const PoolTelemetry* telemetry) {
+void WorkerPool::serial_chunks(int chunk_count,
+                               const std::function<void(int chunk)>& body,
+                               const PoolTelemetry* telemetry) {
   PASERTA_REQUIRE(chunk_count >= 0, "chunk count must be non-negative");
   const bool was_inside = t_inside_body;
   t_inside_body = true;
@@ -292,7 +284,7 @@ void WorkerPool::serial_chunks(
     for (int c = 0; c < chunk_count; ++c) {
       const std::int64_t t0 = tel != nullptr ? now_ns() : 0;
       if (tel != nullptr) record_gap(*tel, tel->ph_idle, pslot, mark, t0);
-      body(c, 0);
+      body(c);
       if (tel != nullptr) {
         mark = now_ns();
         record_chunk(*tel, pslot, t0, mark);

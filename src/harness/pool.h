@@ -14,20 +14,19 @@
 // groups simulate concurrently on the workers.
 //
 // Slots. Every background worker owns one fixed *participant slot* for its
-// lifetime (1 + its index); every other thread is slot 0. The profiler
-// cells and tracer tracks of obs/ are indexed by that slot
-// (participant_slot()), so whatever runs on a worker — a chunk, a task,
-// or a harness call nested inside either — charges its own cells and
-// track. parallel_chunks additionally hands each body a *local* slot in
-// [0, max_workers) for per-call scratch arrays.
+// lifetime (1 + its index); every other thread is slot 0. It is the one
+// slot index: the profiler cells and tracer tracks of obs/ and the
+// harness's per-call scratch are indexed by it (participant_slot()), so
+// whatever runs on a worker — a chunk, a task, or a harness call nested
+// inside either — uses its own cells, track and scratch.
 //
 // Determinism contract: the pool guarantees only that every chunk index in
-// [0, chunk_count) is executed exactly once, by some participant, with a
-// stable slot id. Callers that need bit-identical outputs (the experiment
-// harness does) must make each chunk's work depend only on its index — the
-// harness derives every run's RNG stream from (seed, run index) and
-// accumulates results in run order, so which worker ran which chunk, in
-// which order, is unobservable in the output.
+// [0, chunk_count) is executed exactly once, by some participant. Callers
+// that need bit-identical outputs (the experiment harness does) must make
+// each chunk's work depend only on its index — the harness derives every
+// run's RNG stream from (seed, run index) and accumulates results in run
+// order, so which worker ran which chunk, in which order, is unobservable
+// in the output.
 #pragma once
 
 #include <functional>
@@ -58,46 +57,40 @@ class WorkerPool {
   /// kMaxThreads). Never shrinks.
   void ensure_threads(int threads);
 
-  /// Executes body(chunk, slot) for every chunk in [0, chunk_count)
-  /// exactly once. At most `max_workers` participants run concurrently:
-  /// the calling thread is always local slot 0, background workers claim
-  /// local slots 1..max_workers-1. A local slot is owned by one thread for
-  /// the whole call, so callers can keep per-slot scratch state
-  /// (workspaces, policies) without locks; shared sinks take
-  /// participant_slot() instead. Chunks are claimed from one atomic
-  /// counter, in batches of `claim_batch` (>= 1) consecutive chunks per
-  /// claim: a participant that claims [c, c + claim_batch) runs those
-  /// chunks back to back, so callers with very fine chunks can amortize
-  /// the shared counter without changing chunk semantics (coverage, slot
-  /// ownership and determinism are unaffected; only claim frequency and
-  /// tail balance change). The first exception thrown by a body aborts
-  /// remaining chunks and is rethrown here. With max_workers <= 1 (or no
-  /// background threads) the loop runs inline, in increasing chunk order,
-  /// touching no synchronization.
+  /// Executes body(chunk) for every chunk in [0, chunk_count) exactly
+  /// once. At most `max_workers` participants run concurrently, each on
+  /// its participant_slot(): the calling thread and up to max_workers - 1
+  /// background workers. A worker starts loops only inside a body or
+  /// task, where they run inline, so no two participants of a call share
+  /// a slot and callers can keep per-slot scratch state (workspaces,
+  /// samplers) without locks. Each claim takes one chunk from one atomic
+  /// counter.
+  /// The first exception thrown by a body aborts remaining chunks and is
+  /// rethrown here. With max_workers <= 1 (or no background threads) the
+  /// loop runs inline, in increasing chunk order, touching no
+  /// synchronization.
   ///
   /// When `telemetry` is non-null the pool records completed chunks,
   /// per-chunk wall latency, time inside bodies (busy) and time spent
   /// claiming/waiting (idle; the caller's wait for helpers to drain counts
   /// as the caller's), and charges the same stretches to the profiler's
-  /// claim/busy/idle phases on each participant's slot
-  /// (participant_slot(), not the local slot). Null telemetry leaves the
-  /// claim loop untimed — not even a clock read.
+  /// claim/busy/idle phases on each participant's slot. Null telemetry
+  /// leaves the claim loop untimed — not even a clock read.
   void parallel_chunks(int chunk_count, int max_workers,
-                       const std::function<void(int chunk, int slot)>& body,
-                       const PoolTelemetry* telemetry = nullptr,
-                       int claim_batch = 1);
+                       const std::function<void(int chunk)>& body,
+                       const PoolTelemetry* telemetry = nullptr);
 
-  /// Runs the same loop inline on the calling thread (local slot 0,
-  /// profiler charges on participant_slot()), with the same telemetry
-  /// accounting as parallel_chunks — including idle time for the claim
-  /// loop itself (the stretches between bodies), so busy/idle fractions
-  /// are directly comparable between the serial and pooled modes. This is
-  /// the shared serial path: parallel_chunks degrades to it, and callers
-  /// that decide serial-vs-pooled themselves (the experiment harness's
+  /// Runs the same loop inline on the calling thread (profiler charges on
+  /// its participant_slot()), with the same telemetry accounting as
+  /// parallel_chunks — including idle time for the claim loop itself (the
+  /// stretches between bodies), so busy/idle fractions are directly
+  /// comparable between the serial and pooled modes. This is the shared
+  /// serial path: parallel_chunks degrades to it, and callers that decide
+  /// serial-vs-pooled themselves (the experiment harness's
   /// single-threaded bypass) use it directly so serial runs report the
   /// same metrics without instantiating the process pool.
   static void serial_chunks(int chunk_count,
-                            const std::function<void(int chunk, int slot)>& body,
+                            const std::function<void(int chunk)>& body,
                             const PoolTelemetry* telemetry = nullptr);
 
   /// Queues task(slot) to run once on an idle background worker, on that

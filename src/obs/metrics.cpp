@@ -228,11 +228,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 std::string metrics_to_json(const MetricsSnapshot& snap) {
   std::ostringstream os;
   JsonWriter w(os, 2);

@@ -20,8 +20,8 @@
 // Cost. Disabled mode is a null-pointer check at each would-be increment
 // site; its end-to-end cost measured under 2 % on the fig4a point.
 //
-// Registries. MetricsRegistry::global() is the process-wide instance the
-// harness defaults to; tests and tools construct scoped local registries
+// Registries. There is no process-wide registry: every caller that
+// collects metrics (the CLI, serve, perfbench, tests) constructs its own,
 // so concurrent measurements cannot bleed into each other.
 //
 // Handles. Looking a metric up by name builds a string and takes the
@@ -116,8 +116,8 @@ class Histogram {
 /// it when SimOptions::counters is set): dispatch volume, DVS activity,
 /// the slack-reclamation behaviour the paper only reports as final energy,
 /// and the integer energy-attribution ledger (where every picosecond of
-/// the run went, per voltage level). Plain integers so per-(point, slot,
-/// scheme) cells can be summed in any order without changing the result.
+/// the run went, per voltage level). Plain integers so per-chunk cells can
+/// be summed in any order without changing the result.
 ///
 /// The attribution ledger is the engine's own energy accounting: the
 /// engine derives busy/overhead/idle joules from exactly these integers
@@ -243,9 +243,6 @@ class MetricsRegistry {
   MetricsSnapshot snapshot() const;
   /// Zeroes every metric, keeping registrations (and handles) alive.
   void reset();
-
-  /// The process-wide registry the experiment harness defaults to.
-  static MetricsRegistry& global();
 
  private:
   MetricHandles* find_handles(const std::string& key) const;

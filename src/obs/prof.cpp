@@ -219,6 +219,16 @@ void Profiler::trace(int phase, int slot, std::int64_t t0, std::int64_t t1,
 }
 
 std::vector<ProfPhaseTotals> Profiler::snapshot() const {
+  return totals(0, kSlots);
+}
+
+std::vector<ProfPhaseTotals> Profiler::snapshot(int slot) const {
+  PASERTA_REQUIRE(slot >= 0 && slot < kSlots,
+                  "profiler slot " << slot << " out of range");
+  return totals(slot, slot + 1);
+}
+
+std::vector<ProfPhaseTotals> Profiler::totals(int first, int last) const {
   const int n = phase_count_.load(std::memory_order_acquire);
   std::vector<ProfPhaseTotals> out(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) {
@@ -227,7 +237,7 @@ std::vector<ProfPhaseTotals> Profiler::snapshot() const {
   }
   for (int p = 0; p < n; ++p) {
     std::uint64_t acc[kFields] = {};
-    for (int s = 0; s < kSlots; ++s) {
+    for (int s = first; s < last; ++s) {
       const Cell& c = cell(p, s);
       for (int f = 0; f < kFields; ++f)
         acc[f] += c.v[f].load(std::memory_order_relaxed);

@@ -138,6 +138,9 @@ class Profiler {
   /// order. Safe to call while scopes are active on other threads (their
   /// in-flight deltas land in a later snapshot).
   std::vector<ProfPhaseTotals> snapshot() const;
+  /// The per-phase totals of one slot alone, in registration order: a
+  /// slot's top-level phases tile the wall time of what ran on it.
+  std::vector<ProfPhaseTotals> snapshot(int slot) const;
 
   /// Exports the delta since the previous export as prof.<phase>.{ns,
   /// count[,cycles,instructions,cache_refs,cache_misses,branch_misses]}
@@ -189,6 +192,9 @@ class Profiler {
   const Cell& cell(int phase, int slot) const {
     return cells_[static_cast<std::size_t>(phase) * kSlots + slot];
   }
+
+  /// Per-phase totals of slots [first, last), summed in slot order.
+  std::vector<ProfPhaseTotals> totals(int first, int last) const;
 
   /// Records the span of a charge of [t0, t1) and takes a counter sample
   /// when a tracer is attached. `name` null = the phase name.

@@ -268,8 +268,9 @@ TEST(Scenario, WorstCaseUsesWcets) {
   const RunScenario sc = worst_case_scenario(app.graph);
   for (NodeId id : app.graph.all_nodes()) {
     const Node& n = app.graph.node(id);
-    if (n.kind == NodeKind::Computation)
+    if (n.kind == NodeKind::Computation) {
       EXPECT_EQ(sc.actual_of(id), n.wcet);
+    }
   }
 }
 

@@ -86,7 +86,7 @@ TEST(Counter, ConcurrentShardWritersWithLiveReader) {
       }
     });
   WorkerPool pool(3);
-  pool.parallel_chunks(static_cast<int>(kChunks), 4, [&](int, int) {
+  pool.parallel_chunks(static_cast<int>(kChunks), 4, [&](int) {
     for (std::uint64_t i = 0; i < kPerChunk; ++i) {
       c.add();
       h.record(100.0);
@@ -195,7 +195,7 @@ TEST(Histogram, ShardedRecordingAggregates) {
   const double bounds[] = {10.0};
   Histogram h(bounds);
   WorkerPool pool(3);
-  pool.parallel_chunks(200, 4, [&](int chunk, int) {
+  pool.parallel_chunks(200, 4, [&](int chunk) {
     h.record(chunk < 150 ? 1.0 : 100.0);
   });
   EXPECT_EQ(h.bucket_value(0), 150u);
@@ -342,7 +342,7 @@ TEST(SimCounterHandles, ConcurrentExportsAndLookupsAgree) {
   c.transitions = {0, 1, 1, 0};
   constexpr int kChunks = 256;
   WorkerPool pool(3);
-  pool.parallel_chunks(kChunks, 4, [&](int chunk, int) {
+  pool.parallel_chunks(kChunks, 4, [&](int chunk) {
     const int slot = WorkerPool::participant_slot();
     const std::string prefix = chunk % 2 == 0 ? "engine.GSS" : "engine.AS";
     SimCounterHandles::of(reg, prefix, 2).add(c);
@@ -649,8 +649,9 @@ TEST(ChromeTrace, ExportParsesAndCarriesEvents) {
       EXPECT_DOUBLE_EQ(ev.at("ts").number, 1.0);
       EXPECT_DOUBLE_EQ(ev.at("args").at("point").number, 0.0);
     }
-    if (ev.at("ph").str == "X" && ev.at("name").str == "chunk")
+    if (ev.at("ph").str == "X" && ev.at("name").str == "chunk") {
       EXPECT_DOUBLE_EQ(ev.at("args").at("run").number, 16.0);
+    }
   }
 }
 
@@ -673,8 +674,7 @@ TEST(PoolTelemetry, CountsChunksBusyAndProgress) {
 
   WorkerPool pool(3);
   std::atomic<int> executed{0};
-  pool.parallel_chunks(
-      64, 4, [&](int, int) { executed.fetch_add(1); }, &tel);
+  pool.parallel_chunks(64, 4, [&](int) { executed.fetch_add(1); }, &tel);
 
   EXPECT_EQ(executed.load(), 64);
   EXPECT_EQ(tel.chunks->value(), 64u);
@@ -696,8 +696,8 @@ TEST(PoolTelemetry, SerialChunksReportsOnSlotZero) {
   tel.ph_busy = prof.phase("pool.busy", /*top_level=*/true);
   tel.ph_idle = prof.phase("pool.idle", /*top_level=*/true);
   prof.expect(tel.ph_busy, 10);
-  WorkerPool::serial_chunks(10, [&](int, int slot) { EXPECT_EQ(slot, 0); },
-                            &tel);
+  WorkerPool::serial_chunks(
+      10, [&](int) { EXPECT_EQ(WorkerPool::participant_slot(), 0); }, &tel);
   EXPECT_EQ(tel.chunks->value(), 10u);
   // Every chunk is charged on the caller's participant slot.
   EXPECT_EQ(prof.progress(0).done, 10u);
@@ -707,8 +707,7 @@ TEST(PoolTelemetry, SerialChunksReportsOnSlotZero) {
 TEST(PoolTelemetry, NullTelemetryUnchangedBehaviour) {
   WorkerPool pool(2);
   std::atomic<int> executed{0};
-  pool.parallel_chunks(16, 3, [&](int, int) { executed.fetch_add(1); },
-                       nullptr);
+  pool.parallel_chunks(16, 3, [&](int) { executed.fetch_add(1); }, nullptr);
   EXPECT_EQ(executed.load(), 16);
 }
 
@@ -823,7 +822,9 @@ TEST(ObsMetrics, PointMetricsMatchSchemeStats) {
     } else {
       EXPECT_EQ(c.spec_picks + c.greedy_picks, c.tasks);
     }
-    if (scheme == Scheme::GSS) EXPECT_EQ(c.spec_picks, 0u);
+    if (scheme == Scheme::GSS) {
+      EXPECT_EQ(c.spec_picks, 0u);
+    }
   }
   // NPM never changes speed and reclaims no slack.
   EXPECT_EQ(pt.metrics.npm.speed_changes, 0u);

@@ -84,6 +84,20 @@ TEST(ParallelHarness, ZeroThreadsRejected) {
   EXPECT_THROW(run_point(app, cfg, SimTime::from_ms(120), 0.0), Error);
 }
 
+TEST(ParallelHarness, MetricsWithoutRegistryRejected) {
+  // There is no process-wide registry to fall back on: a caller that
+  // collects metrics passes its own.
+  const Application app = apps::build_synthetic();
+  ExperimentConfig cfg = config(5, 1);
+  cfg.collect_metrics = true;
+  EXPECT_THROW(run_point(app, cfg, SimTime::from_ms(120), 0.0), Error);
+  EXPECT_THROW(sweep_load(app, cfg, {0.5}), Error);
+  MetricsRegistry reg;
+  cfg.registry = &reg;
+  EXPECT_TRUE(run_point(app, cfg, SimTime::from_ms(120), 0.0)
+                  .metrics.enabled());
+}
+
 TEST(StreamSeed, DistinctAndStable) {
   // Stability and pairwise distinctness across a realistic index range.
   std::set<std::uint64_t> seen;

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <future>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <utility>
@@ -35,52 +37,38 @@ TEST(WorkerPool, EveryChunkExactlyOnce) {
   WorkerPool pool(3);
   EXPECT_EQ(pool.thread_count(), 3);
   std::vector<std::atomic<int>> counts(257);
-  pool.parallel_chunks(257, 4, [&](int chunk, int slot) {
+  // Per-call scratch is indexed by participant slot, so one thread must
+  // hold each slot for the whole call: the caller slot 0, each background
+  // worker its own fixed slot.
+  std::mutex m;
+  std::map<int, std::thread::id> owner;
+  pool.parallel_chunks(257, 4, [&](int chunk) {
     ASSERT_GE(chunk, 0);
     ASSERT_LT(chunk, 257);
-    ASSERT_GE(slot, 0);
-    ASSERT_LT(slot, 4);
     counts[static_cast<std::size_t>(chunk)]++;
+    const int slot = WorkerPool::participant_slot();
+    const std::thread::id self = std::this_thread::get_id();
+    std::lock_guard<std::mutex> lock(m);
+    const auto [it, inserted] = owner.emplace(slot, self);
+    EXPECT_EQ(it->second, self) << "slot " << slot << " on two threads";
   });
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+  std::set<std::thread::id> threads;
+  for (const auto& [slot, id] : owner) {
+    EXPECT_GE(slot, 0);
+    EXPECT_LE(slot, 3);
+    EXPECT_EQ(slot == 0, id == std::this_thread::get_id()) << "slot " << slot;
+    threads.insert(id);
+  }
+  EXPECT_EQ(threads.size(), owner.size()) << "a thread on two slots";
 }
 
 TEST(WorkerPool, ReusableAcrossCallsAndWorkerCounts) {
   WorkerPool pool(2);
   for (int max_workers : {1, 2, 5}) {
     std::atomic<int> sum{0};
-    pool.parallel_chunks(40, max_workers,
-                         [&](int chunk, int) { sum += chunk; });
+    pool.parallel_chunks(40, max_workers, [&](int chunk) { sum += chunk; });
     EXPECT_EQ(sum.load(), 40 * 39 / 2);
-  }
-}
-
-TEST(WorkerPool, BatchedClaimsCoverEveryChunkOnce) {
-  WorkerPool pool(3);
-  // Coverage must be exact for any claim batch, including batches larger
-  // than the chunk space and batches that do not divide it.
-  for (int batch : {1, 2, 5, 64, 1000}) {
-    SCOPED_TRACE(testing::Message() << "claim_batch=" << batch);
-    std::vector<std::atomic<int>> counts(257);
-    pool.parallel_chunks(
-        257, 4,
-        [&](int chunk, int slot) {
-          ASSERT_GE(chunk, 0);
-          ASSERT_LT(chunk, 257);
-          ASSERT_GE(slot, 0);
-          ASSERT_LT(slot, 4);
-          counts[static_cast<std::size_t>(chunk)]++;
-        },
-        /*telemetry=*/nullptr, batch);
-    for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
-  }
-}
-
-TEST(WorkerPool, NonPositiveClaimBatchRejected) {
-  WorkerPool pool(1);
-  for (int batch : {0, -3}) {
-    EXPECT_THROW(
-        pool.parallel_chunks(4, 2, [](int, int) {}, nullptr, batch), Error);
   }
 }
 
@@ -89,8 +77,8 @@ TEST(WorkerPool, ZeroThreadsRunsInline) {
   // With no background workers every chunk runs on the caller, slot 0, in
   // increasing order.
   std::vector<int> order;
-  pool.parallel_chunks(5, 8, [&](int chunk, int slot) {
-    EXPECT_EQ(slot, 0);
+  pool.parallel_chunks(5, 8, [&](int chunk) {
+    EXPECT_EQ(WorkerPool::participant_slot(), 0);
     order.push_back(chunk);
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -98,7 +86,7 @@ TEST(WorkerPool, ZeroThreadsRunsInline) {
 
 TEST(WorkerPool, ZeroChunksIsANoop) {
   WorkerPool pool(1);
-  pool.parallel_chunks(0, 4, [&](int, int) { FAIL() << "no chunks to run"; });
+  pool.parallel_chunks(0, 4, [&](int) { FAIL() << "no chunks to run"; });
 }
 
 TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
@@ -108,7 +96,7 @@ TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
   // least 12 ms on 4 workers) outlasts the abort latency (microseconds) by
   // orders of magnitude. With trivial bodies the helpers could run all
   // 1000 before the throwing chunk's catch set the abort flag.
-  const auto body = [&](int chunk, int) {
+  const auto body = [&](int chunk) {
     ++executed;
     if (chunk == 7) throw Error("boom in chunk 7");
     const auto until =
@@ -121,7 +109,7 @@ TEST(WorkerPool, BodyExceptionPropagatesToCaller) {
   EXPECT_LT(executed.load(), 1000);
   // The pool survives and is usable afterwards.
   std::atomic<int> after{0};
-  pool.parallel_chunks(10, 4, [&](int, int) { ++after; });
+  pool.parallel_chunks(10, 4, [&](int) { ++after; });
   EXPECT_EQ(after.load(), 10);
 }
 
@@ -157,12 +145,12 @@ TEST(WorkerPool, LoopsInsideTasksRunInlineAndTasksDrain) {
     WorkerPool pool(2);
     std::vector<std::promise<void>> looped(6);
     for (std::size_t t = 0; t < looped.size(); ++t) {
-      pool.submit([&, t](int) {
-        // A loop started inside a task runs inline on local slot 0, in
+      pool.submit([&, t](int slot) {
+        // A loop started inside a task runs inline on the task's slot, in
         // chunk order.
         std::vector<int> order;
-        pool.parallel_chunks(5, 4, [&](int chunk, int local) {
-          EXPECT_EQ(local, 0);
+        pool.parallel_chunks(5, 4, [&](int chunk) {
+          EXPECT_EQ(WorkerPool::participant_slot(), slot);
           order.push_back(chunk);
         });
         EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -183,9 +171,9 @@ TEST(WorkerPool, LoopsInsideTasksRunInlineAndTasksDrain) {
 TEST(WorkerPool, NestedCallDegradesToInline) {
   WorkerPool pool(2);
   std::atomic<int> inner_total{0};
-  pool.parallel_chunks(4, 2, [&](int, int) {
+  pool.parallel_chunks(4, 2, [&](int) {
     // A body starting its own loop must not deadlock; it runs inline.
-    pool.parallel_chunks(3, 2, [&](int, int) { ++inner_total; });
+    pool.parallel_chunks(3, 2, [&](int) { ++inner_total; });
   });
   EXPECT_EQ(inner_total.load(), 12);
 }
@@ -214,7 +202,7 @@ struct TelemetryFixture {
 
 TEST(PoolTelemetryInvariants, SerialAndPooledAccountAlike) {
   constexpr int kChunks = 96;
-  const auto body = [](int, int) {
+  const auto body = [](int) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   };
 
@@ -272,6 +260,21 @@ void expect_stat_identical(const RunningStat& a, const RunningStat& b) {
   EXPECT_DOUBLE_EQ(a.max(), b.max());
 }
 
+void expect_counters_identical(const SimCounters& a, const SimCounters& b) {
+  EXPECT_EQ(a.dispatches, b.dispatches);
+  EXPECT_EQ(a.tasks, b.tasks);
+  EXPECT_EQ(a.or_fires, b.or_fires);
+  EXPECT_EQ(a.speed_changes, b.speed_changes);
+  EXPECT_EQ(a.spec_picks, b.spec_picks);
+  EXPECT_EQ(a.greedy_picks, b.greedy_picks);
+  EXPECT_EQ(a.reclaimed_slack_ps, b.reclaimed_slack_ps);
+  EXPECT_EQ(a.levels, b.levels);
+  EXPECT_EQ(a.busy_ps, b.busy_ps);
+  EXPECT_EQ(a.compute_ps, b.compute_ps);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.idle_ps, b.idle_ps);
+}
+
 void expect_point_identical(const SweepPoint& a, const SweepPoint& b) {
   EXPECT_DOUBLE_EQ(a.x, b.x);
   EXPECT_EQ(a.deadline, b.deadline);
@@ -291,6 +294,10 @@ void expect_point_identical(const SweepPoint& a, const SweepPoint& b) {
     EXPECT_EQ(a.stats[s].deadline_misses, b.stats[s].deadline_misses);
     EXPECT_EQ(a.stats[s].verify_failures, b.stats[s].verify_failures);
   }
+  ASSERT_EQ(a.metrics.schemes.size(), b.metrics.schemes.size());
+  for (std::size_t s = 0; s < a.metrics.schemes.size(); ++s)
+    expect_counters_identical(a.metrics.schemes[s], b.metrics.schemes[s]);
+  expect_counters_identical(a.metrics.npm, b.metrics.npm);
 }
 
 void expect_sweep_identical(const std::vector<SweepPoint>& a,
@@ -301,15 +308,27 @@ void expect_sweep_identical(const std::vector<SweepPoint>& a,
 }
 
 TEST(PoolDeterminism, SweepInvariantAcrossThreadsChunksPointModes) {
+  // Metrics on: every chunk stage carries its engine counters, parked
+  // stages included, and the fold adds them to the point in chunk order,
+  // so the PointMetrics compare field by field too.
   const Application app = apps::build_synthetic();
   const std::vector<double> loads = {0.3, 0.5, 0.9};
+  const auto metered = [](int threads, MetricsRegistry& reg) {
+    ExperimentConfig cfg = config(30, threads);
+    cfg.collect_metrics = true;
+    cfg.registry = &reg;
+    return cfg;
+  };
 
+  MetricsRegistry baseline_reg;
   const std::vector<SweepPoint> baseline =
-      sweep_load(app, config(30, 1), loads);
+      sweep_load(app, metered(1, baseline_reg), loads);
+  ASSERT_TRUE(baseline.front().metrics.enabled());
 
   for (int threads : {1, 2, 5}) {
     for (int chunk : {0, 1, 7, 64}) {
-      ExperimentConfig cfg = config(30, threads);
+      MetricsRegistry reg;
+      ExperimentConfig cfg = metered(threads, reg);
       cfg.chunk_runs = chunk;
       const std::vector<SweepPoint> sweep = sweep_load(app, cfg, loads);
       SCOPED_TRACE(testing::Message()

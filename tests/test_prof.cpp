@@ -77,7 +77,8 @@ TEST(Profiler, ScopeChargesWallTimeOnFallbackClock) {
     ProfScope scope(&prof, p, 0);
     // Enough work that even a coarse monotonic clock moves.
     volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 200000; ++i) sink += static_cast<std::uint64_t>(i);
+    for (int i = 0; i < 200000; ++i)
+      sink = sink + static_cast<std::uint64_t>(i);
   }
   const std::vector<ProfPhaseTotals> snap = prof.snapshot();
   ASSERT_EQ(snap.size(), 1u);
@@ -121,7 +122,8 @@ TEST(Profiler, MergeAcrossPoolSlotsIsExact) {
   const int p = prof.phase("chunk");
   WorkerPool pool(3);
   const int chunks = 400;
-  pool.parallel_chunks(chunks, 4, [&](int chunk, int slot) {
+  pool.parallel_chunks(chunks, 4, [&](int chunk) {
+    const int slot = WorkerPool::participant_slot();
     ProfScope scope(&prof, p, slot);
     prof.add_ns(p, slot, 10, /*count=*/0);  // +10 ns, scope adds the count
     if (chunk % 32 == 0) {
@@ -236,8 +238,9 @@ TEST(ProfIdentity, FallbackMatchesHardwarePhaseStructure) {
     EXPECT_EQ(fb[i].top_level, hw[i].top_level);
     // Scope-entry counts are deterministic except for the pool's idle /
     // claim stretches, whose subdivision depends on wait timing.
-    if (hw[i].name.rfind("pool.", 0) != 0)
+    if (hw[i].name.rfind("pool.", 0) != 0) {
       EXPECT_EQ(fb[i].count, hw[i].count);
+    }
     // Fallback clock: wall time only.
     EXPECT_EQ(fb[i].cycles, 0u);
     EXPECT_EQ(fb[i].instructions, 0u);

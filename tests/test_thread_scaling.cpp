@@ -73,11 +73,11 @@ TEST(ThreadScalingBitIdentity, Fig4aSweepMatchesUnpooledReference) {
       cfg.threads = threads;
       cfg.chunk_runs = chunk;
       // Audit re-accounts every run three ways and metrics route through
-      // the per-(point, slot, scheme) cells; both must stay write-only
-      // for the simulation at every thread count.
+      // the chunk stages' counter cells; both must stay write-only for the
+      // simulation at every thread count.
       cfg.audit = true;
       cfg.collect_metrics = true;
-      MetricsRegistry reg;  // scoped: keep the global registry clean
+      MetricsRegistry reg;  // scoped: one run's totals
       cfg.registry = &reg;
       const std::string csv = render_csv(fig, sweep_load(app, cfg, fig.xs));
       SCOPED_TRACE(testing::Message()

@@ -611,8 +611,11 @@ int cmd_profile(const Options& o) {
           .count();
 
   const std::vector<ProfPhaseTotals> phases = prof.snapshot();
+  // Coverage is that of the command's own thread, slot 0: its top-level
+  // phases tile the command end to end, while the pool workers' phases
+  // overlap them.
   std::uint64_t top_ns = 0;
-  for (const ProfPhaseTotals& p : phases)
+  for (const ProfPhaseTotals& p : prof.snapshot(0))
     if (p.top_level) top_ns += p.ns;
   // Monte-Carlo draws across the whole command — the same denominator the
   // bench's runs/sec uses, so cycles/run here and cycles_per_run there
